@@ -18,7 +18,6 @@ from .algebra import (
     fiber_max,
     fiber_min,
     identity_morphism,
-    make_algebra,
     make_morphism,
 )
 from .config import Caps, DEFAULT_CAPS

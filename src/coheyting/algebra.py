@@ -22,9 +22,8 @@ from .errors import (
     NotMonotone,
     NotOpen,
     OwnerMismatch,
-    SizeCap,
 )
-from .posets import PointSet, Poset, bits, mask_of, popcount, set_key
+from .posets import PointSet, Poset, bits, close, mask_of, set_key
 
 
 class Infinite:
@@ -182,18 +181,6 @@ class Algebra:
 
     # -- order and difference ------------------------------------------------
 
-    def join(self, a: Element, b: Element) -> Element:
-        return self.element(a) | self.element(b)
-
-    def meet(self, a: Element, b: Element) -> Element:
-        return self.element(a) & self.element(b)
-
-    def diff(self, a: Element, b: Element) -> Element:
-        return self.element(a) - self.element(b)
-
-    def sym_diff(self, a: Element, b: Element) -> Element:
-        return self.element(a) ^ self.element(b)
-
     def strongly_below(self, b: Element, a: Element) -> bool:
         """True iff b <= a and a - b = a (b carries no weight inside a)."""
         b = self.element(b)
@@ -303,35 +290,10 @@ class Algebra:
         self, gens: Sequence[Element], caps: Caps = DEFAULT_CAPS
     ) -> tuple[Element, ...]:
         """Closure of gens (plus bounds) under join, meet and difference."""
-        masks: list[PointSet] = []
-        seen: set[PointSet] = set()
-
-        def add(m: PointSet) -> None:
-            if m not in seen:
-                if len(seen) >= caps.max_closure:
-                    raise SizeCap(
-                        f"generated subalgebra exceeds {caps.max_closure} elements"
-                    )
-                seen.add(m)
-                masks.append(m)
-
-        add(0)
-        add(self.spec.full)
-        for g in gens:
-            add(self.element(g).pts)
-        i = 0
-        while i < len(masks):
-            a = masks[i]
-            for j in range(i + 1):
-                b = masks[j]
-                add(a | b)
-                add(a & b)
-                add(self.spec.down_closure(a & ~b))
-                add(self.spec.down_closure(b & ~a))
-            i += 1
-        return tuple(
-            Element(self, m) for m in sorted(seen, key=set_key)
-        )
+        spec = self.spec
+        seeds = [0, spec.full] + [self.element(g).pts for g in gens]
+        closed = close(seeds, lambda a, b: spec.down_closure(a & ~b), caps)
+        return tuple(Element(self, m) for m in closed)
 
 
 @dataclass(frozen=True)
@@ -346,11 +308,6 @@ class Ideal:
 
     def __contains__(self, a: Element) -> bool:
         return self.contains(a)
-
-    def members(self, caps: Caps = DEFAULT_CAPS) -> tuple[Element, ...]:
-        return tuple(
-            e for e in self.owner.elements(caps) if e.pts & self.gen.pts == e.pts
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,9 +331,6 @@ class Morphism:
             if a.pts >> p & 1:
                 m |= 1 << q
         return Element(self.dst, m)
-
-    def __call__(self, a: Element) -> Element:
-        return self.apply(a)
 
     @cached_property
     def image_mask(self) -> PointSet:
@@ -468,7 +422,3 @@ def check_dL_preserved(phi: Morphism, d: int) -> DimPreservationReport:
         equal=image.pts == target.pts,
         dual_injective=phi.dual_injective(),
     )
-
-
-def make_algebra(spec: Poset) -> Algebra:
-    return Algebra(spec)

@@ -334,6 +334,11 @@ def cmd_verify(args) -> int:
         for name in suite_names():
             print(name)
         return 0
+    if args.budget < 1 or args.max_points < 1:
+        raise FormatError("--budget and --max-points must be at least 1")
+    for name in args.suites:
+        if name not in suite_names():
+            raise FormatError(f"unknown suite {name!r}; see verify --list")
     ctx = SuiteContext(seed=args.seed, budget=args.budget, max_points=args.max_points)
     names = args.suites or None
     reports = run_suites(names, ctx)

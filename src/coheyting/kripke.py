@@ -39,6 +39,8 @@ from .posets import (
     bits,
     build_poset,
     canonical_form,
+    close,
+    enumerate_antichains,
     mask_of,
     popcount,
     poset_to_text,
@@ -257,31 +259,11 @@ def algebra_of_model(
     frame = model.frame
     full = frame.full
     gens = [truth_set(model, Term("var", name=v)) for v in model.vars]
-    masks: list[PointSet] = []
-    seen: set[PointSet] = set()
 
-    def add(m: PointSet) -> None:
-        if m not in seen:
-            if len(seen) >= caps.max_closure:
-                raise SizeCap("definable truth sets exceed the closure cap")
-            seen.add(m)
-            masks.append(m)
+    def implies(a: PointSet, b: PointSet) -> PointSet:
+        return full & ~frame.up_closure(a & ~b)
 
-    add(0)
-    add(full)
-    for g in gens:
-        add(g)
-    i = 0
-    while i < len(masks):
-        a = masks[i]
-        for j in range(i + 1):
-            b = masks[j]
-            add(a | b)
-            add(a & b)
-            add(full & ~frame.up_closure(a & ~b))
-            add(full & ~frame.up_closure(b & ~a))
-        i += 1
-    return tuple(sorted(seen, key=set_key))
+    return tuple(close([0, full] + gens, implies, caps))
 
 
 # ---------------------------------------------------------------------------
@@ -322,31 +304,21 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
             layer1.append(idx)
         layers.append(tuple(layer1))
     for _layer in range(2, d + 1):
-        # incomparability from the running closure masks
+        # up masks from the running closure masks
         m = len(names)
         up = [0] * m
         for j in range(m):
             for i in bits(down[j]):
                 up[i] |= 1 << j
         top_mask = mask_of(layers[-1])
-        found: list[PointSet] = []
-
-        def rec(start: int, chosen: PointSet, allowed: PointSet) -> None:
-            for i in range(start, m):
-                if not allowed >> i & 1:
-                    continue
-                cur = chosen | 1 << i
-                if cur & top_mask:
-                    found.append(cur)
-                    if len(found) > caps.max_antichains:
-                        raise SizeCap(
-                            "universal frame antichain stream too large",
-                            census=tuple(len(l) for l in layers),
-                        )
-                rec(i + 1, cur, allowed & ~(down[i] | up[i]))
-
-        rec(0, 0, (1 << m) - 1)
-        found.sort(key=set_key)
+        try:
+            # only antichains meeting the newest layer
+            found = enumerate_antichains(down, up, top_mask.__and__, caps)
+        except SizeCap:
+            raise SizeCap(
+                "universal frame antichain stream too large",
+                census=tuple(len(l) for l in layers),
+            ) from None
         new_layer = []
         for antichain in found:
             inter = (1 << n) - 1

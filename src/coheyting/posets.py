@@ -76,9 +76,6 @@ class Poset:
     def leq(self, i: int, j: int) -> bool:
         return bool(self.down[j] >> i & 1)
 
-    def lt(self, i: int, j: int) -> bool:
-        return i != j and self.leq(i, j)
-
     def down_closure(self, s: PointSet) -> PointSet:
         out = 0
         for i in bits(s):
@@ -119,12 +116,6 @@ class Poset:
             corank[i] = max(above, default=0)
         return tuple(corank)
 
-    def rank(self, i: int) -> int:
-        return self.ranks[i]
-
-    def corank(self, i: int) -> int:
-        return self.coranks[i]
-
     def height(self) -> int:
         """Longest chain length (edges); -1 for the empty poset."""
         return max(self.ranks, default=-1)
@@ -154,37 +145,9 @@ class Poset:
             down.append(m)
         return _from_down(names, down)
 
-    def antichains(
-        self,
-        keep: Callable[[PointSet], bool] | None = None,
-        caps: Caps = DEFAULT_CAPS,
-    ) -> list[PointSet]:
-        """All nonempty antichains, sorted by size then lexicographic indices.
-
-        ``keep`` filters candidates before they are stored.
-        """
-        n = self.n
-        incomparable = [
-            self.full & ~(self.down[i] | self.up[i]) for i in range(n)
-        ]
-        found: list[PointSet] = []
-
-        def rec(start: int, chosen: PointSet, allowed: PointSet) -> None:
-            for i in range(start, n):
-                if not allowed >> i & 1:
-                    continue
-                cur = chosen | 1 << i
-                if keep is None or keep(cur):
-                    found.append(cur)
-                    if len(found) > caps.max_antichains:
-                        raise SizeCap(
-                            f"more than {caps.max_antichains} antichains"
-                        )
-                rec(i + 1, cur, allowed & incomparable[i])
-
-        rec(0, 0, self.full)
-        found.sort(key=set_key)
-        return found
+    def antichains(self, caps: Caps = DEFAULT_CAPS) -> list[PointSet]:
+        """All nonempty antichains, sorted by size then lexicographic indices."""
+        return enumerate_antichains(self.down, self.up, None, caps)
 
     def all_downsets(self, caps: Caps = DEFAULT_CAPS) -> list[PointSet]:
         """Every downset, sorted by (size, indices).  Capped."""
@@ -218,6 +181,74 @@ class Poset:
             f"{self.names[a]}<{self.names[b]}" for a, b in self.covers
         )
         return f"Poset({self.n} points{'; ' + rel if rel else ''})"
+
+
+def enumerate_antichains(
+    down: Sequence[PointSet],
+    up: Sequence[PointSet],
+    keep: Callable[[PointSet], bool] | None,
+    caps: Caps,
+) -> list[PointSet]:
+    """Nonempty antichains of the order given by reflexive ``down``/``up``
+    closure masks that pass ``keep``, sorted by ``set_key``.
+
+    Depth-first over ascending indices; every antichain is visited, and
+    SizeCap is raised once more than ``caps.max_antichains`` are kept.
+    """
+    n = len(down)
+    full = (1 << n) - 1
+    incomparable = [full & ~(down[i] | up[i]) for i in range(n)]
+    found: list[PointSet] = []
+
+    def rec(start: int, chosen: PointSet, allowed: PointSet) -> None:
+        for i in range(start, n):
+            if not allowed >> i & 1:
+                continue
+            cur = chosen | 1 << i
+            if keep is None or keep(cur):
+                found.append(cur)
+                if len(found) > caps.max_antichains:
+                    raise SizeCap(f"more than {caps.max_antichains} antichains")
+            rec(i + 1, cur, allowed & incomparable[i])
+
+    rec(0, 0, full)
+    found.sort(key=set_key)
+    return found
+
+
+def close(
+    seeds: Iterable[PointSet],
+    diff: Callable[[PointSet, PointSet], PointSet],
+    caps: Caps,
+) -> list[PointSet]:
+    """Closure of ``seeds`` under union, intersection and ``diff`` (taken
+    both ways round), sorted by ``set_key``.
+
+    Raises SizeCap once the closure would exceed ``caps.max_closure`` masks.
+    """
+    masks: list[PointSet] = []
+    seen: set[PointSet] = set()
+
+    def add(m: PointSet) -> None:
+        if m not in seen:
+            if len(seen) >= caps.max_closure:
+                raise SizeCap(f"closure exceeds {caps.max_closure} elements")
+            seen.add(m)
+            masks.append(m)
+
+    for m in seeds:
+        add(m)
+    i = 0
+    while i < len(masks):
+        a = masks[i]
+        for j in range(i + 1):
+            b = masks[j]
+            add(a | b)
+            add(a & b)
+            add(diff(a, b))
+            add(diff(b, a))
+        i += 1
+    return sorted(seen, key=set_key)
 
 
 def _from_down(names: Sequence[str], down: Sequence[int]) -> Poset:

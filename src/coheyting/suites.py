@@ -1,8 +1,26 @@
 """Randomized and exhaustive law-checking suites with counterexample shrinking.
 
-Each suite checks one family of laws over a pool of small algebras.  A case
-is always reducible to (carrier poset, named downset masks, extra strings),
-so failures carry a text payload that replays without any live objects.
+Each suite checks one family of laws, registered in ``CHECKERS``, over a
+pool of small algebras: one entry per poset isomorphism class up to
+``max_points``, with its algebra and its elements.  A case is always
+reducible to (carrier poset, named downset masks, extra strings), so
+failures carry a text payload that replays without any live objects.
+
+Two tables describe the suites, and one runner turns them into cases:
+
+* ``RANDOM_SUITES`` maps a name to ``(seed offset, draw, degree)``.  Each of
+  ``budget`` cases draws from ``random.Random(seed + offset)`` in a fixed
+  order: the pool index; then either one element per letter of the draw
+  (masks ``a``, ``b``, ...) or, for a draw ``(kind, k, prefixes)``, a
+  ``random_term`` of that kind over ``x1..xk`` followed by one element per
+  variable (sorted) and per prefix (masks ``u_x1``, ``v_x1``, ...); and
+  last, when ``degree`` is set, ``d = randrange(height + 2)``.
+* ``EXHAUSTIVE_SUITES`` maps a name to ``(largest, degrees)``.  Every pool
+  entry with at most ``largest`` elements (all when None) is one case, or
+  one case per degree ``d`` in ``degrees(height)`` when that is given.
+
+``counting-bounds`` and ``tower-coherence`` check global statements with
+no per-case carrier; each is one case.
 """
 
 from __future__ import annotations
@@ -109,31 +127,12 @@ class SuiteContext:
 Checker = Callable[[Algebra, "dict[str, Element]", "dict[str, str]"], "str | None"]
 
 CHECKERS: dict[str, Checker] = {}
-SUITES: dict[str, Callable[[SuiteContext], SuiteReport]] = {}
 
 
 def _checker(name: str):
     def register(fn: Checker) -> Checker:
         CHECKERS[name] = fn
         return fn
-
-    return register
-
-
-def _suite(name: str):
-    def register(fn):
-        def timed(ctx: SuiteContext) -> SuiteReport:
-            start = time.perf_counter()
-            cases, failures = fn(ctx)
-            return SuiteReport(
-                suite=name,
-                cases=cases,
-                failures=tuple(failures),
-                seconds=time.perf_counter() - start,
-            )
-
-        SUITES[name] = timed
-        return timed
 
     return register
 
@@ -236,10 +235,6 @@ def replay_failure(failure: Failure) -> bool:
     return CHECKERS[failure.suite](algebra, elems, failure.extra) is not None
 
 
-def _pick(rng: random.Random, elems: tuple[Element, ...], k: int) -> list[Element]:
-    return [elems[rng.randrange(len(elems))] for _ in range(k)]
-
-
 def _model_from_masks(
     algebra: Algebra, names: list[str], per_var: dict[str, int]
 ) -> KripkeModel:
@@ -279,21 +274,6 @@ def _check_s2(algebra, e, extra):
     return None
 
 
-@_suite("s2-identities")
-def _suite_s2(ctx: SuiteContext):
-    rng = random.Random(ctx.seed)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        a, b, c = _pick(rng, elems, 3)
-        _run_case(
-            "s2-identities", poset, algebra,
-            {"a": a.pts, "b": b.pts, "c": c.pts}, {}, failures,
-        )
-    return ctx.budget, failures
-
-
 @_checker("delta-triangle")
 def _check_delta(algebra, e, extra):
     a, b, c = e["a"], e["b"], e["c"]
@@ -304,21 +284,6 @@ def _check_delta(algebra, e, extra):
     if a ^ b != b ^ a:
         return "a ^ b = b ^ a"
     return None
-
-
-@_suite("delta-triangle")
-def _suite_delta(ctx: SuiteContext):
-    rng = random.Random(ctx.seed + 1)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        a, b, c = _pick(rng, elems, 3)
-        _run_case(
-            "delta-triangle", poset, algebra,
-            {"a": a.pts, "b": b.pts, "c": c.pts}, {}, failures,
-        )
-    return ctx.budget, failures
 
 
 @_checker("ultrametric")
@@ -333,21 +298,6 @@ def _check_ultra(algebra, e, extra):
     return None
 
 
-@_suite("ultrametric")
-def _suite_ultra(ctx: SuiteContext):
-    rng = random.Random(ctx.seed + 2)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        a, b, c = _pick(rng, elems, 3)
-        _run_case(
-            "ultrametric", poset, algebra,
-            {"a": a.pts, "b": b.pts, "c": c.pts}, {}, failures,
-        )
-    return ctx.budget, failures
-
-
 @_checker("codim-join")
 def _check_codim_join(algebra, e, extra):
     a, b = e["a"], e["b"]
@@ -358,82 +308,50 @@ def _check_codim_join(algebra, e, extra):
     return None
 
 
-@_suite("codim-join")
-def _suite_codim_join(ctx: SuiteContext):
-    rng = random.Random(ctx.seed + 3)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        a, b = _pick(rng, elems, 2)
-        _run_case(
-            "codim-join", poset, algebra,
-            {"a": a.pts, "b": b.pts}, {}, failures,
-        )
-    return ctx.budget, failures
-
-
 # ---------------------------------------------------------------------------
 # Dimension routes
 
 
-def _strong_pairs(algebra: Algebra, elems) -> dict[int, list[int]]:
-    """For each nonzero mask, the nonzero masks strictly strongly below it."""
+def _longest_chains(steps: dict) -> Callable:
+    """Length of the longest path from a key along ``steps``, memoized."""
+    length: dict = {}
+
+    def chain(key) -> int:
+        if key not in length:
+            length[key] = 0
+            length[key] = max((1 + chain(x) for x in steps[key]), default=0)
+        return length[key]
+
+    return chain
+
+
+def chain_routes(algebra: Algebra, elems) -> tuple[Callable, Callable]:
+    """(codim_of, dim_of) on nonzero masks by longest strong chains.
+
+    Codimension is the longest ascending and dimension the longest
+    descending chain of strictly strongly below pairs, both read from one
+    table over the nonzero ``elems``; bottom is left to the caller.
+    """
     below: dict[int, list[int]] = {}
     for upper in elems:
         if upper.is_bottom():
             continue
-        rows = []
-        for lower in elems:
-            if lower.is_bottom() or lower == upper:
-                continue
-            if algebra.strongly_below(lower, upper):
-                rows.append(lower.pts)
-        below[upper.pts] = rows
-    return below
-
-
-def codim_by_chains(algebra: Algebra, a: Element, elems=None):
-    """Codimension as the longest ascending strong chain starting at a."""
-    elems = elems if elems is not None else algebra.elements()
-    if a.is_bottom():
-        return algebra.codim(algebra.bottom())
-    below = _strong_pairs(algebra, elems)
+        below[upper.pts] = [
+            lower.pts
+            for lower in elems
+            if not lower.is_bottom()
+            and lower != upper
+            and algebra.strongly_below(lower, upper)
+        ]
     above: dict[int, list[int]] = {m: [] for m in below}
     for upper, lowers in below.items():
         for lower in lowers:
             above[lower].append(upper)
-    depth: dict[int, int] = {}
-
-    def chain(m: int) -> int:
-        if m not in depth:
-            depth[m] = 0
-            depth[m] = max((1 + chain(x) for x in above[m]), default=0)
-        return depth[m]
-
-    return chain(a.pts)
+    return _longest_chains(above), _longest_chains(below)
 
 
-def dim_by_chains(algebra: Algebra, a: Element, elems=None):
-    """Dimension as the longest descending strong chain starting at a."""
-    elems = elems if elems is not None else algebra.elements()
-    if a.is_bottom():
-        return algebra.dim_elt(algebra.bottom())
-    below = _strong_pairs(algebra, elems)
-    height: dict[int, int] = {}
-
-    def chain(m: int) -> int:
-        if m not in height:
-            height[m] = 0
-            height[m] = max((1 + chain(x) for x in below[m]), default=0)
-        return height[m]
-
-    return chain(a.pts)
-
-
-def prime_filters(algebra: Algebra, elems=None) -> list[tuple[int, frozenset[int]]]:
-    """All prime filters as (generator mask, member-mask set), definitionally."""
-    elems = elems if elems is not None else algebra.elements()
+def prime_filters(algebra: Algebra, elems) -> list[tuple[int, frozenset[int]]]:
+    """All prime filters among elems as (generator mask, member-mask set)."""
     members = [x.pts for x in elems]
     primes = []
     for gen in elems:
@@ -453,67 +371,43 @@ def prime_filters(algebra: Algebra, elems=None) -> list[tuple[int, frozenset[int
     return primes
 
 
-def codim_by_primes(algebra: Algebra, a: Element, elems=None):
-    """Codimension via longest chains of prime filters under inclusion."""
-    elems = elems if elems is not None else algebra.elements()
-    if a.is_bottom():
-        return algebra.codim(algebra.bottom())
-    primes = prime_filters(algebra, elems)
-    sets = [f for _, f in primes]
-    depth: dict[frozenset[int], int] = {}
+def prime_routes(algebra: Algebra, elems) -> tuple[Callable, Callable]:
+    """(codim_of, dim_of) on nonzero masks by prime-filter chains.
 
-    def below(f) -> int:
-        if f not in depth:
-            depth[f] = 0
-            depth[f] = max((1 + below(g) for g in sets if g < f), default=0)
-        return depth[f]
+    A mask's codimension is the least, and its dimension the greatest,
+    length of a chain of prime filters below, respectively above, a prime
+    filter containing it; bottom is left to the caller.
+    """
+    sets = [f for _, f in prime_filters(algebra, elems)]
+    down = _longest_chains({f: [g for g in sets if g < f] for f in sets})
+    up = _longest_chains({f: [g for g in sets if g > f] for f in sets})
 
-    return min(below(f) for _, f in primes if a.pts in f)
+    def codim_of(mask: int) -> int:
+        return min(down(f) for f in sets if mask in f)
 
+    def dim_of(mask: int) -> int:
+        return max(up(f) for f in sets if mask in f)
 
-def dim_by_primes(algebra: Algebra, a: Element, elems=None):
-    """Dimension via longest chains of prime filters above, under inclusion."""
-    elems = elems if elems is not None else algebra.elements()
-    if a.is_bottom():
-        return algebra.dim_elt(algebra.bottom())
-    primes = prime_filters(algebra, elems)
-    sets = [f for _, f in primes]
-    height: dict[frozenset[int], int] = {}
-
-    def above(f) -> int:
-        if f not in height:
-            height[f] = 0
-            height[f] = max((1 + above(g) for g in sets if g > f), default=0)
-        return height[f]
-
-    return max(above(f) for _, f in primes if a.pts in f)
+    return codim_of, dim_of
 
 
 @_checker("dim-rank")
 def _check_dim_rank(algebra, e, extra):
     a = e["a"]
+    if a.is_bottom():
+        return None  # both sides are the infinite bottom values
     elems = algebra.elements()
-    if algebra.codim(a) != codim_by_chains(algebra, a, elems):
+    chain_codim, chain_dim = chain_routes(algebra, elems)
+    prime_codim, prime_dim = prime_routes(algebra, elems)
+    if algebra.codim(a) != chain_codim(a.pts):
         return "codim by coranks = codim by strong chains"
-    if algebra.codim(a) != codim_by_primes(algebra, a, elems):
+    if algebra.codim(a) != prime_codim(a.pts):
         return "codim by coranks = codim by prime-filter chains"
-    if algebra.dim_elt(a) != dim_by_chains(algebra, a, elems):
+    if algebra.dim_elt(a) != chain_dim(a.pts):
         return "dim by ranks = dim by strong chains"
-    if algebra.dim_elt(a) != dim_by_primes(algebra, a, elems):
+    if algebra.dim_elt(a) != prime_dim(a.pts):
         return "dim by ranks = dim by prime-filter chains"
     return None
-
-
-@_suite("dim-rank")
-def _suite_dim_rank(ctx: SuiteContext):
-    rng = random.Random(ctx.seed + 4)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        (a,) = _pick(rng, elems, 1)
-        _run_case("dim-rank", poset, algebra, {"a": a.pts}, {}, failures)
-    return ctx.budget, failures
 
 
 @_checker("mf-identity")
@@ -525,18 +419,6 @@ def _check_mf(algebra, e, extra):
     if lhs != rhs:
         return "minimal primes of a - b are those of a outside b"
     return None
-
-
-@_suite("mf-identity")
-def _suite_mf(ctx: SuiteContext):
-    rng = random.Random(ctx.seed + 5)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        a, b = _pick(rng, elems, 2)
-        _run_case("mf-identity", poset, algebra, {"a": a.pts, "b": b.pts}, {}, failures)
-    return ctx.budget, failures
 
 
 @_checker("epsilon-chain")
@@ -556,17 +438,6 @@ def _check_eps(algebra, e, extra):
     return None
 
 
-@_suite("epsilon-chain")
-def _suite_eps(ctx: SuiteContext):
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    cases = 0
-    for poset, algebra, _ in pool:
-        cases += 1
-        _run_case("epsilon-chain", poset, algebra, {}, {}, failures)
-    return cases, failures
-
-
 @_checker("join-irr-strong")
 def _check_jis(algebra, e, extra):
     for x in algebra.join_irreducibles():
@@ -574,17 +445,6 @@ def _check_jis(algebra, e, extra):
             if not x <= y and x - y != x:
                 return "join irreducible x with x not <= y has x - y = x"
     return None
-
-
-@_suite("join-irr-strong")
-def _suite_jis(ctx: SuiteContext):
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    cases = 0
-    for poset, algebra, _ in pool:
-        cases += 1
-        _run_case("join-irr-strong", poset, algebra, {}, {}, failures)
-    return cases, failures
 
 
 def _is_meet_irreducible(algebra: Algebra, a: Element, elems) -> bool:
@@ -649,19 +509,6 @@ def _check_supports(algebra, e, extra):
     return None
 
 
-@_suite("irr-supports")
-def _suite_supports(ctx: SuiteContext):
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    cases = 0
-    for poset, algebra, elems in pool:
-        if len(elems) > 40:
-            continue
-        cases += 1
-        _run_case("irr-supports", poset, algebra, {}, {}, failures)
-    return cases, failures
-
-
 # ---------------------------------------------------------------------------
 # Quotients and fibers
 
@@ -700,20 +547,6 @@ def _check_quotient(algebra, e, extra):
     return None
 
 
-@_suite("quotient-fini")
-def _suite_quotient(ctx: SuiteContext):
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    cases = 0
-    for poset, algebra, elems in pool:
-        if len(elems) > 40:
-            continue
-        for d in range(poset.height() + 2):
-            cases += 1
-            _run_case("quotient-fini", poset, algebra, {}, {"d": str(d)}, failures)
-    return cases, failures
-
-
 @_checker("dim-quotient")
 def _check_dim_quotient(algebra, e, extra):
     d = int(extra["d"])
@@ -726,18 +559,6 @@ def _check_dim_quotient(algebra, e, extra):
     if not quotient.dim_algebra() < d:
         return "dim of quotient by epsilon(d) below d"
     return None
-
-
-@_suite("dim-quotient")
-def _suite_dim_quotient(ctx: SuiteContext):
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    cases = 0
-    for poset, algebra, _ in pool:
-        for d in range(poset.height() + 2):
-            cases += 1
-            _run_case("dim-quotient", poset, algebra, {}, {"d": str(d)}, failures)
-    return cases, failures
 
 
 # ---------------------------------------------------------------------------
@@ -785,23 +606,6 @@ def _check_slice(algebra, e, extra):
     return None
 
 
-@_suite("slice")
-def _suite_slice(ctx: SuiteContext):
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    cases = 0
-    for poset, algebra, elems in pool:
-        if len(elems) > 8:
-            continue
-        height = poset.height()
-        for d in sorted({max(0, height - 1), height, min(height + 1, 3)}):
-            if d > 3:
-                continue
-            cases += 1
-            _run_case("slice", poset, algebra, {}, {"d": str(d)}, failures)
-    return cases, failures
-
-
 @_checker("term-lipschitz")
 def _check_lipschitz(algebra, e, extra):
     term = parse_term(extra["term"])
@@ -815,26 +619,6 @@ def _check_lipschitz(algebra, e, extra):
     if lhs > bound:
         return "term maps are nonexpansive in the sup metric"
     return None
-
-
-@_suite("term-lipschitz")
-def _suite_lipschitz(ctx: SuiteContext):
-    rng = random.Random(ctx.seed + 6)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    names = ["x1", "x2", "x3"]
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        term = random_term(rng, names, 3, "diff")
-        masks = {}
-        for n in sorted(term.variables()):
-            masks[f"u_{n}"] = elems[rng.randrange(len(elems))].pts
-            masks[f"v_{n}"] = elems[rng.randrange(len(elems))].pts
-        _run_case(
-            "term-lipschitz", poset, algebra, masks,
-            {"term": print_term(term)}, failures,
-        )
-    return ctx.budget, failures
 
 
 @_checker("eval-morphism")
@@ -852,27 +636,6 @@ def _check_eval_morphism(algebra, e, extra):
     return None
 
 
-@_suite("eval-morphism")
-def _suite_eval_morphism(ctx: SuiteContext):
-    rng = random.Random(ctx.seed + 7)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    names = ["x1", "x2"]
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        term = random_term(rng, names, 3, "diff")
-        masks = {
-            f"u_{n}": elems[rng.randrange(len(elems))].pts
-            for n in sorted(term.variables())
-        }
-        d = rng.randrange(poset.height() + 2)
-        _run_case(
-            "eval-morphism", poset, algebra, masks,
-            {"term": print_term(term), "d": str(d)}, failures,
-        )
-    return ctx.budget, failures
-
-
 @_checker("morphism-metrics")
 def _check_morphism_metrics(algebra, e, extra):
     d = int(extra["d"])
@@ -887,22 +650,6 @@ def _check_morphism_metrics(algebra, e, extra):
         if proj.dual_injective() and not report.equal:
             return "point-surjective quotients carry epsilon(k) onto epsilon(k)"
     return None
-
-
-@_suite("morphism-metrics")
-def _suite_morphism_metrics(ctx: SuiteContext):
-    rng = random.Random(ctx.seed + 8)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        a, b = _pick(rng, elems, 2)
-        d = rng.randrange(poset.height() + 2)
-        _run_case(
-            "morphism-metrics", poset, algebra,
-            {"a": a.pts, "b": b.pts}, {"d": str(d)}, failures,
-        )
-    return ctx.budget, failures
 
 
 # ---------------------------------------------------------------------------
@@ -925,26 +672,6 @@ def _check_persistence(algebra, e, extra):
     return None
 
 
-@_suite("persistence")
-def _suite_persistence(ctx: SuiteContext):
-    rng = random.Random(ctx.seed + 9)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    names = ["x1", "x2"]
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        term = random_term(rng, names, 3, "impl")
-        masks = {
-            f"v_{n}": elems[rng.randrange(len(elems))].pts
-            for n in sorted(term.variables())
-        }
-        _run_case(
-            "persistence", poset, algebra, masks,
-            {"term": print_term(term)}, failures,
-        )
-    return ctx.budget, failures
-
-
 @_checker("duality-roundtrip")
 def _check_duality(algebra, e, extra):
     term = parse_term(extra["term"])
@@ -959,26 +686,6 @@ def _check_duality(algebra, e, extra):
     if dualize(dualize(term)) != term:
         return "dualize is an involution"
     return None
-
-
-@_suite("duality-roundtrip")
-def _suite_duality(ctx: SuiteContext):
-    rng = random.Random(ctx.seed + 10)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    names = ["x1", "x2"]
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        term = random_term(rng, names, 3, "diff")
-        masks = {
-            f"g_{n}": elems[rng.randrange(len(elems))].pts
-            for n in sorted(term.variables())
-        }
-        _run_case(
-            "duality-roundtrip", poset, algebra, masks,
-            {"term": print_term(term)}, failures,
-        )
-    return ctx.budget, failures
 
 
 @_checker("bisim-truth")
@@ -1002,35 +709,8 @@ def _check_bisim(algebra, e, extra):
     return None
 
 
-@_suite("bisim-truth")
-def _suite_bisim(ctx: SuiteContext):
-    rng = random.Random(ctx.seed + 11)
-    pool = _pool(ctx)
-    failures: list[Failure] = []
-    names = ["x1", "x2"]
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        term = random_term(rng, names, 3, "impl")
-        masks = {
-            f"v_{n}": elems[rng.randrange(len(elems))].pts
-            for n in sorted(term.variables())
-        }
-        _run_case(
-            "bisim-truth", poset, algebra, masks,
-            {"term": print_term(term)}, failures,
-        )
-    return ctx.budget, failures
-
-
 # ---------------------------------------------------------------------------
 # Global suites without a per-case carrier
-
-
-def _global_failures(name: str, problems: list[str]) -> list[Failure]:
-    return [
-        Failure(suite=name, law=p, poset_text="", masks={}, extra={})
-        for p in problems
-    ]
 
 
 def _counting_problems(ctx: SuiteContext) -> list[str]:
@@ -1061,11 +741,6 @@ def _counting_problems(ctx: SuiteContext) -> list[str]:
                 "height-1 reduced model count differs from nonempty universal downsets"
             )
     return problems
-
-
-@_suite("counting-bounds")
-def _suite_counting(ctx: SuiteContext):
-    return 1, _global_failures("counting-bounds", _counting_problems(ctx))
 
 
 def _tower_problems(ctx: SuiteContext) -> list[str]:
@@ -1099,23 +774,117 @@ def _tower_problems(ctx: SuiteContext) -> list[str]:
     return problems
 
 
-@_suite("tower-coherence")
-def _suite_tower(ctx: SuiteContext):
-    return 1, _global_failures("tower-coherence", _tower_problems(ctx))
+GLOBAL_SUITES: dict[str, Callable[[SuiteContext], list[str]]] = {
+    "counting-bounds": _counting_problems,
+    "tower-coherence": _tower_problems,
+}
+
+# name -> (seed offset, draw, degree); see the module docstring
+RANDOM_SUITES: dict[str, tuple[int, str | tuple[str, int, str], bool]] = {
+    "s2-identities": (0, "abc", False),
+    "delta-triangle": (1, "abc", False),
+    "ultrametric": (2, "abc", False),
+    "codim-join": (3, "ab", False),
+    "dim-rank": (4, "a", False),
+    "mf-identity": (5, "ab", False),
+    "term-lipschitz": (6, ("diff", 3, "uv"), False),
+    "eval-morphism": (7, ("diff", 2, "u"), True),
+    "morphism-metrics": (8, "ab", True),
+    "persistence": (9, ("impl", 2, "v"), False),
+    "duality-roundtrip": (10, ("diff", 2, "g"), False),
+    "bisim-truth": (11, ("impl", 2, "v"), False),
+}
+
+
+def _every_degree(height: int) -> range:
+    return range(height + 2)
+
+
+def _slice_degrees(height: int) -> list[int]:
+    near = {max(0, height - 1), height, min(height + 1, 3)}
+    return [d for d in sorted(near) if d <= 3]
+
+
+# name -> (largest algebra checked or None, degrees per carrier height or None)
+EXHAUSTIVE_SUITES: dict[str, tuple[int | None, Callable | None]] = {
+    "epsilon-chain": (None, None),
+    "join-irr-strong": (None, None),
+    "irr-supports": (40, None),
+    "quotient-fini": (40, _every_degree),
+    "dim-quotient": (None, _every_degree),
+    "slice": (8, _slice_degrees),
+}
+
+
+def _random_cases(name: str, ctx: SuiteContext, failures: list[Failure]) -> int:
+    offset, draw, degree = RANDOM_SUITES[name]
+    rng = random.Random(ctx.seed + offset)
+    pool = _pool(ctx)
+    for _ in range(ctx.budget):
+        poset, algebra, elems = pool[rng.randrange(len(pool))]
+        extra: dict[str, str] = {}
+        if isinstance(draw, str):
+            masks = {k: elems[rng.randrange(len(elems))].pts for k in draw}
+        else:
+            kind, k, prefixes = draw
+            term = random_term(rng, [f"x{i + 1}" for i in range(k)], 3, kind)
+            masks = {
+                f"{prefix}_{n}": elems[rng.randrange(len(elems))].pts
+                for n in sorted(term.variables())
+                for prefix in prefixes
+            }
+            extra["term"] = print_term(term)
+        if degree:
+            extra["d"] = str(rng.randrange(poset.height() + 2))
+        _run_case(name, poset, algebra, masks, extra, failures)
+    return ctx.budget
+
+
+def _exhaustive_cases(name: str, ctx: SuiteContext, failures: list[Failure]) -> int:
+    largest, degrees = EXHAUSTIVE_SUITES[name]
+    cases = 0
+    for poset, algebra, elems in _pool(ctx):
+        if largest is not None and len(elems) > largest:
+            continue
+        if degrees is None:
+            runs = [{}]
+        else:
+            runs = [{"d": str(d)} for d in degrees(poset.height())]
+        for extra in runs:
+            cases += 1
+            _run_case(name, poset, algebra, {}, extra, failures)
+    return cases
+
+
+def suite_names() -> list[str]:
+    return sorted([*RANDOM_SUITES, *EXHAUSTIVE_SUITES, *GLOBAL_SUITES])
 
 
 def run_suites(
     names: list[str] | None = None, ctx: SuiteContext | None = None
 ) -> list[SuiteReport]:
     ctx = ctx or SuiteContext()
-    chosen = names or sorted(SUITES)
+    chosen = names or suite_names()
     reports = []
     for name in chosen:
-        if name not in SUITES:
+        start = time.perf_counter()
+        failures: list[Failure] = []
+        if name in RANDOM_SUITES:
+            cases = _random_cases(name, ctx, failures)
+        elif name in EXHAUSTIVE_SUITES:
+            cases = _exhaustive_cases(name, ctx, failures)
+        elif name in GLOBAL_SUITES:
+            cases = 1
+            failures = [
+                Failure(suite=name, law=p, poset_text="", masks={}, extra={})
+                for p in GLOBAL_SUITES[name](ctx)
+            ]
+        else:
             raise KeyError(f"unknown suite: {name}")
-        reports.append(SUITES[name](ctx))
+        reports.append(SuiteReport(
+            suite=name,
+            cases=cases,
+            failures=tuple(failures),
+            seconds=time.perf_counter() - start,
+        ))
     return reports
-
-
-def suite_names() -> list[str]:
-    return sorted(SUITES)

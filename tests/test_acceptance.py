@@ -24,7 +24,7 @@ from coheyting.kripke import (
 from coheyting.metric import cauchy_limit, distance, make_tower
 from coheyting.posets import enumerate_posets
 from coheyting.search import fmp_search
-from coheyting.suites import CHECKERS, _strong_pairs, prime_filters, random_term
+from coheyting.suites import CHECKERS, chain_routes, prime_routes, random_term
 from coheyting.terms import parse_formula, print_term
 
 
@@ -84,65 +84,12 @@ def test_criterion_01_free_sizes():
 # 2. dimension and codimension by three routes, exhaustively
 
 
-def _chain_routes(algebra: Algebra, elems):
-    """Longest-strong-chain evaluators sharing one comparability table."""
-    below = _strong_pairs(algebra, elems)
-    above: dict[int, list[int]] = {m: [] for m in below}
-    for upper, lowers in below.items():
-        for lower in lowers:
-            above[lower].append(upper)
-    up_depth: dict[int, int] = {}
-    down_depth: dict[int, int] = {}
-
-    def up_chain(m: int) -> int:
-        if m not in up_depth:
-            up_depth[m] = 0
-            up_depth[m] = max((1 + up_chain(x) for x in above[m]), default=0)
-        return up_depth[m]
-
-    def down_chain(m: int) -> int:
-        if m not in down_depth:
-            down_depth[m] = 0
-            down_depth[m] = max((1 + down_chain(x) for x in below[m]), default=0)
-        return down_depth[m]
-
-    return up_chain, down_chain
-
-
-def _prime_routes(algebra: Algebra, elems):
-    """Filter-chain evaluators sharing one prime-filter inventory."""
-    primes = prime_filters(algebra, elems)
-    sets = [f for _, f in primes]
-    depth: dict[frozenset[int], int] = {}
-    height: dict[frozenset[int], int] = {}
-
-    def pbelow(f) -> int:
-        if f not in depth:
-            depth[f] = 0
-            depth[f] = max((1 + pbelow(g) for g in sets if g < f), default=0)
-        return depth[f]
-
-    def pabove(f) -> int:
-        if f not in height:
-            height[f] = 0
-            height[f] = max((1 + pabove(g) for g in sets if g > f), default=0)
-        return height[f]
-
-    def codim_of(mask: int) -> int:
-        return min(pbelow(f) for f in sets if mask in f)
-
-    def dim_of(mask: int) -> int:
-        return max(pabove(f) for f in sets if mask in f)
-
-    return codim_of, dim_of
-
-
 def test_criterion_02_dimension_three_routes(pool6):
     bad = []
     checked = 0
     for poset, algebra, elems in pool6:
-        up_chain, down_chain = _chain_routes(algebra, elems)
-        prime_codim, prime_dim = _prime_routes(algebra, elems)
+        chain_codim, chain_dim = chain_routes(algebra, elems)
+        prime_codim, prime_dim = prime_routes(algebra, elems)
         for a in elems:
             if a.is_bottom():
                 # chain and filter routes are for nonbottom; pin the signs
@@ -153,10 +100,10 @@ def test_criterion_02_dimension_three_routes(pool6):
                 continue
             checked += 1
             c = algebra.codim(a)
-            if not (c == up_chain(a.pts) == prime_codim(a.pts)):
+            if not (c == chain_codim(a.pts) == prime_codim(a.pts)):
                 bad.append((poset, str(a), "codim"))
             m = algebra.dim_elt(a)
-            if not (m == down_chain(a.pts) == prime_dim(a.pts)):
+            if not (m == chain_dim(a.pts) == prime_dim(a.pts)):
                 bad.append((poset, str(a), "dim"))
     # 6377 downsets across the pool, 405 of them bottoms
     assert checked == 5972

@@ -21,6 +21,7 @@ from coheyting.algebra import (
     identity_morphism,
     make_morphism,
 )
+from coheyting.config import Caps
 from coheyting.errors import (
     EmptyElement,
     InfiniteArithmetic,
@@ -28,6 +29,7 @@ from coheyting.errors import (
     NotMonotone,
     NotOpen,
     OwnerMismatch,
+    SizeCap,
 )
 from coheyting.fixtures import load_fixture
 from coheyting.posets import build_poset, enumerate_posets
@@ -296,6 +298,14 @@ def test_subalgebra_generated():
     c2 = algebra_of("c2")
     bounds_only = c2.subalgebra_generated([])
     assert set(bounds_only) == {c2.bottom(), c2.top()}
+
+
+def test_subalgebra_generated_cap():
+    v3 = algebra_of("v3")
+    gens = v3.join_irreducibles()
+    assert len(v3.subalgebra_generated(gens)) == v3.size()
+    with pytest.raises(SizeCap):
+        v3.subalgebra_generated(gens, Caps(max_closure=4))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,11 +1,14 @@
 """End-to-end command line coverage: outputs, exit codes, both formats.
 
 Commands run in-process through main(argv) so assertions can read captured
-stdout; one subprocess test exercises the installed console script.
+stdout; subprocess tests run the module and the installed console script.
 """
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +221,21 @@ def test_verify_list_and_run(capsys):
     assert "s2-identities: ok" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "nope"],
+        ["verify", "--max-points", "0", "s2-identities"],
+        ["verify", "--budget", "-5", "s2-identities"],
+    ],
+)
+def test_verify_bad_input_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_export_dot(capsys, model_file):
     code, out, _ = run(capsys, "export", "dot", model_file)
     assert code == 0
@@ -262,3 +280,24 @@ def test_console_script_roundtrip():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["free", "size", "1", "2"], 0),
+        (["equiv", "1", "1", "x1", "0"], 1),
+        (["verify", "nope"], 2),
+        (["--max-nodes", "8", "kripke", "universal", "2", "2"], 3),
+    ],
+)
+def test_module_exit_codes_out_of_process(argv, expected):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "coheyting.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -186,6 +186,19 @@ def test_universal_frame_is_reduced_and_capped():
     assert err.value.census is not None
 
 
+def test_universal_frame_antichain_cap_reports_census():
+    with pytest.raises(SizeCap) as err:
+        universal_frame(2, 3, Caps(max_antichains=1000))
+    assert err.value.census == (4, 18)
+
+
+def test_algebra_of_model_closure_cap():
+    model = free_quotient(1, 3).frame.model
+    assert len(algebra_of_model(model)) == free_quotient(1, 3).algebra.size()
+    with pytest.raises(SizeCap):
+        algebra_of_model(model, Caps(max_closure=4))
+
+
 def test_free_sizes_two_routes():
     expected = {(0, 1): 2, (0, 2): 2, (1, 1): 4, (1, 2): 8, (2, 1): 16}
     for (n, d), size in expected.items():

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coheyting.config import Caps
 from coheyting.errors import (
     CycleDetected,
     DuplicateName,
     FormatError,
     SizeCap,
 )
+from coheyting.fixtures import load_fixture
 from coheyting.posets import (
     Poset,
     bits,
@@ -160,6 +162,13 @@ def test_antichain_count_on_antichain_poset():
     assert len(p.antichains()) == 7
     chain = build_poset(["x", "y", "z"], [("x", "y"), ("y", "z")])
     assert len(chain.antichains()) == 3
+
+
+def test_antichain_cap():
+    a2, _ = load_fixture("a2")
+    assert len(a2.antichains()) == 3
+    with pytest.raises(SizeCap):
+        a2.antichains(caps=Caps(max_antichains=2))
 
 
 def test_downsets_against_subset_brute_force():

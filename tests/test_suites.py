@@ -5,9 +5,11 @@ counterexamples to a minimal carrier and that replay reproduces them from
 the text payload alone.
 """
 
+import hashlib
+
 import pytest
 
-from coheyting.posets import build_poset
+from coheyting.posets import build_poset, poset_to_text
 from coheyting.suites import (
     CHECKERS,
     Failure,
@@ -43,6 +45,55 @@ def test_each_suite_passes(name):
     assert report.cases > 0
     assert report.suite == name
     assert "ok" in report.describe()
+
+
+# Call count and sha256 prefix of every checker's case stream under QUICK:
+# refactoring the suite runner must leave each stream unchanged.
+QUICK_STREAMS = {
+    "bisim-truth": (40, "8de1cfca5a39dae3"),
+    "codim-join": (40, "1d0ea9a815b41ba7"),
+    "delta-triangle": (40, "b0882ae2e00a20b0"),
+    "dim-quotient": (77, "92143562af490ed9"),
+    "dim-rank": (40, "0859f97ddaa688bd"),
+    "duality-roundtrip": (40, "50df9d05d5854642"),
+    "epsilon-chain": (24, "f7c4a26b0bf3f0e2"),
+    "eval-morphism": (40, "ff2762aa725fde5a"),
+    "irr-supports": (24, "f7c4a26b0bf3f0e2"),
+    "join-irr-strong": (24, "f7c4a26b0bf3f0e2"),
+    "mf-identity": (40, "40493ded34d74d75"),
+    "morphism-metrics": (40, "4798716cb8f4aad5"),
+    "persistence": (40, "b118590f0a46df5c"),
+    "quotient-fini": (77, "92143562af490ed9"),
+    "s2-identities": (40, "7d4e3016238559ff"),
+    "slice": (47, "4d1eb5a3a3760b68"),
+    "term-lipschitz": (40, "e4396ac9c6122e29"),
+    "ultrametric": (40, "115be08234d561a2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUICK_STREAMS))
+def test_case_stream_pinned(name):
+    digest = hashlib.sha256()
+    calls = 0
+    original = CHECKERS[name]
+
+    def recorder(algebra, e, extra):
+        nonlocal calls
+        calls += 1
+        case = (
+            poset_to_text(algebra.spec),
+            sorted((k, v.pts) for k, v in e.items()),
+            sorted(extra.items()),
+        )
+        digest.update(repr(case).encode())
+        return original(algebra, e, extra)
+
+    CHECKERS[name] = recorder
+    try:
+        run_suites([name], QUICK)
+    finally:
+        CHECKERS[name] = original
+    assert (calls, digest.hexdigest()[:16]) == QUICK_STREAMS[name]
 
 
 def test_unknown_suite_rejected():
