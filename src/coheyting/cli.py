@@ -44,7 +44,7 @@ from .terms import dualize, eval_term, parse_formula, parse_term, print_term
 
 def _caps(args) -> Caps:
     caps = DEFAULT_CAPS
-    if getattr(args, "max_nodes", None):
+    if getattr(args, "max_nodes", None) is not None:
         caps = replace(caps, max_frame_nodes=args.max_nodes)
     return caps
 
@@ -320,6 +320,8 @@ def cmd_tower_limit(args) -> int:
 
 
 def cmd_fmp_search(args) -> int:
+    if args.max_points < 1 or args.max_assignments < 1:
+        raise FormatError("--max-points and --max-assignments must be at least 1")
     formula = parse_formula(args.formula)
     witness = fmp_search(formula, args.max_points, args.max_assignments, _caps(args))
     if witness is None:
@@ -497,8 +499,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fmp-search", help="search small posets for a formula witness")
     p.add_argument("formula")
-    p.add_argument("--max-points", type=int, default=5)
-    p.add_argument("--max-assignments", type=int, default=100000)
+    p.add_argument(
+        "--max-points", type=int, default=5,
+        help="search posets of 1..N points (default 5)",
+    )
+    p.add_argument(
+        "--max-assignments", type=int, default=100000,
+        help="variable assignments tried per poset, not in total, before the "
+        "search moves on to the next poset (default 100000)",
+    )
     p.set_defaults(func=cmd_fmp_search)
 
     p = sub.add_parser("verify", help="run the law-checking suites")
@@ -522,6 +531,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_nodes is not None and args.max_nodes < 1:
+            raise FormatError("--max-nodes must be at least 1")
         return args.func(args)
     except SizeCap as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

@@ -472,9 +472,11 @@ def _check_supports(algebra, e, extra):
     elems = algebra.elements()
     jirr = algebra.join_irreducibles()
     mirr = algebra.meet_irreducibles()
-    if set(jirr) != {x for x in elems if _is_join_irreducible(algebra, x, elems)}:
+    join_irr = {x for x in elems if _is_join_irreducible(algebra, x, elems)}
+    meet_irr = {x for x in elems if _is_meet_irreducible(algebra, x, elems)}
+    if set(jirr) != join_irr:
         return "join irreducibles match the definitional set"
-    if set(mirr) != {x for x in elems if _is_meet_irreducible(algebra, x, elems)}:
+    if set(mirr) != meet_irr:
         return "meet irreducibles match the definitional set"
     for a in elems:
         parts = algebra.jsupp(a)
@@ -483,22 +485,22 @@ def _check_supports(algebra, e, extra):
             joined = joined | x
         if joined != a:
             return "a is the join of jsupp(a)"
-        if any(not _is_join_irreducible(algebra, x, elems) for x in parts):
+        if not join_irr.issuperset(parts):
             return "jsupp(a) consists of join irreducibles"
         met = algebra.top()
         for x in algebra.msupp(a):
             met = met & x
         if met != a:
             return "a is the meet of msupp(a)"
-        if any(not _is_meet_irreducible(algebra, x, elems) for x in algebra.msupp(a)):
+        if not meet_irr.issuperset(algebra.msupp(a)):
             return "msupp(a) consists of meet irreducibles"
     for j in jirr:
-        if not _is_meet_irreducible(algebra, algebra.conj_up(j), elems):
+        if algebra.conj_up(j) not in meet_irr:
             return "conj_up maps join irreducibles to meet irreducibles"
         if algebra.conj_down(algebra.conj_up(j)) != j:
             return "conj_down(conj_up(x)) = x on join irreducibles"
     for m in mirr:
-        if not _is_join_irreducible(algebra, algebra.conj_down(m), elems):
+        if algebra.conj_down(m) not in join_irr:
             return "conj_down maps meet irreducibles to join irreducibles"
         if algebra.conj_up(algebra.conj_down(m)) != m:
             return "conj_up(conj_down(x)) = x on meet irreducibles"

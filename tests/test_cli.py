@@ -208,6 +208,14 @@ def test_fmp_search(capsys):
     code, out, _ = run(capsys, "fmp-search", "x \\ x != 0")
     assert code == 1
     assert "no witness up to 5 points" in out
+    # the assignment cap is per poset: the 1-point poset uses up both of
+    # its tries and the 2-point chain still gets two of its own
+    formula = "x != 0 && 1 \\ x != 0"
+    code, out, _ = run(capsys, "fmp-search", formula, "--max-assignments", "2")
+    assert code == 0
+    assert "covers: p0<p1" in out and "assignment: x={p0}" in out
+    code, out, _ = run(capsys, "fmp-search", formula, "--max-assignments", "1")
+    assert code == 1
 
 
 def test_verify_list_and_run(capsys):
@@ -227,6 +235,10 @@ def test_verify_list_and_run(capsys):
         ["verify", "nope"],
         ["verify", "--max-points", "0", "s2-identities"],
         ["verify", "--budget", "-5", "s2-identities"],
+        ["fmp-search", "x != 0", "--max-points", "0"],
+        ["fmp-search", "x != 0", "--max-assignments", "-1"],
+        ["--max-nodes", "0", "free", "size", "1", "2"],
+        ["--max-nodes", "-5", "free", "size", "1", "2"],
     ],
 )
 def test_verify_bad_input_exits_two(capsys, argv):
@@ -289,6 +301,10 @@ def test_console_script_roundtrip():
         (["equiv", "1", "1", "x1", "0"], 1),
         (["verify", "nope"], 2),
         (["--max-nodes", "8", "kripke", "universal", "2", "2"], 3),
+        (["fmp-search", "x != 0", "--max-points", "0"], 2),
+        (["fmp-search", "x != 0", "--max-assignments", "-1"], 2),
+        (["--max-nodes", "0", "free", "size", "1", "2"], 2),
+        (["--max-nodes", "-5", "free", "size", "1", "2"], 2),
     ],
 )
 def test_module_exit_codes_out_of_process(argv, expected):

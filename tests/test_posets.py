@@ -5,7 +5,9 @@ partial orders are brute-forced as transitive antisymmetric relations and
 isomorphism classes are counted via minimum-over-permutations codes.
 """
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,89 @@ def test_canonical_form_respects_labels():
     swapped = canonical_form(p, labels=["red", "blue"])
     assert same != swapped
     assert canonical_form(p, labels=["blue", "red"]) == swapped
+
+
+def test_canonical_codes_pinned():
+    # sha256 prefix of every code up to 6 points (405 classes): a faster
+    # canonical form must return byte-identical codes
+    codes = [canonical_form(p) for p in enumerate_posets(6)]
+    assert len(codes) == 405
+    digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
+    assert digest.startswith("d573d0ee718d3017")
+
+
+def relabelled(names, covers, labels, rng):
+    """The same labelled poset with its points listed in a shuffled order."""
+    order = list(names)
+    rng.shuffle(order)
+    label_of = dict(zip(names, labels))
+    return build_poset(order, covers), [label_of[nm] for nm in order]
+
+
+def test_canonical_form_prunes_twins():
+    # full search visits 10!, 6! and 3!*4! leaves; twin pruning visits one
+    names = [f"p{i}" for i in range(10)]
+    star = [("p0", f"p{i}") for i in range(1, 7)]
+    bipartite = [(f"p{i}", f"p{j}") for i in range(3) for j in range(3, 7)]
+    caps = Caps(max_canonical_leaves=16)
+    rng = random.Random(3)
+    for pts, covers in ((names, []), (names[:7], star), (names[:7], bipartite)):
+        for labels in (["a"] * len(pts), ["b"] + ["a"] * (len(pts) - 1)):
+            code = canonical_form(build_poset(pts, covers), labels, caps)
+            for _ in range(3):
+                poset, moved = relabelled(pts, covers, labels, rng)
+                assert canonical_form(poset, moved, caps) == code
+    # labels that tell twins apart still separate codes
+    k34 = build_poset(names[:7], bipartite)
+    codes = {
+        canonical_form(k34, labels, caps)
+        for labels in (
+            [None] * 7,
+            ["x"] + [None] * 6,
+            [None] * 3 + ["x"] + [None] * 3,
+            ["x", "x"] + [None] * 5,
+            ["x"] + [None] * 2 + ["x"] + [None] * 3,
+        )
+    }
+    assert len(codes) == 5
+    assert canonical_form(k34, [None] * 3 + ["x"] + [None] * 3, caps) == (
+        canonical_form(k34, [None] * 6 + ["x"], caps)
+    )
+
+
+def test_canonical_form_agrees_with_networkx():
+    # independent oracle: labelled isomorphism of the cover digraphs
+    nx = pytest.importorskip("networkx")
+    pool = list(enumerate_posets(6))
+    rng = random.Random(11)
+
+    def graph(poset, labels):
+        g = nx.DiGraph()
+        g.add_nodes_from((i, {"label": labels[i]}) for i in range(poset.n))
+        g.add_edges_from(poset.covers)
+        return g
+
+    outcomes = set()
+    for _ in range(300):
+        p = rng.choice(pool)
+        labels = [rng.choice("ab") for _ in range(p.n)]
+        roll = rng.random()
+        if roll < 0.5:
+            covers = [(p.names[a], p.names[b]) for a, b in p.covers]
+            q, q_labels = relabelled(p.names, covers, labels, rng)
+            if roll < 0.2:
+                q_labels[rng.randrange(q.n)] = "c"
+        else:
+            q = rng.choice([r for r in pool if r.n == p.n])
+            q_labels = [rng.choice("ab") for _ in range(q.n)]
+        same = canonical_form(p, labels) == canonical_form(q, q_labels)
+        iso = nx.is_isomorphic(
+            graph(p, labels), graph(q, q_labels),
+            node_match=lambda u, v: u["label"] == v["label"],
+        )
+        assert same == iso, (p, labels, q, q_labels)
+        outcomes.add(same)
+    assert outcomes == {True, False}
 
 
 @settings(max_examples=60, deadline=None)
