@@ -64,7 +64,13 @@ def _emit_pair(args, key: str, value) -> None:
 
 
 def _load_poset(path: str):
-    return parse_poset_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise FormatError(f"cannot read {path}: not UTF-8 text") from None
+    return parse_poset_text(text)
 
 
 def _load_algebra(path: str) -> Algebra:
@@ -218,6 +224,8 @@ def cmd_kripke_universal(args) -> int:
 
 
 def cmd_kripke_models(args) -> int:
+    if args.max_points is not None and args.max_points < 1:
+        raise FormatError("--max-points must be at least 1")
     count = 0
     for model in enumerate_reduced_models(args.n, args.d, args.max_points, _caps(args)):
         count += 1
@@ -537,9 +545,6 @@ def main(argv=None) -> int:
     except SizeCap as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CoheytingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

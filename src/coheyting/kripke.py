@@ -46,7 +46,7 @@ from .posets import (
     poset_to_text,
     set_key,
 )
-from .terms import Term, dualize, eval_term
+from .terms import Term, run_program
 
 log = logging.getLogger(__name__)
 
@@ -125,31 +125,14 @@ def truth_set(model: KripkeModel, t: Term) -> PointSet:
     """Points forcing an implication-signature term; always a frame downset."""
     if t.has_diff:
         raise SignatureMismatch("forcing evaluates implication-signature terms")
-    frame = model.frame
-    full = frame.full
-
-    def go(t: Term) -> PointSet:
-        if t.op == "zero":
-            return 0
-        if t.op == "one":
-            return full
-        if t.op == "var":
-            if t.name not in model.vars:
-                raise UnboundVariable(f"variable {t.name!r} not in the model")
-            i = model.vars.index(t.name)
-            return mask_of(
-                p for p in range(frame.n) if model.colors[p] >> i & 1
-            )
-        a = go(t.args[0])
-        b = go(t.args[1])
-        if t.op == "join":
-            return a | b
-        if t.op == "meet":
-            return a & b
-        # implication: points whose entire past satisfies a -> b
-        return full & ~frame.up_closure(a & ~b)
-
-    return go(t)
+    code, names = t.program
+    values = []
+    for name in names:
+        if name not in model.vars:
+            raise UnboundVariable(f"variable {name!r} not in the model")
+        i = model.vars.index(name)
+        values.append(mask_of(p for p, c in enumerate(model.colors) if c >> i & 1))
+    return run_program(code, values, model.frame)
 
 
 def forces(model: KripkeModel, point: int | str, t: Term) -> bool:
@@ -429,19 +412,21 @@ def d_equivalent(
     t1: Term, t2: Term, n: int, d: int, caps: Caps = DEFAULT_CAPS
 ) -> bool:
     """True when the two implication-signature terms cannot be told apart
-    at codimension depth d: their duals agree on the free generators."""
+    at codimension depth d: their duals agree on the free generators.
+
+    The dual of a term at the generators is the complement of its truth set
+    on the universal frame, so the truth sets are compared instead."""
     if t1.has_diff or t2.has_diff:
         raise SignatureMismatch("depth equivalence compares implication terms")
-    names = sorted(t1.variables() | t2.variables())
+    names = tuple(sorted(t1.variables() | t2.variables()))
     if len(names) > n:
         raise UnboundVariable(
             f"terms use {len(names)} variables but only {n} generators exist"
         )
-    fq = free_quotient(n, d, caps)
-    env = {nm: fq.gens[i] for i, nm in enumerate(names)}
-    v1 = eval_term(dualize(t1), fq.algebra, env)
-    v2 = eval_term(dualize(t2), fq.algebra, env)
-    return v1.pts == v2.pts
+    # sorted name i stands for generator i, read off colour bit i
+    uf = free_quotient(n, d, caps).frame.model
+    model = KripkeModel(uf.frame, names, uf.colors)
+    return truth_set(model, t1) == truth_set(model, t2)
 
 
 def enumerate_reduced_models(

@@ -330,4 +330,6 @@ def precompactness_census(
     """Sizes of the free quotient levels 0..depth: each level is a finite
     algebra, so every ball of the truncated completion meets finitely many
     classes."""
+    if depth < 0:
+        raise FrameMismatch("tower depth must be >= 0")
     return [free_quotient(n, d, caps).algebra.size() for d in range(depth + 1)]

@@ -77,15 +77,19 @@ class Poset:
         return bool(self.down[j] >> i & 1)
 
     def down_closure(self, s: PointSet) -> PointSet:
-        out = 0
-        for i in bits(s):
-            out |= self.down[i]
+        down, out = self.down, 0
+        while s:
+            low = s & -s
+            out |= down[low.bit_length() - 1]
+            s ^= low
         return out
 
     def up_closure(self, s: PointSet) -> PointSet:
-        out = 0
-        for i in bits(s):
-            out |= self.up[i]
+        up, out = self.up, 0
+        while s:
+            low = s & -s
+            out |= up[low.bit_length() - 1]
+            s ^= low
         return out
 
     def is_downset(self, s: PointSet) -> bool:

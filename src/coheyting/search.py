@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .algebra import Algebra, Element
 from .config import DEFAULT_CAPS, Caps
 from .posets import Poset, enumerate_posets, parse_point_list, parse_poset_text, poset_to_text
-from .terms import Formula, eval_formula
+from .errors import SignatureMismatch
+from .terms import Formula, eval_formula, run_program
 
 
 @dataclass(frozen=True)
@@ -53,22 +54,29 @@ def fmp_search(
     """First witness in the deterministic enumeration order, or None.
 
     ``max_assignments`` caps the number of variable assignments tried per
-    poset.
+    poset.  The formula is compiled once and assignments are swept as
+    downset masks; only the witness becomes ``Element`` values.
     """
     names = sorted(formula.variables())
+    atoms = []
+    for t, eq in formula.atoms:
+        if t.has_impl:
+            raise SignatureMismatch("implication cannot be evaluated here")
+        code, used = t.program
+        slots = [names.index(v) for v in used]
+        atoms.append((tuple(c if c < 0 else slots[c] for c in code), eq))
     for poset in enumerate_posets(max_points, caps):
-        algebra = Algebra(poset)
-        elements = algebra.elements(caps)
+        masks = poset.all_downsets(caps)
         tried = 0
-        for combo in itertools.product(elements, repeat=len(names)):
+        for combo in itertools.product(masks, repeat=len(names)):
             tried += 1
             if tried > max_assignments:
                 break
-            env = dict(zip(names, combo))
-            if eval_formula(formula, algebra, env):
-                return Witness(
-                    poset=poset,
-                    assignment=env,
-                    replayed=_replay(formula, poset, env),
-                )
+            for code, eq in atoms:
+                if (run_program(code, combo, poset) == 0) != eq:
+                    break
+            else:
+                algebra = Algebra(poset)
+                env = {nm: algebra.element(m) for nm, m in zip(names, combo)}
+                return Witness(poset, env, _replay(formula, poset, env))
     return None

@@ -70,6 +70,7 @@ from .terms import (
     eval_term,
     parse_term,
     print_term,
+    run_program,
     slice_term,
 )
 
@@ -591,19 +592,14 @@ def random_term(rng: random.Random, names: list[str], depth: int, kind: str) -> 
 @_checker("slice")
 def _check_slice(algebra, e, extra):
     d = int(extra["d"])
-    term = slice_term(d + 1)
-    names = sorted(term.variables())
-    elems = algebra.elements()
+    code, names = slice_term(d + 1).program
+    spec = algebra.spec
     small = algebra.dim_algebra() <= d
-
-    def vanishes() -> bool:
-        for combo in itertools.product(elems, repeat=len(names)):
-            env = dict(zip(names, combo))
-            if not eval_term(term, algebra, env).is_bottom():
-                return False
-        return True
-
-    if small != vanishes():
+    vanishes = not any(
+        run_program(code, combo, spec)
+        for combo in itertools.product(spec.all_downsets(), repeat=len(names))
+    )
+    if small != vanishes:
         return "dim <= d iff the (d+1)-slice term vanishes identically"
     return None
 

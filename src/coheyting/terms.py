@@ -13,12 +13,16 @@ by ``&&``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Element
 from .errors import SignatureMismatch, TermSyntaxError, UnboundVariable
+from .posets import PointSet, Poset
 
-_BINARY = {"join", "meet", "diff", "impl"}
+# Opcodes of Term.program; a code i >= 0 pushes variable i.
+_OPCODE = {"zero": -1, "one": -2, "join": -3, "meet": -4, "diff": -5, "impl": -6}
+_ZERO, _ONE, _JOIN, _MEET, _DIFF, _IMPL = _OPCODE.values()
 
 
 @dataclass(frozen=True)
@@ -30,12 +34,27 @@ class Term:
     has_impl: bool = field(default=False, compare=False)
 
     def variables(self) -> frozenset[str]:
-        if self.op == "var":
-            return frozenset((self.name,))
-        out: frozenset[str] = frozenset()
-        for t in self.args:
-            out |= t.variables()
-        return out
+        return frozenset(self.program[1])
+
+    @cached_property
+    def program(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """Postfix code for ``run_program`` and the variables in first-use
+        order; code ``i >= 0`` pushes variable i.  Built with an explicit
+        stack, so term depth needs no recursion limit."""
+        code: list[int] = []
+        names: list[str] = []
+        todo: list = [self]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, int):
+                code.append(node)
+            elif node.op == "var":
+                if node.name not in names:
+                    names.append(node.name)
+                code.append(names.index(node.name))
+            else:
+                todo += (_OPCODE[node.op], *reversed(node.args))
+        return tuple(code), tuple(names)
 
     @property
     def signature(self) -> str:
@@ -244,25 +263,42 @@ def dualize(t: Term) -> Term:
     return Diff(dualize(b), dualize(a))
 
 
+def run_program(code: Sequence[int], values: Sequence[PointSet], order: Poset) -> PointSet:
+    """Value of a compiled term (``Term.program``) over point masks of
+    ``order``, with variable i bound to ``values[i]``.  Difference is
+    ``down(a & ~b)``; implication is forcing on a frame, the points with
+    nothing of ``a & ~b`` below them."""
+    stack: list[PointSet] = []
+    push, pop = stack.append, stack.pop
+    for c in code:
+        if c >= 0:
+            push(values[c])
+        elif c == _DIFF:
+            b = pop()
+            stack[-1] = order.down_closure(stack[-1] & ~b)
+        elif c == _JOIN:
+            push(pop() | pop())
+        elif c == _MEET:
+            push(pop() & pop())
+        elif c == _IMPL:
+            b = pop()
+            stack[-1] = order.full & ~order.up_closure(stack[-1] & ~b)
+        else:
+            push(0 if c == _ZERO else order.full)
+    return stack[-1]
+
+
 def eval_term(t: Term, algebra: Algebra, env: Mapping[str, Element]) -> Element:
     """Evaluate a difference-signature term in an algebra."""
     if t.has_impl:
         raise SignatureMismatch("implication cannot be evaluated here")
-    if t.op == "zero":
-        return algebra.bottom()
-    if t.op == "one":
-        return algebra.top()
-    if t.op == "var":
-        if t.name not in env:
-            raise UnboundVariable(f"variable {t.name!r} has no value")
-        return algebra.element(env[t.name])
-    a = eval_term(t.args[0], algebra, env)
-    b = eval_term(t.args[1], algebra, env)
-    if t.op == "join":
-        return a | b
-    if t.op == "meet":
-        return a & b
-    return a - b
+    code, names = t.program
+    values = []
+    for name in names:
+        if name not in env:
+            raise UnboundVariable(f"variable {name!r} has no value")
+        values.append(algebra.element(env[name]).pts)
+    return Element(algebra, run_program(code, values, algebra.spec))
 
 
 def slice_term(k: int) -> Term:
@@ -286,10 +322,7 @@ class Formula:
     atoms: tuple[tuple[Term, bool], ...]
 
     def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for t, _ in self.atoms:
-            out |= t.variables()
-        return out
+        return frozenset().union(*(t.variables() for t, _ in self.atoms))
 
     def __str__(self) -> str:
         return " && ".join(

@@ -239,6 +239,9 @@ def test_verify_list_and_run(capsys):
         ["fmp-search", "x != 0", "--max-assignments", "-1"],
         ["--max-nodes", "0", "free", "size", "1", "2"],
         ["--max-nodes", "-5", "free", "size", "1", "2"],
+        ["kripke", "models", "1", "1", "--max-points", "0"],
+        ["kripke", "models", "1", "1", "--max-points", "-2"],
+        ["tower", "census", "1", "-3"],
     ],
 )
 def test_verify_bad_input_exits_two(capsys, argv):
@@ -305,9 +308,15 @@ def test_console_script_roundtrip():
         (["fmp-search", "x != 0", "--max-assignments", "-1"], 2),
         (["--max-nodes", "0", "free", "size", "1", "2"], 2),
         (["--max-nodes", "-5", "free", "size", "1", "2"], 2),
+        (["poset", "check", "{tmp}"], 2),
+        (["poset", "check", "{tmp}/binary.poset"], 2),
+        (["poset", "check", "x" * 300 + ".poset"], 2),
     ],
 )
-def test_module_exit_codes_out_of_process(argv, expected):
+def test_module_exit_codes_out_of_process(argv, expected, tmp_path):
+    # {tmp} is a directory holding a file that is not UTF-8 text
+    (tmp_path / "binary.poset").write_bytes(b"\x80\xff\x00points")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
@@ -317,3 +326,5 @@ def test_module_exit_codes_out_of_process(argv, expected):
     )
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
+    if expected == 2:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

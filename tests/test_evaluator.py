@@ -1,0 +1,224 @@
+"""The compiled term evaluator against an independent reference, on deep
+terms, and through fmp_search.
+
+The reference rebuilds each order from its cover pairs alone and recurses
+on term structure: difference down-closes ``a & ~b`` and implication
+quantifies over the points below, so it shares no code with
+``run_program``, ``down_closure`` or ``up_closure``.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coheyting.algebra import Algebra
+from coheyting.cli import main
+from coheyting.kripke import d_equivalent, make_model, truth_set, universal_frame
+from coheyting.posets import build_poset, enumerate_posets, poset_to_text
+from coheyting.search import fmp_search
+from coheyting.terms import (
+    ONE,
+    ZERO,
+    Diff,
+    Impl,
+    Join,
+    Meet,
+    Var,
+    eval_term,
+    parse_formula,
+)
+
+POSETS = list(enumerate_posets(5))
+NAMES = ("a", "b", "c")
+
+
+class Reference:
+    """Reflexive below-sets from cover pairs, and recursive evaluation."""
+
+    def __init__(self, poset):
+        self.n = poset.n
+        self.full = (1 << poset.n) - 1
+        lower = [[] for _ in range(poset.n)]
+        for lo, hi in poset.covers:
+            lower[hi].append(lo)
+        self.below = []
+        for p in range(poset.n):
+            seen, todo = {p}, [p]
+            while todo:
+                for q in lower[todo.pop()]:
+                    if q not in seen:
+                        seen.add(q)
+                        todo.append(q)
+            self.below.append(seen)
+
+    def eval(self, t, env):
+        if t.op == "zero":
+            return 0
+        if t.op == "one":
+            return self.full
+        if t.op == "var":
+            return env[t.name]
+        a = self.eval(t.args[0], env)
+        b = self.eval(t.args[1], env)
+        if t.op == "join":
+            return a | b
+        if t.op == "meet":
+            return a & b
+        if t.op == "diff":
+            lost = a & ~b
+            return sum(
+                1 << p for p in range(self.n)
+                if any(lost >> q & 1 and p in self.below[q] for q in range(self.n))
+            )
+        return sum(
+            1 << p for p in range(self.n)
+            if all(not a >> q & 1 or b >> q & 1 for q in self.below[p])
+        )
+
+
+def terms(binary, names, depth):
+    leaves = st.sampled_from([ZERO, ONE] + [Var(n) for n in names])
+    if depth == 0:
+        return leaves
+    sub = terms(binary, names, depth - 1)
+    ops = st.sampled_from([Join, Meet, binary])
+    return st.one_of(leaves, st.builds(lambda op, a, b: op(a, b), ops, sub, sub))
+
+
+def downsets(data, poset):
+    pool = poset.all_downsets()
+    return {n: data.draw(st.sampled_from(pool)) for n in NAMES}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(POSETS), terms(Diff, NAMES, 4))
+def test_eval_term_matches_reference(data, poset, t):
+    env = downsets(data, poset)
+    algebra = Algebra(poset)
+    value = eval_term(t, algebra, {n: algebra.element(m) for n, m in env.items()})
+    assert value.pts == Reference(poset).eval(t, env)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(POSETS), terms(Impl, NAMES, 4))
+def test_truth_set_matches_reference(data, poset, t):
+    env = downsets(data, poset)
+    colors = [
+        sum(1 << i for i, n in enumerate(NAMES) if env[n] >> p & 1)
+        for p in range(poset.n)
+    ]
+    model = make_model(poset, NAMES, colors)
+    assert truth_set(model, t) == Reference(poset).eval(t, env)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]),
+)
+def test_d_equivalent_matches_reference_truth_sets(data, nd):
+    n, d = nd
+    names = [f"x{i + 1}" for i in range(n)]
+    t1 = data.draw(terms(Impl, names, 4))
+    t2 = data.draw(terms(Impl, names, 4))
+    model = universal_frame(n, d).model
+    ref = Reference(model.frame)
+    # d_equivalent binds the sorted variables to the generators in order
+    used = sorted(t1.variables() | t2.variables())
+    env = {
+        nm: sum(1 << p for p, c in enumerate(model.colors) if c >> i & 1)
+        for i, nm in enumerate(used)
+    }
+    assert d_equivalent(t1, t2, n, d) == (ref.eval(t1, env) == ref.eval(t2, env))
+
+
+# perfbench/workloads.py NON_LAWS with x, y; the witnesses are the ones
+# the recursive Element evaluator found
+NON_LAW_WITNESSES = [
+    ("x & (1 \\ x) != 0", "points: p0 p1\ncovers: p0<p1\n", {"x": "{p0}"}),
+    ("x \\ (1 \\ (1 \\ x)) != 0", "points: p0 p1\ncovers: p0<p1\n", {"x": "{p0}"}),
+    (
+        "(x \\ y) & (y \\ x) != 0",
+        "points: p0 p1 p2\ncovers: p0<p1 p0<p2\n",
+        {"x": "{p0,p1}", "y": "{p0,p2}"},
+    ),
+    (
+        "(x & y) \\ (x \\ (x \\ y)) != 0",
+        "points: p0 p1\ncovers: p0<p1\n",
+        {"x": "{p0,p1}", "y": "{p0}"},
+    ),
+    (
+        "((1 \\ x) & (1 \\ y)) \\ (1 \\ (x | y)) != 0",
+        "points: p0 p1 p2\ncovers: p0<p1 p0<p2\n",
+        {"x": "{p0,p1}", "y": "{p0,p2}"},
+    ),
+    (
+        "(x \\ y) & y != 0",
+        "points: p0 p1\ncovers: p0<p1\n",
+        {"x": "{p0,p1}", "y": "{p0}"},
+    ),
+    (
+        "x \\ (x \\ y) != 0 && y \\ x != 0",
+        "points: p0 p1\ncovers: p0<p1\n",
+        {"x": "{p0}", "y": "{p0,p1}"},
+    ),
+    (
+        "(x | y) \\ (x & y) != 0 && (x \\ y) & (y \\ x) = 0",
+        "points: p0\n",
+        {"x": "{}", "y": "{p0}"},
+    ),
+    (
+        "(1 \\ x) & (1 \\ (1 \\ x)) != 0",
+        "points: p0 p1 p2\ncovers: p0<p1 p0<p2\n",
+        {"x": "{p0,p1}"},
+    ),
+    (
+        "x & (y \\ x) != 0",
+        "points: p0 p1\ncovers: p0<p1\n",
+        {"x": "{p0}", "y": "{p0,p1}"},
+    ),
+]
+
+
+@pytest.mark.parametrize("src, poset_text, assignment", NON_LAW_WITNESSES)
+def test_fmp_search_witnesses_pinned(src, poset_text, assignment):
+    witness = fmp_search(parse_formula(src), 5, 300)
+    assert poset_to_text(witness.poset) == poset_text
+    assert {n: str(v) for n, v in witness.assignment.items()} == assignment
+    assert witness.replayed
+
+
+DEPTH = 3000
+
+
+def test_deep_terms_need_no_recursion_limit():
+    chain = build_poset(["p0", "p1"], [("p0", "p1")])
+    algebra = Algebra(chain)
+    x, y = Var("x"), Var("y")
+    diff, meet = x, x
+    for _ in range(DEPTH):
+        diff = Diff(diff, y)
+        meet = Meet(meet, y)
+    assert diff.variables() == meet.variables() == {"x", "y"}
+    env = {"x": algebra.top(), "y": algebra.element(1)}
+    assert str(eval_term(diff, algebra, env)) == "{p0,p1}"
+    assert str(eval_term(meet, algebra, env)) == "{p0}"
+    # x holds at p0 and p1, y at p0 only: x -> y holds at p0 only, and
+    # each further "-> y" flips between that and the whole frame
+    model = make_model(chain, ("x", "y"), [0b11, 0b01])
+    impl = x
+    for _ in range(DEPTH):
+        impl = Impl(impl, y)
+    assert impl.variables() == {"x", "y"}
+    assert truth_set(model, impl) == 0b11
+    assert truth_set(model, Impl(impl, y)) == 0b01
+
+
+def test_cli_evaluates_a_deep_difference(capsys, tmp_path):
+    path = tmp_path / "chain.poset"
+    path.write_text("points: a b\ncovers: a<b\n")
+    src = " \\ ".join(["x"] * (DEPTH + 1))
+    code = main(["terms", "eval", src, str(path), "--let", "x={a}"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert out.strip() == "{}"
