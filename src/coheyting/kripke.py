@@ -416,6 +416,8 @@ def d_equivalent(
 
     The dual of a term at the generators is the complement of its truth set
     on the universal frame, so the truth sets are compared instead."""
+    if n < 0 or d < 0:
+        raise FrameMismatch("need n >= 0 and d >= 0")
     if t1.has_diff or t2.has_diff:
         raise SignatureMismatch("depth equivalence compares implication terms")
     names = tuple(sorted(t1.variables() | t2.variables()))

@@ -164,18 +164,22 @@ class Poset:
         return sorted(sets, key=set_key)
 
     def count_downsets(self) -> int:
-        """Number of downsets, computed without materializing them."""
+        """Number of downsets, computed without materializing them.
+        Those of ``sub`` without its lowest point x plus those with it,
+        memoized, with an explicit stack in place of recursion."""
         memo: dict[PointSet, int] = {0: 1}
-
-        def count(sub: PointSet) -> int:
+        todo = [self.full]
+        while todo:
+            sub = todo.pop()
             if sub in memo:
-                return memo[sub]
+                continue
             x = (sub & -sub).bit_length() - 1
-            out = count(sub & ~self.up[x]) + count(sub & ~self.down[x])
-            memo[sub] = out
-            return out
-
-        return count(self.full)
+            a, b = sub & ~self.up[x], sub & ~self.down[x]
+            if a in memo and b in memo:
+                memo[sub] = memo[a] + memo[b]
+            else:
+                todo += (sub, a, b)
+        return memo[self.full]
 
     def format_points(self, s: PointSet) -> str:
         return "{" + ",".join(self.names[i] for i in bits(s)) + "}"

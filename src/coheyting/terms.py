@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import Algebra, Element
 from .errors import SignatureMismatch, TermSyntaxError, UnboundVariable
@@ -46,14 +46,16 @@ class Term:
         todo: list = [self]
         while todo:
             node = todo.pop()
-            if isinstance(node, int):
+            if type(node) is int:
                 code.append(node)
             elif node.op == "var":
                 if node.name not in names:
                     names.append(node.name)
                 code.append(names.index(node.name))
+            elif node.args:
+                todo += (_OPCODE[node.op], node.args[1], node.args[0])
             else:
-                todo += (_OPCODE[node.op], *reversed(node.args))
+                code.append(_OPCODE[node.op])
         return tuple(code), tuple(names)
 
     @property
@@ -142,125 +144,120 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.toks = _tokenize(src)
-        self.pos = 0
+def _term(toks: list[tuple[str, str, int]], i: int) -> tuple[Term, int]:
+    """Parse one term from token ``i``; return it and the next index.
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.pos]
-
-    def take(self, kind: str | None = None) -> tuple[str, str, int]:
-        tok = self.toks[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise TermSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def term(self) -> Term:
-        left = self.join_level()
-        kind = self.peek()[0]
-        if kind == "\\":
-            while self.peek()[0] == "\\":
-                self.take()
-                left = Diff(left, self.join_level())
-            return left
-        if kind == "->":
-            self.take()
-            return Impl(left, self.term())
-        return left
-
-    def join_level(self) -> Term:
-        left = self.meet_level()
-        while self.peek()[0] == "|":
-            self.take()
-            left = Join(left, self.meet_level())
-        return left
-
-    def meet_level(self) -> Term:
-        left = self.atom()
-        while self.peek()[0] == "&":
-            self.take()
-            left = Meet(left, self.atom())
-        return left
-
-    def atom(self) -> Term:
-        kind, text, pos = self.take()
-        if kind == "0":
-            return ZERO
-        if kind == "1":
-            return ONE
-        if kind == "ident":
-            return Var(text)
+    ``term := join ('\\' join)* | join '->' term``, ``join := meet ('|'
+    meet)*``, ``meet := atom ('&' atom)*``, ``atom := 0 | 1 | ident | '('
+    term ')'``.  The open terms are kept on an explicit stack, so nesting
+    needs no recursion limit."""
+    outer = []  # (imps, diff, join, meet) of each open parenthesis
+    imps: list[Term] = []  # left operands of '->', folded from the right
+    diff = join = meet = None
+    while True:
+        kind, text, pos = toks[i]
+        i += 1
         if kind == "(":
-            inner = self.term()
-            self.take(")")
-            return inner
-        raise TermSyntaxError(f"unexpected token {text or 'end of input'!r}", pos)
+            outer.append((imps, diff, join, meet))
+            imps, diff, join, meet = [], None, None, None
+            continue
+        if kind == "ident":
+            t = Var(text)
+        elif kind == "0":
+            t = ZERO
+        elif kind == "1":
+            t = ONE
+        else:
+            raise TermSyntaxError(f"unexpected token {text or 'end of input'!r}", pos)
+        while True:  # fold the finished atom t up until an operator follows
+            meet = t if meet is None else Meet(meet, t)
+            kind, text, pos = toks[i]
+            if kind == "&":
+                break
+            join = meet if join is None else Join(join, meet)
+            meet = None
+            if kind == "|":
+                break
+            t, join = join, None
+            if diff is not None:
+                t = diff = Diff(diff, t)
+                if kind == "\\":
+                    break
+            elif kind == "\\":
+                diff = t
+                break
+            elif kind == "->":
+                imps.append(t)
+                break
+            for a in reversed(imps):
+                t = Impl(a, t)
+            if not outer:
+                return t, i
+            if kind != ")":
+                raise TermSyntaxError(f"expected ')', found {text!r}", pos)
+            i += 1
+            imps, diff, join, meet = outer.pop()
+        i += 1
 
 
 def parse_term(src: str) -> Term:
-    p = _Parser(src)
-    t = p.term()
-    kind, text, pos = p.peek()
+    toks = _tokenize(src)
+    t, i = _term(toks, 0)
+    kind, text, pos = toks[i]
     if kind != "end":
         raise TermSyntaxError(f"trailing input {text!r}", pos)
     return t
 
 
-_PREC = {"diff": 1, "impl": 1, "join": 2, "meet": 3}
-
-
-def _needs_parens(child: Term, parent_op: str, side: str) -> bool:
-    if child.op not in _PREC:
-        return False
-    cp, pp = _PREC[child.op], _PREC[parent_op]
-    if cp != pp:
-        return cp < pp
-    # equal precedence: keep the shape the parser would rebuild
-    if parent_op == "impl":
-        return side == "left"
-    return side == "right"
+# opcode -> (symbol, precedence); constants and variables bind tightest
+_SYMBOL = {_ZERO: ("0", 4), _ONE: ("1", 4), _JOIN: ("|", 2), _MEET: ("&", 3),
+           _DIFF: ("\\", 1), _IMPL: ("->", 1)}
 
 
 def print_term(t: Term) -> str:
-    """Minimal-parenthesis rendering; reparses to an equal term."""
-    if t.op == "zero":
-        return "0"
-    if t.op == "one":
-        return "1"
-    if t.op == "var":
-        return t.name  # type: ignore[return-value]
-    sym = {"join": "|", "meet": "&", "diff": "\\", "impl": "->"}[t.op]
-    parts = []
-    for side, child in zip(("left", "right"), t.args):
-        text = print_term(child)
-        if _needs_parens(child, t.op, side):
-            text = f"({text})"
-        parts.append(text)
-    return f"{parts[0]} {sym} {parts[1]}"
+    """Minimal-parenthesis rendering; reparses to an equal term.  At equal
+    precedence the left operand of ``->`` and the right operand of the other
+    operators are parenthesized, the shape the parser rebuilds."""
+    code, names = t.program
+    stack: list[tuple[str, int]] = []
+    for c in code:
+        text, prec = (names[c], 4) if c >= 0 else _SYMBOL[c]
+        if prec < 4:
+            b, bp = stack.pop()
+            a, ap = stack.pop()
+            if ap < prec or ap == prec and c == _IMPL:
+                a = f"({a})"
+            if bp < prec or bp == prec and c != _IMPL:
+                b = f"({b})"
+            text = f"{a} {text} {b}"
+        stack.append((text, prec))
+    return stack[0][0]
 
 
 # ---------------------------------------------------------------------------
 # dualization and evaluation
 
+# opcode -> (dual operator, whether its operands swap)
+_DUAL = {_JOIN: ("meet", False), _MEET: ("join", False), _DIFF: ("impl", True),
+         _IMPL: ("diff", True)}
+
+
 def dualize(t: Term) -> Term:
     """Swap 0 with 1 and join with meet; difference becomes the reversed
     implication and back.  An involution."""
-    if t.op == "zero":
-        return ONE
-    if t.op == "one":
-        return ZERO
-    if t.op == "var":
-        return t
-    a, b = t.args
-    if t.op == "join":
-        return Meet(dualize(a), dualize(b))
-    if t.op == "meet":
-        return Join(dualize(a), dualize(b))
-    if t.op == "diff":
-        return Impl(dualize(b), dualize(a))
-    return Diff(dualize(b), dualize(a))
+    code, names = t.program
+    leaves = [Var(n) for n in names]
+    stack: list[Term] = []
+    for c in code:
+        if c >= 0:
+            stack.append(leaves[c])
+        elif c in _DUAL:
+            op, swap = _DUAL[c]
+            b = stack.pop()
+            stack[-1] = _binary(op, b, stack[-1]) if swap else _binary(op, stack[-1], b)
+        else:
+            stack.append(ONE if c == _ZERO else ZERO)
+    return stack[0]
 
 
 def run_program(code: Sequence[int], values: Sequence[PointSet], order: Poset) -> PointSet:
@@ -331,24 +328,25 @@ class Formula:
 
 
 def parse_formula(src: str) -> Formula:
-    p = _Parser(src)
+    toks = _tokenize(src)
+    i = 0
     atoms = []
     while True:
-        t = p.term()
-        kind, text, pos = p.take()
+        t, i = _term(toks, i)
+        kind, text, pos = toks[i]
         if kind == "=":
             eq = True
         elif kind == "!=":
             eq = False
         else:
             raise TermSyntaxError(f"expected '=' or '!=', found {text!r}", pos)
-        kind, text, pos = p.take()
+        kind, text, pos = toks[i + 1]
         if kind != "0":
             raise TermSyntaxError(f"atoms compare against 0, found {text!r}", pos)
         atoms.append((t, eq))
-        kind, text, pos = p.peek()
+        kind, text, pos = toks[i + 2]
+        i += 3
         if kind == "&&":
-            p.take()
             continue
         if kind == "end":
             break
@@ -365,8 +363,3 @@ def eval_formula(
             return False
     return True
 
-
-def iter_terms(t: Term) -> Iterator[Term]:
-    yield t
-    for a in t.args:
-        yield from iter_terms(a)

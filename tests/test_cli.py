@@ -4,6 +4,8 @@ Commands run in-process through main(argv) so assertions can read captured
 stdout; subprocess tests run the module and the installed console script.
 """
 
+import contextlib
+import io
 import os
 import shutil
 import subprocess
@@ -11,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coheyting.cli import main
 
@@ -183,6 +187,10 @@ def test_equiv_exit_codes(capsys):
     assert code == 0 and out.strip() == "equivalent"
     code, out, _ = run(capsys, "equiv", "1", "2", "x | (x -> 0)", "1")
     assert code == 1 and out.strip() == "distinct"
+    # the depth and generator count are checked before the variables
+    code, out, err = run(capsys, "equiv", "-1", "1", "1", "1")
+    assert code == 2 and out == ""
+    assert err == "error: need n >= 0 and d >= 0\n"
 
 
 def test_tower_commands(capsys):
@@ -311,11 +319,18 @@ def test_console_script_roundtrip():
         (["poset", "check", "{tmp}"], 2),
         (["poset", "check", "{tmp}/binary.poset"], 2),
         (["poset", "check", "x" * 300 + ".poset"], 2),
+        (["poset", "check", "{tmp}/chain.poset"], 0),
     ],
 )
 def test_module_exit_codes_out_of_process(argv, expected, tmp_path):
-    # {tmp} is a directory holding a file that is not UTF-8 text
+    # {tmp} is a directory holding a file that is not UTF-8 text and a
+    # 2,000-point chain, deeper than the default recursion limit
     (tmp_path / "binary.poset").write_bytes(b"\x80\xff\x00points")
+    n = 2000
+    (tmp_path / "chain.poset").write_text(
+        "points: " + " ".join(f"p{i}" for i in range(n)) + "\ncovers: "
+        + " ".join(f"p{i}<p{i + 1}" for i in range(n - 1)) + "\n"
+    )
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
@@ -328,3 +343,41 @@ def test_module_exit_codes_out_of_process(argv, expected, tmp_path):
     assert "Traceback" not in proc.stderr
     if expected == 2:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    if argv[-1].endswith("chain.poset"):
+        assert "downsets: 2001" in proc.stdout.splitlines()
+
+
+FUZZ_TOKENS = ("a", "b", "0", "1", "|", "&", "\\", "->", "(", ")", "=", "!=", "&&")
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "chain.poset").write_text(CHAIN)
+    (root / "model.poset").write_text(
+        "points: w0 w1\ncovers: w0<w1\ncolors: w0:{a,b} w1:{a}\n"
+    )
+    return str(root / "chain.poset"), str(root / "model.poset")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    toks=st.lists(st.sampled_from(FUZZ_TOKENS), max_size=8),
+    depth=st.one_of(st.just(0), st.integers(0, 3000)),
+)
+def test_cli_fuzz_exit_codes(fuzz_files, toks, depth):
+    # '--' keeps a source such as '->' from reading as an option
+    chain, model = fuzz_files
+    src = "(" * depth + " ".join(toks) + ")" * depth
+    for argv in [
+        ["terms", "parse", "--", src],
+        ["terms", "dual", "--", src],
+        ["terms", "eval", "--let", "a={p0}", "--let", "b={p0,p1}", "--", src, chain],
+        ["kripke", "force", "--", model, "*", src],
+        ["equiv", "1", "1", "--", src, "1"],
+        ["fmp-search", "--max-points", "2", "--max-assignments", "50", "--", src],
+    ]:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv[:2]

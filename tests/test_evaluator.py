@@ -24,8 +24,11 @@ from coheyting.terms import (
     Join,
     Meet,
     Var,
+    dualize,
     eval_term,
     parse_formula,
+    parse_term,
+    print_term,
 )
 
 POSETS = list(enumerate_posets(5))
@@ -222,3 +225,54 @@ def test_cli_evaluates_a_deep_difference(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert code == 0, err
     assert out.strip() == "{}"
+
+
+def _deep_inputs():
+    # source text and the term it must parse to: DEPTH parentheses around
+    # x, a right-nested '->' chain and a left-nested '\\' chain
+    x = Var("x")
+    impl, diff = x, x
+    for _ in range(DEPTH):
+        impl = Impl(x, impl)
+        diff = Diff(diff, x)
+    return {
+        "parens": ("(" * DEPTH + "x" + ")" * DEPTH, x),
+        "impl": (" -> ".join(["x"] * (DEPTH + 1)), impl),
+        "diff": (" \\ ".join(["x"] * (DEPTH + 1)), diff),
+    }
+
+
+DEEP = _deep_inputs()
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_deep_parse_print_dualize(shape):
+    # programs, not terms, are compared: Term equality still recurses
+    src, expected = DEEP[shape]
+    t = parse_term(src)
+    assert t.program == expected.program
+    assert parse_term(print_term(t)).program == t.program
+    assert dualize(dualize(t)).program == t.program
+
+
+IMPL_CHAIN, DIFF_CHAIN = DEEP["impl"][0], DEEP["diff"][0]
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["terms", "parse", DEEP["parens"][0]], "x"),
+        # the dual of a left-nested difference chain is the '->' chain
+        (["terms", "dual", DIFF_CHAIN], IMPL_CHAIN),
+        (["kripke", "force", "{model}", "*", IMPL_CHAIN], "true"),
+        (["equiv", "1", "1", IMPL_CHAIN, "1"], "equivalent"),
+    ],
+    ids=["parse", "dual", "force", "equiv"],
+)
+def test_cli_handles_deep_terms(argv, out, capsys, tmp_path):
+    path = tmp_path / "model.poset"
+    path.write_text("points: w0 w1\ncovers: w0<w1\ncolors: w0:{x} w1:{}\n")
+    code = main([str(path) if a == "{model}" else a for a in argv])
+    printed, err = capsys.readouterr()
+    assert code == 0, err
+    assert printed.strip() == out

@@ -182,6 +182,11 @@ def test_downsets_against_subset_brute_force():
     assert p.count_downsets() == len(brute)
 
 
+def test_count_downsets_matches_all_downsets():
+    for p in enumerate_posets(6):
+        assert p.count_downsets() == len(p.all_downsets())
+
+
 def test_dual_swaps_ranks():
     p = build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")])
     d = p.dual()

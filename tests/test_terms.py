@@ -2,9 +2,12 @@
 
 Precedence and associativity are pinned by exact parse shapes and by
 printed strings; the printer is checked to be a right inverse of the
-parser on randomly generated terms.
+parser on randomly generated terms.  The outcome of every short token
+string, a printed term or an error with its position, is pinned by digest.
 """
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -12,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coheyting.algebra import Algebra
-from coheyting.errors import SignatureMismatch, TermSyntaxError, UnboundVariable
+from coheyting.errors import (
+    CoheytingError,
+    SignatureMismatch,
+    TermSyntaxError,
+    UnboundVariable,
+)
 from coheyting.fixtures import load_fixture
 from coheyting.suites import random_term
 from coheyting.terms import (
@@ -26,7 +34,6 @@ from coheyting.terms import (
     dualize,
     eval_formula,
     eval_term,
-    iter_terms,
     parse_formula,
     parse_term,
     print_term,
@@ -164,10 +171,36 @@ def test_formula_errors():
         parse_formula("x = 0 y != 0")
 
 
-def test_iter_terms_walks_all_nodes():
-    t = parse_term("a & b | 0")
-    ops = sorted(n.op for n in iter_terms(t))
-    assert ops == ["join", "meet", "var", "var", "zero"]
+def _outcome(parse, src):
+    try:
+        return f"ok {parse(src)}"
+    except CoheytingError as exc:
+        return f"{type(exc).__name__} {exc}"
+
+
+@pytest.mark.parametrize(
+    "alphabet, lengths, expected",
+    [
+        (
+            ("a", "b", "0", "1", "|", "&", "\\", "->", "(", ")", "=", "!=", "&&"),
+            range(5),
+            (61882, "d48983188a101f0e"),
+        ),
+        (("a", "&", "|", "\\", "->", "(", ")"), [5], (33614, "a78d890d2cfac05c")),
+    ],
+)
+def test_parse_outcomes_pinned(alphabet, lengths, expected):
+    # every token string up to the given lengths, through both parsers: the
+    # printed result, or the error class and message (with its position)
+    digest = hashlib.sha256()
+    count = 0
+    for k in lengths:
+        for toks in itertools.product(alphabet, repeat=k):
+            src = " ".join(toks)
+            for parse in (parse_term, parse_formula):
+                digest.update((_outcome(parse, src) + "\n").encode())
+                count += 1
+    assert (count, digest.hexdigest()[:16]) == expected
 
 
 @settings(max_examples=300, deadline=None)
