@@ -11,7 +11,7 @@ maps between spectra) and the irreducible-element machinery on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterable, Sequence, Union
 
 from .config import DEFAULT_CAPS, Caps
@@ -26,6 +26,7 @@ from .errors import (
 from .posets import PointSet, Poset, bits, close, mask_of, set_key
 
 
+@total_ordering
 class Infinite:
     """Signed infinity used for codim(bottom) and dim(bottom).
 
@@ -52,27 +53,6 @@ class Infinite:
             return self.sign < other.sign
         if isinstance(other, int):
             return self.sign < 0
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, Infinite):
-            return self.sign <= other.sign
-        if isinstance(other, int):
-            return self.sign < 0
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, Infinite):
-            return self.sign > other.sign
-        if isinstance(other, int):
-            return self.sign > 0
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, Infinite):
-            return self.sign >= other.sign
-        if isinstance(other, int):
-            return self.sign > 0
         return NotImplemented
 
     def _no_arith(self, *_args):
@@ -212,13 +192,6 @@ class Algebra:
             self, mask_of(i for i in range(self.spec.n) if self.spec.coranks[i] >= d)
         )
 
-    def ideal_dL(self, d: int) -> "Ideal":
-        return Ideal(self, self.epsilon(d))
-
-    def omega_ideal(self) -> "Ideal":
-        # at finite scale the intersection of all dL collapses to {bottom}
-        return Ideal(self, self.bottom())
-
     # -- spectrum-level views --------------------------------------------------
 
     def minimal_primes(self, a: Element) -> PointSet:
@@ -332,16 +305,14 @@ class Morphism:
                 m |= 1 << q
         return Element(self.dst, m)
 
-    @cached_property
-    def image_mask(self) -> PointSet:
-        return mask_of(self.dualmap)
-
     def kernel(self) -> Ideal:
         """Largest element sent to bottom, as a principal ideal."""
-        spec = self.src.spec
-        gen = mask_of(
-            p for p in range(spec.n) if spec.down[p] & self.image_mask == 0
-        )
+        return self._kernel
+
+    @cached_property
+    def _kernel(self) -> Ideal:
+        spec, image = self.src.spec, mask_of(self.dualmap)
+        gen = mask_of(p for p in range(spec.n) if spec.down[p] & image == 0)
         return Ideal(self.src, Element(self.src, gen))
 
     def dual_injective(self) -> bool:

@@ -379,8 +379,19 @@ def cmd_export_dot(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with one '-' and names no option, such as
+    the term '->', as a positional, so the term parser reports it."""
+
+    def _parse_optional(self, arg):
+        one_dash = arg[:1] == "-" and arg[1:2] != "-"
+        if one_dash and arg not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coheyting",
         description="Dimension, codimension and quotient towers of finite "
         "co-Heyting algebras presented as downsets of posets.",

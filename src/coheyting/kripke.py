@@ -42,7 +42,6 @@ from .posets import (
     close,
     enumerate_antichains,
     mask_of,
-    popcount,
     poset_to_text,
     set_key,
 )
@@ -307,7 +306,7 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
             inter = (1 << n) - 1
             for w in bits(antichain):
                 inter &= colors[w]
-            single = popcount(antichain) == 1
+            single = antichain.bit_count() == 1
             for c in range(inter + 1):
                 if c & inter != c:
                     continue
@@ -442,7 +441,7 @@ def enumerate_reduced_models(
     downsets = []
     for antichain in frame.antichains(caps=caps):
         ds = frame.down_closure(antichain)
-        if max_points is None or popcount(ds) <= max_points:
+        if max_points is None or ds.bit_count() <= max_points:
             downsets.append(ds)
     downsets.sort(key=set_key)
     seen: set[str] = set()

@@ -42,14 +42,20 @@ def distance(a: Element, b: Element) -> Fraction:
 
 
 def ball(x: Element, d: int, caps: Caps = DEFAULT_CAPS) -> tuple[Element, ...]:
-    """Elements within 2^(-d): symmetric difference of codimension >= d."""
+    """Elements within 2^(-d): symmetric difference of codimension >= d.
+
+    codim(s) >= d iff every point of s has corank >= d iff s is inside
+    epsilon(d), and codim(bottom) = +inf.  As epsilon(d) is a downset, the
+    test runs on the plain mask difference, and only members are wrapped,
+    in the ``set_key`` order of ``all_downsets``.
+    """
     algebra = x.owner
-    out = [
-        y
-        for y in algebra.elements(caps)
-        if algebra.codim(x ^ y) >= d
-    ]
-    return tuple(sorted(out, key=Element.sort_key))
+    a, e = x.pts, algebra.epsilon(d).pts
+    return tuple(
+        Element(algebra, y)
+        for y in algebra.spec.all_downsets(caps)
+        if (a ^ y) & e == a ^ y
+    )
 
 
 def dense_skeleton(

@@ -37,13 +37,17 @@ def mask_of(indices: Iterable[int]) -> PointSet:
     return out
 
 
-def popcount(mask: PointSet) -> int:
-    return mask.bit_count()
+_FLIP = str.maketrans("01", "10")
 
 
 def set_key(mask: PointSet) -> tuple:
-    """Deterministic sort key: cardinality, then lexicographic indices."""
-    return (mask.bit_count(), tuple(bits(mask)))
+    """Deterministic sort key: cardinality, then lexicographic indices.
+
+    The bits are read from bit 0 up with 0 and 1 swapped, so a present
+    point sorts first; at equal cardinality no such string is a proper
+    prefix of another, so the order is that of ascending index tuples.
+    """
+    return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
 
 @dataclass(frozen=True)
@@ -104,28 +108,27 @@ class Poset:
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
-        """rank[i] = length of the longest chain strictly below i."""
+        """rank[i] = length of the longest chain strictly below i: one
+        more than the greatest rank of a lower cover."""
+        lower: list[list[int]] = [[] for _ in range(self.n)]
+        for lo, hi in self.covers:
+            lower[hi].append(lo)
         rank = [0] * self.n
         for i in self._topo_order():
-            below = [rank[j] + 1 for j in bits(self.down[i]) if j != i]
-            rank[i] = max(below, default=0)
+            rank[i] = max((rank[j] + 1 for j in lower[i]), default=0)
         return tuple(rank)
 
     @cached_property
     def coranks(self) -> tuple[int, ...]:
         """corank[i] = length of the longest chain strictly above i."""
-        corank = [0] * self.n
-        for i in reversed(self._topo_order()):
-            above = [corank[j] + 1 for j in bits(self.up[i]) if j != i]
-            corank[i] = max(above, default=0)
-        return tuple(corank)
+        return self.dual().ranks
 
     def height(self) -> int:
         """Longest chain length (edges); -1 for the empty poset."""
         return max(self.ranks, default=-1)
 
     def _topo_order(self) -> list[int]:
-        return sorted(range(self.n), key=lambda i: (popcount(self.down[i]), i))
+        return sorted(range(self.n), key=lambda i: (self.down[i].bit_count(), i))
 
     def dual(self) -> "Poset":
         """Same points, reversed order."""

@@ -522,20 +522,27 @@ def _check_quotient(algebra, e, extra):
     eps = algebra.epsilon(d)
     quotient, proj = algebra.quotient_by(eps)
     elems = algebra.elements()
+    # one image per element; a fiber is kept as its image's meet and join
+    image_of = {a.pts: proj.apply(a).pts for a in elems}
+    meet, join = {}, {}
+    for m, image in image_of.items():
+        meet[image] = meet.get(image, m) & m
+        join[image] = join.get(image, m) | m
     for a in elems:
-        image = proj.apply(a)
-        fiber = [x for x in elems if proj.apply(x) == image]
-        lo = fiber_min(proj, a)
-        hi = fiber_max(proj, a)
-        if proj.apply(lo) != image or any(not lo <= x for x in fiber):
+        image = image_of[a.pts]
+        lo = fiber_min(proj, a).pts
+        hi = fiber_max(proj, a).pts
+        if image_of.get(lo) != image or lo & meet[image] != lo:
             return "fiber_min is the least fiber element"
-        if proj.apply(hi) != image or any(not x <= hi for x in fiber):
+        if image_of.get(hi) != image or hi | join[image] != hi:
             return "fiber_max is the greatest fiber element"
-    for a in elems:
-        for b in elems:
-            same = proj.apply(a) == proj.apply(b)
-            if same != ((a ^ b) <= eps):
-                return "pi(a) = pi(b) iff a ^ b <= epsilon(d)"
+    # a ^ b as Element.__xor__ computes it; symmetric, so each pair of
+    # distinct elements once
+    down, eps_pts = algebra.spec.down_closure, eps.pts
+    for (a, image), (b, other) in itertools.combinations(image_of.items(), 2):
+        s = down(a & ~b) | down(b & ~a)
+        if (image == other) != (s & eps_pts == s):
+            return "pi(a) = pi(b) iff a ^ b <= epsilon(d)"
     qj = set(quotient.join_irreducibles())
     lifted = {proj.apply(j) for j in algebra.join_irreducibles() if not j <= eps}
     if qj != lifted:

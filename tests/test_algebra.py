@@ -212,11 +212,14 @@ def test_minimal_primes_and_omega():
     assert v3.spec.format_points(primes) == "{p1,p2}"
     with pytest.raises(EmptyElement):
         v3.minimal_primes(v3.bottom())
-    omega = v3.omega_ideal()
-    assert omega.gen == v3.bottom()
-    assert v3.ideal_dL(1).gen == v3.epsilon(1)
-    assert v3.bottom() in omega
-    assert top not in omega
+    # the codim >= d ideal is the kernel of the quotient by epsilon(d), and
+    # at finite scale the intersection of all of them is {bottom}
+    _, proj = v3.quotient_by(v3.epsilon(1))
+    kernel = proj.kernel()
+    assert kernel.gen == v3.epsilon(1)
+    assert v3.bottom() in kernel
+    assert top not in kernel
+    assert v3.epsilon(v3.spec.height() + 1) == v3.bottom()
 
 
 def test_quotient_identifies_exactly_mod_epsilon(pool):
@@ -254,6 +257,14 @@ def test_kernel_of_epsilon_quotient_is_epsilon(pool):
             report = check_dL_preserved(proj, d)
             assert report.contained and report.equal
             assert report.ok
+
+
+def test_kernel_is_computed_once():
+    v3 = algebra_of("v3")
+    _, proj = v3.quotient_by(v3.epsilon(1))
+    first, second = proj.kernel(), proj.kernel()
+    assert first.gen == second.gen == v3.epsilon(1)
+    assert first is second
 
 
 def test_morphism_validation_errors():

@@ -250,6 +250,13 @@ def test_verify_list_and_run(capsys):
         ["kripke", "models", "1", "1", "--max-points", "0"],
         ["kripke", "models", "1", "1", "--max-points", "-2"],
         ["tower", "census", "1", "-3"],
+        # a term source that starts with '-' reaches the term parser
+        ["terms", "parse", "->"],
+        ["terms", "dual", "-x"],
+        ["kripke", "force", "model.poset", "*", "-x"],
+        ["equiv", "1", "1", "->", "x"],
+        ["tower", "lift", "1", "1", "-x"],
+        ["fmp-search", "->"],
     ],
 )
 def test_verify_bad_input_exits_two(capsys, argv):
@@ -320,6 +327,8 @@ def test_console_script_roundtrip():
         (["poset", "check", "{tmp}/binary.poset"], 2),
         (["poset", "check", "x" * 300 + ".poset"], 2),
         (["poset", "check", "{tmp}/chain.poset"], 0),
+        (["terms", "parse", "->"], 2),
+        (["kripke", "force", "{tmp}/binary.poset", "*", "-x"], 2),
     ],
 )
 def test_module_exit_codes_out_of_process(argv, expected, tmp_path):

@@ -34,6 +34,7 @@ from coheyting.metric import (
     precompactness_census,
     squeeze_limit,
 )
+from coheyting.posets import enumerate_posets
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,18 @@ def test_balls_on_chain(chain):
     assert ball(bottom, 1) == (bottom, chain.element({"p0"}))
     assert ball(top, 2) == (top,)
     assert len(ball(top, 0)) == 3
+
+
+def test_ball_matches_definitional_filter():
+    for poset in enumerate_posets(5):
+        algebra = Algebra(poset)
+        elems = algebra.elements()
+        for x in elems:
+            for d in range(poset.height() + 2):
+                expected = tuple(
+                    y for y in elems if algebra.codim(x ^ y) >= d
+                )
+                assert ball(x, d) == expected
 
 
 def test_dense_skeleton_exhausts_fixtures():

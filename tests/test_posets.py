@@ -31,6 +31,7 @@ from coheyting.posets import (
     parse_point_list,
     parse_poset_text,
     poset_to_text,
+    set_key,
 )
 
 
@@ -147,6 +148,30 @@ def test_closure_and_rank_on_three_chain():
     assert p.up_closure(1 << 0) == 0b111
     assert p.is_downset(0b011)
     assert not p.is_downset(0b100)
+
+
+def test_set_key_orders_like_index_tuples():
+    def reference(m):
+        return (m.bit_count(), tuple(bits(m)))
+
+    rng = random.Random(22)
+    small = list(range(1 << 12))
+    rng.shuffle(small)
+    wide = [rng.getrandbits(22) for _ in range(20000)]
+    for masks in (small, wide):
+        assert sorted(masks, key=set_key) == sorted(masks, key=reference)
+
+
+def test_ranks_are_longest_chains():
+    """Ranks from the covers against longest chains in the down masks."""
+    for p in enumerate_posets(6):
+        rank, corank = [0] * p.n, [0] * p.n
+        for _ in range(p.n):
+            for i in range(p.n):
+                for j in bits(p.down[i] & ~(1 << i)):
+                    rank[i] = max(rank[i], rank[j] + 1)
+                    corank[j] = max(corank[j], corank[i] + 1)
+        assert list(p.ranks) == rank and list(p.coranks) == corank
 
 
 def test_transitive_input_covers_are_reduced():

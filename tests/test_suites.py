@@ -9,7 +9,10 @@ import hashlib
 
 import pytest
 
-from coheyting.posets import build_poset, poset_to_text
+from coheyting import suites
+from coheyting.algebra import Algebra, make_morphism
+from coheyting.fixtures import load_fixture
+from coheyting.posets import build_poset, mask_of, poset_to_text
 from coheyting.suites import (
     CHECKERS,
     Failure,
@@ -138,6 +141,41 @@ def test_shrinker_minimizes_planted_failure():
         assert not replay_failure(passing)
     finally:
         del CHECKERS["planted"]
+
+
+def _drop_first_kept_point(quotient_by):
+    """A quotient whose projection forgets the first point it should keep."""
+    def broken(self, e):
+        quotient, proj = quotient_by(self, e)
+        kept = proj.dualmap[1:]
+        smaller = Algebra(self.spec.induced(mask_of(kept)))
+        return quotient, make_morphism(self, smaller, kept, validate=False)
+    return broken
+
+
+@pytest.mark.parametrize(
+    "target, attr, mutant, law",
+    [
+        (suites, "fiber_min", lambda phi, a: a,
+         "fiber_min is the least fiber element"),
+        (suites, "fiber_max", lambda phi, a: a,
+         "fiber_max is the greatest fiber element"),
+        (suites, "fiber_min", lambda phi, a: phi.src.bottom(),
+         "fiber_min is the least fiber element"),
+        (suites, "fiber_max", lambda phi, a: phi.src.top(),
+         "fiber_max is the greatest fiber element"),
+        (Algebra, "quotient_by", _drop_first_kept_point(Algebra.quotient_by),
+         "pi(a) = pi(b) iff a ^ b <= epsilon(d)"),
+    ],
+)
+def test_quotient_checker_negative_controls(monkeypatch, target, attr, mutant, law):
+    # v3 is p0 < p1, p0 < p2: epsilon(1) = {p0} and the fiber of bottom
+    # is {}, {p0}
+    poset, _ = load_fixture("v3")
+    check = CHECKERS["quotient-fini"]
+    assert check(Algebra(poset), {}, {"d": "1"}) is None
+    monkeypatch.setattr(target, attr, mutant)
+    assert check(Algebra(poset), {}, {"d": "1"}) == law
 
 
 def test_failure_describe_format():
