@@ -68,7 +68,7 @@ MINUS_INFINITY = Infinite(-1)
 Codim = Union[int, Infinite]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """A downset of the owner's spectrum, stored as a point bitmask."""
 

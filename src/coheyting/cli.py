@@ -381,7 +381,11 @@ def cmd_export_dot(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reads a token that starts with one '-' and names no option, such as
-    the term '->', as a positional, so the term parser reports it."""
+    the term '->', as a positional, so the term parser reports it; its own
+    errors are one 'error:' line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
     def _parse_optional(self, arg):
         one_dash = arg[:1] == "-" and arg[1:2] != "-"

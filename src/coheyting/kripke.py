@@ -43,7 +43,6 @@ from .posets import (
     enumerate_antichains,
     mask_of,
     poset_to_text,
-    set_key,
 )
 from .terms import Term, run_program
 
@@ -438,14 +437,10 @@ def enumerate_reduced_models(
     submodels, deduplicated by canonical code."""
     uf = universal_frame(n, d, caps)
     frame = uf.model.frame
-    downsets = []
-    for antichain in frame.antichains(caps=caps):
-        ds = frame.down_closure(antichain)
-        if max_points is None or ds.bit_count() <= max_points:
-            downsets.append(ds)
-    downsets.sort(key=set_key)
     seen: set[str] = set()
-    for ds in downsets:
+    for ds in frame.all_downsets(caps):
+        if not ds or max_points is not None and ds.bit_count() > max_points:
+            continue
         sub = frame.induced(ds)
         colors = [uf.model.colors[p] for p in bits(ds)]
         model = make_model(sub, uf.model.vars, colors)

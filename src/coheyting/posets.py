@@ -46,8 +46,25 @@ def set_key(mask: PointSet) -> tuple:
     The bits are read from bit 0 up with 0 and 1 swapped, so a present
     point sorts first; at equal cardinality no such string is a proper
     prefix of another, so the order is that of ascending index tuples.
+    The downset and antichain streams reach the same order through the
+    packed integer key of ``_step`` instead.
     """
     return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
+
+
+def _step(n: int, i: int) -> int:
+    """Point i's share of the packed key ``popcount(m)*4**n - rev(m)*2**n
+    + m`` of an n-point mask, ``rev`` its n bits reversed.  Sizes do not
+    overlap, at equal size the larger ``rev`` holds ``min(A ^ B)`` and
+    sorts first, as in ``set_key``, and ``key & (2**n - 1) == m``."""
+    return (1 << 2 * n) - (1 << 2 * n - 1 - i) + (1 << i)
+
+
+def _unpack(keys: list[int], n: int) -> list[PointSet]:
+    """Packed keys to their masks, in ``set_key`` order."""
+    keys.sort()
+    full = (1 << n) - 1
+    return [k & full for k in keys]
 
 
 @dataclass(frozen=True)
@@ -157,14 +174,16 @@ class Poset:
         return enumerate_antichains(self.down, self.up, None, caps)
 
     def all_downsets(self, caps: Caps = DEFAULT_CAPS) -> list[PointSet]:
-        """Every downset, sorted by (size, indices).  Capped."""
-        sets = {0}
+        """Every downset, sorted by (size, indices).  Capped.  In a
+        topological order, each downset so far that holds the points below
+        i gains a copy with i: each is made once, as its ``_step`` key."""
+        n, keys = self.n, [0]
         for i in self._topo_order():
-            d = self.down[i]
-            sets |= {s | d for s in sets}
-            if len(sets) > caps.max_closure:
+            low, step = self.down[i] & ~(1 << i), _step(n, i)
+            keys += [k + step for k in keys if k & low == low]
+            if len(keys) > caps.max_closure:
                 raise SizeCap(f"more than {caps.max_closure} downsets")
-        return sorted(sets, key=set_key)
+        return _unpack(keys, n)
 
     def count_downsets(self) -> int:
         """Number of downsets, computed without materializing them.
@@ -203,28 +222,29 @@ def enumerate_antichains(
     """Nonempty antichains of the order given by reflexive ``down``/``up``
     closure masks that pass ``keep``, sorted by ``set_key``.
 
-    Depth-first over ascending indices; every antichain is visited, and
-    SizeCap is raised once more than ``caps.max_antichains`` are kept.
+    Depth-first over ascending indices, carrying the packed ``_step`` key
+    of the antichain; every antichain is visited, and SizeCap is raised
+    once more than ``caps.max_antichains`` are kept.
     """
     n = len(down)
     full = (1 << n) - 1
     incomparable = [full & ~(down[i] | up[i]) for i in range(n)]
-    found: list[PointSet] = []
+    steps = [_step(n, i) for i in range(n)]
+    found: list[int] = []
 
-    def rec(start: int, chosen: PointSet, allowed: PointSet) -> None:
+    def rec(start: int, chosen: int, allowed: PointSet) -> None:
         for i in range(start, n):
             if not allowed >> i & 1:
                 continue
-            cur = chosen | 1 << i
-            if keep is None or keep(cur):
+            cur = chosen + steps[i]
+            if keep is None or keep(cur & full):
                 found.append(cur)
                 if len(found) > caps.max_antichains:
                     raise SizeCap(f"more than {caps.max_antichains} antichains")
             rec(i + 1, cur, allowed & incomparable[i])
 
     rec(0, 0, full)
-    found.sort(key=set_key)
-    return found
+    return _unpack(found, n)
 
 
 def close(
@@ -271,10 +291,15 @@ def _from_down(names: Sequence[str], down: Sequence[int]) -> Poset:
             up[i] |= 1 << j
     covers = []
     for j in range(n):
-        for i in bits(down[j] & ~(1 << j)):
-            # i is a lower cover of j iff nothing sits strictly between
-            if down[j] & up[i] == 1 << i | 1 << j:
-                covers.append((i, j))
+        rest = down[j] & ~(1 << j)
+        while rest:
+            # climb to a maximal point of rest, a lower cover of j (one
+            # step under either topological indexing); no other lies below
+            i = rest.bit_length() - 1
+            while above := up[i] & rest & ~(1 << i):
+                i = (above & -above).bit_length() - 1
+            covers.append((i, j))
+            rest &= ~down[i]
     return Poset(tuple(names), tuple(sorted(covers)), tuple(down), tuple(up))
 
 

@@ -6,6 +6,8 @@ scanning all joins and meets.  Frozen values for the bundled fixtures were
 computed by hand from the two- and three-point diagrams.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -343,3 +345,16 @@ def test_element_str_and_points():
     assert str(a) == "{p0}"
     assert a.points() == ("p0",)
     assert str(c2.bottom()) == "{}"
+
+
+def test_element_is_slotted_and_frozen():
+    c2 = algebra_of("c2")
+    a = c2.element({"p0"})
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.pts = 0
+    twin = Element(c2, a.pts)
+    assert [f.name for f in dataclasses.fields(Element)] == ["owner", "pts"]
+    assert twin == a and hash(twin) == hash(a) == hash((c2, a.pts))
+    assert Element(c2, 0) != a
+    assert Element(algebra_of("c2"), a.pts) != a

@@ -49,7 +49,10 @@ def model_file(tmp_path):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -257,6 +260,12 @@ def test_verify_list_and_run(capsys):
         ["equiv", "1", "1", "->", "x"],
         ["tower", "lift", "1", "1", "-x"],
         ["fmp-search", "->"],
+        # argparse's own errors
+        ["terms", "parse", "--bogus", "x"],
+        ["-v"],
+        ["terms", "parse"],
+        ["kripke"],
+        ["free", "size", "one", "2"],
     ],
 )
 def test_verify_bad_input_exits_two(capsys, argv):
@@ -329,6 +338,10 @@ def test_console_script_roundtrip():
         (["poset", "check", "{tmp}/chain.poset"], 0),
         (["terms", "parse", "->"], 2),
         (["kripke", "force", "{tmp}/binary.poset", "*", "-x"], 2),
+        (["terms", "parse", "--bogus", "x"], 2),
+        (["-v"], 2),
+        (["terms", "parse"], 2),
+        (["-h"], 0),
     ],
 )
 def test_module_exit_codes_out_of_process(argv, expected, tmp_path):

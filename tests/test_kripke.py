@@ -7,6 +7,7 @@ quotient sizes are pinned and cross-checked through the independent
 operation-closure route.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -268,6 +269,14 @@ def test_enumerate_reduced_models_counts():
     assert all(is_reduced(m) for m in deeper)
     small = list(enumerate_reduced_models(1, 2, max_points=1))
     assert len(small) == 2
+
+
+def test_reduced_models_of_f22_pinned():
+    # the model codes in order, as the antichain route gave them
+    codes = [model_code(m) for m in enumerate_reduced_models(2, 2, 6)]
+    assert len(codes) == 865
+    digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
+    assert digest.startswith("d1a55e034b284611")
 
 
 def test_model_algebra_round_trip():

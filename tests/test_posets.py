@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coheyting.config import Caps
+from coheyting.config import DEFAULT_CAPS, Caps
 from coheyting.errors import (
     CycleDetected,
     DuplicateName,
@@ -21,11 +21,14 @@ from coheyting.errors import (
     SizeCap,
 )
 from coheyting.fixtures import load_fixture
+from coheyting.kripke import free_quotient
 from coheyting.posets import (
     Poset,
+    _from_down,
     bits,
     build_poset,
     canonical_form,
+    enumerate_antichains,
     enumerate_posets,
     mask_of,
     parse_point_list,
@@ -210,6 +213,104 @@ def test_downsets_against_subset_brute_force():
 def test_count_downsets_matches_all_downsets():
     for p in enumerate_posets(6):
         assert p.count_downsets() == len(p.all_downsets())
+
+
+def reference_downsets(p: Poset) -> list[int]:
+    """The former route: a set union per point, sorted by set_key."""
+    sets = {0}
+    for i in range(p.n):
+        sets |= {s | p.down[i] for s in sets}
+    return sorted(sets, key=set_key)
+
+
+def reference_antichains(p: Poset) -> list[int]:
+    """The former route: depth-first over ascending indices carrying the
+    mask, sorted by set_key."""
+    found = []
+
+    def rec(start, chosen, allowed):
+        for i in range(start, p.n):
+            if allowed >> i & 1:
+                cur = chosen | 1 << i
+                found.append(cur)
+                rec(i + 1, cur, allowed & ~(p.down[i] | p.up[i]))
+
+    rec(0, 0, p.full)
+    return sorted(found, key=set_key)
+
+
+@pytest.fixture(scope="module")
+def f22_downsets():
+    return free_quotient(2, 2).algebra.spec.all_downsets()
+
+
+def test_streams_match_former_routes(f22_downsets):
+    small = [q for p in enumerate_posets(6) for q in (p, p.dual())]
+    for p in small + [free_quotient(1, 4).algebra.spec]:
+        assert p.all_downsets() == reference_downsets(p)
+        assert p.antichains() == reference_antichains(p)
+    f22 = free_quotient(2, 2).algebra.spec
+    assert f22_downsets == reference_downsets(f22)
+    assert f22.antichains() == reference_antichains(f22)
+
+
+def test_f22_downsets_in_set_key_order(f22_downsets):
+    keys = [set_key(m) for m in f22_downsets]
+    assert len(keys) == 265454
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert free_quotient(2, 2).algebra.spec.count_downsets() == 265454
+
+
+def test_streams_on_tiny_posets_and_caps():
+    empty, one = build_poset([]), build_poset(["a"])
+    assert empty.all_downsets() == [0] and empty.antichains() == []
+    assert one.all_downsets() == [0, 1] and one.antichains() == [1]
+    flat = build_poset(["a", "b", "c", "d"])
+    assert len(flat.all_downsets(Caps(max_closure=16))) == 16
+    with pytest.raises(SizeCap):
+        flat.all_downsets(Caps(max_closure=15))
+    assert len(flat.antichains(Caps(max_antichains=15))) == 15
+    with pytest.raises(SizeCap):
+        flat.antichains(Caps(max_antichains=14))
+
+
+def test_antichain_keep_sees_plain_masks():
+    p = free_quotient(1, 4).algebra.spec
+    seen = []
+
+    def keep(m):
+        seen.append(m)
+        return m.bit_count() % 2 == 1
+
+    kept = enumerate_antichains(p.down, p.up, keep, DEFAULT_CAPS)
+    every = reference_antichains(p)
+    assert sorted(seen, key=set_key) == every
+    assert kept == [m for m in every if m.bit_count() % 2]
+
+
+def test_covers_by_climbing_match_pairwise_rule():
+    """Every class of at most 7 points and its dual, under 3 seeded
+    relabellings, against the test of every comparable pair."""
+    rng = random.Random(7)
+    for p in enumerate_posets(7):
+        for q in (p, p.dual()):
+            for _ in range(3):
+                perm = list(range(q.n))
+                rng.shuffle(perm)
+                down = [0] * q.n
+                for j in range(q.n):
+                    down[perm[j]] = mask_of(perm[i] for i in bits(q.down[j]))
+                r = _from_down(q.names, down)
+                pairwise = sorted(
+                    (i, j)
+                    for j in range(r.n)
+                    for i in bits(down[j] & ~(1 << j))
+                    if down[j] & r.up[i] == 1 << i | 1 << j
+                )
+                assert list(r.covers) == pairwise
+                assert list(r.covers) == sorted(
+                    (perm[a], perm[b]) for a, b in q.covers
+                )
 
 
 def test_dual_swaps_ranks():
