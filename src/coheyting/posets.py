@@ -46,8 +46,8 @@ def set_key(mask: PointSet) -> tuple:
     The bits are read from bit 0 up with 0 and 1 swapped, so a present
     point sorts first; at equal cardinality no such string is a proper
     prefix of another, so the order is that of ascending index tuples.
-    The downset and antichain streams reach the same order through the
-    packed integer key of ``_step`` instead.
+    The downset stream reaches the same order through the packed integer
+    key of ``_step`` instead.
     """
     return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
@@ -58,13 +58,6 @@ def _step(n: int, i: int) -> int:
     overlap, at equal size the larger ``rev`` holds ``min(A ^ B)`` and
     sorts first, as in ``set_key``, and ``key & (2**n - 1) == m``."""
     return (1 << 2 * n) - (1 << 2 * n - 1 - i) + (1 << i)
-
-
-def _unpack(keys: list[int], n: int) -> list[PointSet]:
-    """Packed keys to their masks, in ``set_key`` order."""
-    keys.sort()
-    full = (1 << n) - 1
-    return [k & full for k in keys]
 
 
 @dataclass(frozen=True)
@@ -183,7 +176,9 @@ class Poset:
             keys += [k + step for k in keys if k & low == low]
             if len(keys) > caps.max_closure:
                 raise SizeCap(f"more than {caps.max_closure} downsets")
-        return _unpack(keys, n)
+        keys.sort()
+        full = self.full
+        return [k & full for k in keys]
 
     def count_downsets(self) -> int:
         """Number of downsets, computed without materializing them.
@@ -222,29 +217,33 @@ def enumerate_antichains(
     """Nonempty antichains of the order given by reflexive ``down``/``up``
     closure masks that pass ``keep``, sorted by ``set_key``.
 
-    Depth-first over ascending indices, carrying the packed ``_step`` key
-    of the antichain; every antichain is visited, and SizeCap is raised
-    once more than ``caps.max_antichains`` are kept.
+    Depth-first over ascending indices on an explicit stack, a flat list
+    of (antichain, points still to try) pairs, so no recursion limit
+    applies.  The walk meets the antichains in lexicographic order of
+    their index tuples, so a stable sort by size gives ``set_key`` order.
+    Every antichain is visited, and SizeCap is raised once more than
+    ``caps.max_antichains`` are kept.
     """
-    n = len(down)
-    full = (1 << n) - 1
-    incomparable = [full & ~(down[i] | up[i]) for i in range(n)]
-    steps = [_step(n, i) for i in range(n)]
-    found: list[int] = []
-
-    def rec(start: int, chosen: int, allowed: PointSet) -> None:
-        for i in range(start, n):
-            if not allowed >> i & 1:
-                continue
-            cur = chosen + steps[i]
-            if keep is None or keep(cur & full):
+    full = (1 << len(down)) - 1
+    incomparable = [full & ~(d | u) for d, u in zip(down, up)]
+    found: list[PointSet] = []
+    todo = [0, full]
+    while todo:
+        rest = todo.pop()
+        chosen = todo.pop()
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cur = chosen | low
+            if keep is None or keep(cur):
                 found.append(cur)
                 if len(found) > caps.max_antichains:
                     raise SizeCap(f"more than {caps.max_antichains} antichains")
-            rec(i + 1, cur, allowed & incomparable[i])
-
-    rec(0, 0, full)
-    return _unpack(found, n)
+            todo.append(chosen)
+            todo.append(rest)
+            chosen, rest = cur, rest & incomparable[low.bit_length() - 1]
+    found.sort(key=int.bit_count)
+    return found
 
 
 def close(

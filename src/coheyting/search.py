@@ -7,14 +7,13 @@ sweeping variable assignments is a complete procedure below the caps.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .algebra import Algebra, Element
 from .config import DEFAULT_CAPS, Caps
 from .posets import Poset, enumerate_posets, parse_point_list, parse_poset_text, poset_to_text
 from .errors import SignatureMismatch
-from .terms import Formula, eval_formula, run_program
+from .terms import Formula, eval_formula, first_assignment
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,12 @@ def fmp_search(
 ) -> Witness | None:
     """First witness in the deterministic enumeration order, or None.
 
-    ``max_assignments`` caps the number of variable assignments tried per
-    poset.  The formula is compiled once and assignments are swept as
-    downset masks; only the witness becomes ``Element`` values.
+    Posets come in ``enumerate_posets`` order; on each, the assignments of
+    the sorted variables are tried in ``itertools.product`` order over its
+    downsets in ``set_key`` order, at most ``max_assignments`` of them.
+    The formula is compiled once and swept bit-sliced by
+    ``first_assignment`` in chunks of bounded size; only the witness
+    becomes ``Element`` values, and it is replayed from text.
     """
     names = sorted(formula.variables())
     atoms = []
@@ -67,16 +69,9 @@ def fmp_search(
         atoms.append((tuple(c if c < 0 else slots[c] for c in code), eq))
     for poset in enumerate_posets(max_points, caps):
         masks = poset.all_downsets(caps)
-        tried = 0
-        for combo in itertools.product(masks, repeat=len(names)):
-            tried += 1
-            if tried > max_assignments:
-                break
-            for code, eq in atoms:
-                if (run_program(code, combo, poset) == 0) != eq:
-                    break
-            else:
-                algebra = Algebra(poset)
-                env = {nm: algebra.element(m) for nm, m in zip(names, combo)}
-                return Witness(poset, env, _replay(formula, poset, env))
+        combo = first_assignment(atoms, poset, masks, len(names), max_assignments)
+        if combo is not None:
+            algebra = Algebra(poset)
+            env = {nm: algebra.element(m) for nm, m in zip(names, combo)}
+            return Witness(poset, env, _replay(formula, poset, env))
     return None

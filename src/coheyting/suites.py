@@ -68,9 +68,9 @@ from .terms import (
     Var,
     dualize,
     eval_term,
+    first_assignment,
     parse_term,
     print_term,
-    run_program,
     slice_term,
 )
 
@@ -601,12 +601,8 @@ def _check_slice(algebra, e, extra):
     d = int(extra["d"])
     code, names = slice_term(d + 1).program
     spec = algebra.spec
-    small = algebra.dim_algebra() <= d
-    vanishes = not any(
-        run_program(code, combo, spec)
-        for combo in itertools.product(spec.all_downsets(), repeat=len(names))
-    )
-    if small != vanishes:
+    nonzero = first_assignment([(code, False)], spec, spec.all_downsets(), len(names))
+    if (algebra.dim_algebra() <= d) != (nonzero is None):
         return "dim <= d iff the (d+1)-slice term vanishes identically"
     return None
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .algebra import Algebra, Element
 from .errors import SignatureMismatch, TermSyntaxError, UnboundVariable
-from .posets import PointSet, Poset
+from .posets import PointSet, Poset, bits
 
 # Opcodes of Term.program; a code i >= 0 pushes variable i.
 _OPCODE = {"zero": -1, "one": -2, "join": -3, "meet": -4, "diff": -5, "impl": -6}
@@ -264,7 +264,11 @@ def run_program(code: Sequence[int], values: Sequence[PointSet], order: Poset) -
     """Value of a compiled term (``Term.program``) over point masks of
     ``order``, with variable i bound to ``values[i]``.  Difference is
     ``down(a & ~b)``; implication is forcing on a frame, the points with
-    nothing of ``a & ~b`` below them."""
+    nothing of ``a & ~b`` below them.
+
+    One assignment per call: it serves ``eval_term``, ``truth_set`` and
+    ``d_equivalent``.  Sweeps over every assignment go through
+    ``first_assignment``."""
     stack: list[PointSet] = []
     push, pop = stack.append, stack.pop
     for c in code:
@@ -283,6 +287,116 @@ def run_program(code: Sequence[int], values: Sequence[PointSet], order: Poset) -
         else:
             push(0 if c == _ZERO else order.full)
     return stack[-1]
+
+
+# Assignments per chunk of ``first_assignment``: every lane has at most this
+# many bits, whatever the limit, so memory stays bounded.
+SWEEP_CHUNK = 4096
+
+
+def _lanes(masks: Sequence[PointSet], n: int, block: int, offset: int, width: int) -> list[int]:
+    """Per-point lanes of one variable over the assignments ``offset`` to
+    ``offset + width - 1``: bit j of lane p is set when point p is in the
+    variable's value under assignment ``offset + j``, which takes
+    ``masks[(offset + j) // block % len(masks)]``.  A period of
+    ``len(masks) * block`` bits that fits in the chunk is built once and
+    tiled by a repeat-every-period multiplier; a longer one is laid down
+    as runs of ``block`` bits."""
+    m = len(masks)
+    period = m * block
+    lanes = [0] * n
+    if period <= width:
+        run = (1 << block) - 1
+        for d, s in enumerate(masks):
+            r = run << d * block
+            while s:
+                low = s & -s
+                lanes[low.bit_length() - 1] |= r
+                s ^= low
+        phase = offset % period
+        times = (phase + width) // period + 1
+        tile = ((1 << period * times) - 1) // ((1 << period) - 1)
+        full = (1 << width) - 1
+        return [(x * tile >> phase) & full for x in lanes]
+    j = 0
+    while j < width:
+        k = (offset + j) // block
+        end = min(width, (k + 1) * block - offset)
+        run = ((1 << end - j) - 1) << j
+        for p in bits(masks[k % m]):
+            lanes[p] |= run
+        j = end
+    return lanes
+
+
+def _run_lanes(code: Sequence[int], lanes: Sequence[list[int]], ups: Sequence[list[int]],
+               full: int) -> list[int]:
+    """``run_program`` over a chunk: each value is one lane per point."""
+    stack: list[list[int]] = []
+    push, pop = stack.append, stack.pop
+    for c in code:
+        if c >= 0:
+            push(lanes[c])
+        elif c == _DIFF:
+            b = pop()
+            s = [x & ~y for x, y in zip(stack[-1], b)]
+            out = []
+            for ps in ups:
+                v = 0
+                for p in ps:
+                    v |= s[p]
+                out.append(v)
+            stack[-1] = out
+        elif c == _JOIN:
+            b = pop()
+            stack[-1] = [x | y for x, y in zip(stack[-1], b)]
+        elif c == _MEET:
+            b = pop()
+            stack[-1] = [x & y for x, y in zip(stack[-1], b)]
+        elif c == _IMPL:
+            raise SignatureMismatch("implication cannot be evaluated here")
+        else:
+            push([0 if c == _ZERO else full] * len(ups))
+    return stack[-1]
+
+
+def first_assignment(
+    atoms: Sequence[tuple[Sequence[int], bool]],
+    order: Poset,
+    masks: Sequence[PointSet],
+    nvars: int,
+    limit: int | None = None,
+) -> tuple[PointSet, ...] | None:
+    """First assignment of ``itertools.product(masks, repeat=nvars)``,
+    among its first ``limit`` (all when None), under which every atom
+    ``(code, eq)`` holds: the compiled difference-signature ``code`` over
+    ``order`` is 0 exactly when ``eq``.  None when no such assignment.
+
+    Bit-sliced: a value is a list of one int per point, whose bit k is set
+    when the point is in the value under assignment k of the chunk, so
+    each opcode runs once per ``SWEEP_CHUNK`` assignments.  Join and meet
+    are lane-wise; difference is ``a & ~b`` OR-ed over each point's
+    up-set.  It serves ``fmp_search`` and the slice checker."""
+    m = len(masks)
+    ups = [list(bits(u)) for u in order.up]
+    blocks = [m ** (nvars - 1 - i) for i in range(nvars)]
+    count = m ** nvars if limit is None else min(m ** nvars, limit)
+    for offset in range(0, count, SWEEP_CHUNK):
+        width = min(SWEEP_CHUNK, count - offset)
+        full = (1 << width) - 1
+        lanes = [_lanes(masks, order.n, b, offset, width) for b in blocks]
+        sat = -1
+        for code, eq in atoms:
+            hit = 0
+            for x in _run_lanes(code, lanes, ups, full):
+                hit |= x
+            sat &= full & ~hit if eq else hit
+            if not sat:
+                break
+        if sat:
+            k = offset + (sat & -sat).bit_length() - 1
+            return tuple(masks[k // b % m] for b in blocks)
+    return None
 
 
 def eval_term(t: Term, algebra: Algebra, env: Mapping[str, Element]) -> Element:

@@ -321,6 +321,12 @@ def test_console_script_roundtrip():
     assert proc.stdout.strip() == "8"
 
 
+S2_LAW = (
+    "(((x | y) \\ z) \\ ((x \\ z) | (y \\ z)))"
+    " | (((x \\ z) | (y \\ z)) \\ ((x | y) \\ z)) != 0"
+)
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -342,6 +348,8 @@ def test_console_script_roundtrip():
         (["-v"], 2),
         (["terms", "parse"], 2),
         (["-h"], 0),
+        # a negated s2 law: every assignment on every poset of <= 5 points
+        (["fmp-search", S2_LAW, "--max-points", "5", "--max-assignments", str(10**12)], 1),
     ],
 )
 def test_module_exit_codes_out_of_process(argv, expected, tmp_path):

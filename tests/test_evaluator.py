@@ -1,5 +1,6 @@
-"""The compiled term evaluator against an independent reference, on deep
-terms, and through fmp_search.
+"""The compiled term evaluator and the bit-sliced assignment sweep against
+an independent reference, on deep terms, and through fmp_search and the
+slice checker.
 
 The reference rebuilds each order from its cover pairs alone and recurses
 on term structure: difference down-closes ``a & ~b`` and implication
@@ -7,17 +8,25 @@ quantifies over the points below, so it shares no code with
 ``run_program``, ``down_closure`` or ``up_closure``.
 """
 
+import itertools
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coheyting import terms as terms_module
 from coheyting.algebra import Algebra
 from coheyting.cli import main
+from coheyting.errors import SignatureMismatch
 from coheyting.kripke import d_equivalent, make_model, truth_set, universal_frame
 from coheyting.posets import build_poset, enumerate_posets, poset_to_text
 from coheyting.search import fmp_search
+from coheyting.suites import CHECKERS
 from coheyting.terms import (
     ONE,
+    SWEEP_CHUNK,
     ZERO,
     Diff,
     Impl,
@@ -26,9 +35,12 @@ from coheyting.terms import (
     Var,
     dualize,
     eval_term,
+    first_assignment,
     parse_formula,
     parse_term,
     print_term,
+    run_program,
+    slice_term,
 )
 
 POSETS = list(enumerate_posets(5))
@@ -189,6 +201,114 @@ def test_fmp_search_witnesses_pinned(src, poset_text, assignment):
     assert poset_to_text(witness.poset) == poset_text
     assert {n: str(v) for n, v in witness.assignment.items()} == assignment
     assert witness.replayed
+
+
+# ---------------------------------------------------------------------------
+# the bit-sliced sweep
+
+
+def random_term(rng, names, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([ZERO, ONE] + [Var(n) for n in names] * 2)
+    op = rng.choice([Join, Meet, Diff, Diff])
+    return op(random_term(rng, names, depth - 1), random_term(rng, names, depth - 1))
+
+
+def compiled(atoms, names):
+    # variable slots follow the order of ``names``, as in fmp_search
+    out = []
+    for t, eq in atoms:
+        code, used = t.program
+        slots = [names.index(v) for v in used]
+        out.append((tuple(c if c < 0 else slots[c] for c in code), eq))
+    return out
+
+
+@pytest.fixture(scope="module")
+def sweep_cases():
+    """Seeded formulas of 1-3 atoms over 0-3 variables on every poset of at
+    most 4 points, with the index and tuple of the first assignment of
+    ``itertools.product`` order that satisfies them under the reference."""
+    cases = []
+    for index, poset in enumerate(enumerate_posets(4)):
+        rng = random.Random(index)
+        ref, masks = Reference(poset), poset.all_downsets()
+        for nvars in range(4):
+            names = list(NAMES[:nvars])
+            for _ in range(3):
+                atoms = [
+                    (random_term(rng, names, 3), rng.random() < 0.5)
+                    for _ in range(rng.randint(1, 3))
+                ]
+                first = (None, None)
+                for k, combo in enumerate(itertools.product(masks, repeat=nvars)):
+                    env = dict(zip(names, combo))
+                    if all((ref.eval(t, env) == 0) == eq for t, eq in atoms):
+                        first = (k, combo)
+                        break
+                cases.append((poset, masks, compiled(atoms, names), nvars, first))
+    return cases
+
+
+@pytest.mark.parametrize("width", [5, 64, SWEEP_CHUNK])
+def test_first_assignment_matches_reference(sweep_cases, width, monkeypatch):
+    # narrow chunks put chunk boundaries, and periods longer than a chunk,
+    # inside the small sweeps
+    monkeypatch.setattr(terms_module, "SWEEP_CHUNK", width)
+    found = 0
+    for poset, masks, atoms, nvars, (k, combo) in sweep_cases:
+        total = len(masks) ** nvars
+        for limit in (0, 1, width - 1, width, width + 1, 3 * width + 5, total + 1, None):
+            expect = combo if k is not None and (limit is None or k < limit) else None
+            got = first_assignment(atoms, poset, masks, nvars, limit)
+            assert got == expect, (poset, atoms, limit)
+        found += k is not None
+    assert len(sweep_cases) == 24 * 12 and 0 < found < len(sweep_cases)
+
+
+def test_first_assignment_rejects_implication():
+    chain = build_poset(["p0", "p1"], [("p0", "p1")])
+    code, _ = parse_term("x -> 0").program
+    with pytest.raises(SignatureMismatch):
+        first_assignment([(code, True)], chain, chain.all_downsets(), 1)
+
+
+def scalar_slice_vanishes(spec, d):
+    """The former route: every assignment through ``run_program``."""
+    code, names = slice_term(d + 1).program
+    return not any(
+        run_program(code, combo, spec)
+        for combo in itertools.product(spec.all_downsets(), repeat=len(names))
+    )
+
+
+def test_slice_checker_matches_scalar_route():
+    small = [p for p in enumerate_posets(7) if p.count_downsets() <= 8]
+    assert len(small) == 35
+    for poset in small:
+        algebra = Algebra(poset)
+        for d in range(5):
+            holds = (algebra.dim_algebra() <= d) == scalar_slice_vanishes(poset, d)
+            assert (CHECKERS["slice"](algebra, {}, {"d": str(d)}) is None) == holds
+
+
+# the negated s2 law (a | b) \\ c = (a \\ c) | (b \\ c) over x, y, z
+S2_LAW = (
+    "(((x | y) \\ z) \\ ((x \\ z) | (y \\ z)))"
+    " | (((x \\ z) | (y \\ z)) \\ ((x | y) \\ z)) != 0"
+)
+
+
+def test_sweep_memory_is_bounded():
+    formula = parse_formula(S2_LAW)
+    list(enumerate_posets(4))  # the enumeration memoizes its classes
+    tracemalloc.start()
+    try:
+        assert fmp_search(formula, 4, 10**12) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 DEPTH = 3000

@@ -191,6 +191,10 @@ def test_universal_frame_antichain_cap_reports_census():
     with pytest.raises(SizeCap) as err:
         universal_frame(2, 3, Caps(max_antichains=1000))
     assert err.value.census == (4, 18)
+    # under the default caps the node cap fires inside the third layer
+    with pytest.raises(SizeCap) as err:
+        universal_frame(2, 3)
+    assert err.value.census == (4, 18, 19978)
 
 
 def test_algebra_of_model_closure_cap():

@@ -201,6 +201,14 @@ def test_antichain_cap():
         a2.antichains(caps=Caps(max_antichains=2))
 
 
+def test_wide_antichain_stream_hits_cap_not_recursion_limit():
+    # 1,500 incomparable points: a search one call deep per chosen point
+    # passes the interpreter's recursion limit long before the cap
+    wide = build_poset([f"p{i}" for i in range(1500)])
+    with pytest.raises(SizeCap):
+        wide.antichains()
+
+
 def test_downsets_against_subset_brute_force():
     p = build_poset(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("c", "d")])
     brute = [
