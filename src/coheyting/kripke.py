@@ -43,8 +43,9 @@ from .posets import (
     enumerate_antichains,
     mask_of,
     poset_to_text,
+    transpose,
 )
-from .terms import Term, run_program
+from .terms import Term, Var, run_program
 
 log = logging.getLogger(__name__)
 
@@ -123,14 +124,9 @@ def truth_set(model: KripkeModel, t: Term) -> PointSet:
     """Points forcing an implication-signature term; always a frame downset."""
     if t.has_diff:
         raise SignatureMismatch("forcing evaluates implication-signature terms")
-    code, names = t.program
-    values = []
-    for name in names:
-        if name not in model.vars:
-            raise UnboundVariable(f"variable {name!r} not in the model")
-        i = model.vars.index(name)
-        values.append(mask_of(p for p, c in enumerate(model.colors) if c >> i & 1))
-    return run_program(code, values, model.frame)
+    values = {v: mask_of(p for p, c in enumerate(model.colors) if c >> i & 1)
+              for i, v in enumerate(model.vars)}
+    return run_program(t.code, values, model.frame)
 
 
 def forces(model: KripkeModel, point: int | str, t: Term) -> bool:
@@ -239,7 +235,7 @@ def algebra_of_model(
     union, intersection and implication.  Returned as frame downsets."""
     frame = model.frame
     full = frame.full
-    gens = [truth_set(model, Term("var", name=v)) for v in model.vars]
+    gens = [truth_set(model, Var(v)) for v in model.vars]
 
     def implies(a: PointSet, b: PointSet) -> PointSet:
         return full & ~frame.up_closure(a & ~b)
@@ -285,12 +281,7 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
             layer1.append(idx)
         layers.append(tuple(layer1))
     for _layer in range(2, d + 1):
-        # up masks from the running closure masks
-        m = len(names)
-        up = [0] * m
-        for j in range(m):
-            for i in bits(down[j]):
-                up[i] |= 1 << j
+        up = transpose(down)  # up masks from the running closure masks
         top_mask = mask_of(layers[-1])
         try:
             # only antichains meeting the newest layer

@@ -281,13 +281,19 @@ def close(
     return sorted(seen, key=set_key)
 
 
+def transpose(down: Sequence[int]) -> list[int]:
+    """Up masks from down masks: bit j of ``up[i]`` is bit i of ``down[j]``."""
+    up = [0] * len(down)
+    for j, d in enumerate(down):
+        for i in bits(d):
+            up[i] |= 1 << j
+    return up
+
+
 def _from_down(names: Sequence[str], down: Sequence[int]) -> Poset:
     """Build a Poset from reflexive down-closure masks."""
     n = len(names)
-    up = [0] * n
-    for j in range(n):
-        for i in bits(down[j]):
-            up[i] |= 1 << j
+    up = transpose(down)
     covers = []
     for j in range(n):
         rest = down[j] & ~(1 << j)

@@ -55,21 +55,17 @@ def fmp_search(
     Posets come in ``enumerate_posets`` order; on each, the assignments of
     the sorted variables are tried in ``itertools.product`` order over its
     downsets in ``set_key`` order, at most ``max_assignments`` of them.
-    The formula is compiled once and swept bit-sliced by
-    ``first_assignment`` in chunks of bounded size; only the witness
-    becomes ``Element`` values, and it is replayed from text.
+    The atoms' postfix codes are swept bit-sliced by ``first_assignment``
+    in chunks of bounded size; only the witness becomes ``Element``
+    values, and it is replayed from text.
     """
+    if any(t.has_impl for t, _ in formula.atoms):
+        raise SignatureMismatch("implication cannot be evaluated here")
     names = sorted(formula.variables())
-    atoms = []
-    for t, eq in formula.atoms:
-        if t.has_impl:
-            raise SignatureMismatch("implication cannot be evaluated here")
-        code, used = t.program
-        slots = [names.index(v) for v in used]
-        atoms.append((tuple(c if c < 0 else slots[c] for c in code), eq))
+    atoms = [(t.code, eq) for t, eq in formula.atoms]
     for poset in enumerate_posets(max_points, caps):
         masks = poset.all_downsets(caps)
-        combo = first_assignment(atoms, poset, masks, len(names), max_assignments)
+        combo = first_assignment(atoms, poset, masks, names, max_assignments)
         if combo is not None:
             algebra = Algebra(poset)
             env = {nm: algebra.element(m) for nm, m in zip(names, combo)}

@@ -599,9 +599,9 @@ def random_term(rng: random.Random, names: list[str], depth: int, kind: str) -> 
 @_checker("slice")
 def _check_slice(algebra, e, extra):
     d = int(extra["d"])
-    code, names = slice_term(d + 1).program
-    spec = algebra.spec
-    nonzero = first_assignment([(code, False)], spec, spec.all_downsets(), len(names))
+    t, spec = slice_term(d + 1), algebra.spec
+    names = sorted(t.variables())
+    nonzero = first_assignment([(t.code, False)], spec, spec.all_downsets(), names)
     if (algebra.dim_algebra() <= d) != (nonzero is None):
         return "dim <= d iff the (d+1)-slice term vanishes identically"
     return None

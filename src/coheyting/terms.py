@@ -6,6 +6,10 @@ Grammar: ``|`` join, ``&`` meet, ``\\`` difference, ``->`` implication;
 or implication but never both; the two signatures are dual to each other
 under the involution that swaps 0 with 1 and join with meet.
 
+A term is stored as its postfix code alone, emitted by the parser as it
+reads.  The printer, ``dualize`` and both evaluators walk that tuple once,
+so no reader recurses and term depth needs no recursion limit.
+
 Formulas are conjunctions of atoms ``term = 0`` and ``term != 0`` joined
 by ``&&``.
 """
@@ -13,50 +17,56 @@ by ``&&``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .algebra import Algebra, Element
 from .errors import SignatureMismatch, TermSyntaxError, UnboundVariable
 from .posets import PointSet, Poset, bits
 
-# Opcodes of Term.program; a code i >= 0 pushes variable i.
-_OPCODE = {"zero": -1, "one": -2, "join": -3, "meet": -4, "diff": -5, "impl": -6}
-_ZERO, _ONE, _JOIN, _MEET, _DIFF, _IMPL = _OPCODE.values()
+# opcode -> (name, symbol, precedence) in Term.code, where a string pushes
+# the variable of that name; constants and variables bind tightest
+_OPS = {-1: ("zero", "0", 4), -2: ("one", "1", 4), -3: ("join", "|", 2),
+        -4: ("meet", "&", 3), -5: ("diff", "\\", 1), -6: ("impl", "->", 1)}
+_ZERO, _ONE, _JOIN, _MEET, _DIFF, _IMPL = _OPS
+_BINARY = {_JOIN, _MEET, _DIFF, _IMPL}
 
 
 @dataclass(frozen=True)
 class Term:
-    op: str                       # one of: zero one var join meet diff impl
-    name: str | None = None
-    args: tuple["Term", ...] = ()
+    """A term as its postfix code: a string pushes that variable, and an
+    opcode pushes 0 or 1 or combines the top two values.  ``==`` and
+    ``hash`` are those of the tuple; ``op``, ``name`` and ``args`` are a
+    read-only tree view, derived from the code on each call."""
+
+    code: tuple[int | str, ...]
     has_diff: bool = field(default=False, compare=False)
     has_impl: bool = field(default=False, compare=False)
 
     def variables(self) -> frozenset[str]:
-        return frozenset(self.program[1])
+        return frozenset(c for c in self.code if type(c) is str)
 
-    @cached_property
-    def program(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        """Postfix code for ``run_program`` and the variables in first-use
-        order; code ``i >= 0`` pushes variable i.  Built with an explicit
-        stack, so term depth needs no recursion limit."""
-        code: list[int] = []
-        names: list[str] = []
-        todo: list = [self]
-        while todo:
-            node = todo.pop()
-            if type(node) is int:
-                code.append(node)
-            elif node.op == "var":
-                if node.name not in names:
-                    names.append(node.name)
-                code.append(names.index(node.name))
-            elif node.args:
-                todo += (_OPCODE[node.op], node.args[1], node.args[0])
-            else:
-                code.append(_OPCODE[node.op])
-        return tuple(code), tuple(names)
+    @property
+    def op(self) -> str:
+        """One of: zero one var join meet diff impl."""
+        c = self.code[-1]
+        return "var" if type(c) is str else _OPS[c][0]
+
+    @property
+    def name(self) -> str | None:
+        return self.code[-1] if self.op == "var" else None
+
+    @property
+    def args(self) -> tuple[Term, ...]:
+        """The two operands of a binary term, () for a leaf.  The right one
+        is the shortest run before the operator that leaves one value."""
+        code = self.code
+        if code[-1] not in _BINARY:
+            return ()
+        i, owed = len(code) - 1, 1
+        while owed:
+            i -= 1
+            owed += 1 if code[i] in _BINARY else -1
+        return _from_code(code[:i]), _from_code(code[i:-1])
 
     @property
     def signature(self) -> str:
@@ -70,38 +80,36 @@ class Term:
         return print_term(self)
 
 
-ZERO = Term("zero")
-ONE = Term("one")
+def _from_code(code: tuple[int | str, ...]) -> Term:
+    """The term of a postfix code, with its signature flags."""
+    has_diff, has_impl = _DIFF in code, _IMPL in code
+    if has_diff and has_impl:
+        raise SignatureMismatch("a term may use difference or implication, not both")
+    return Term(code, has_diff, has_impl)
+
+
+ZERO = Term((_ZERO,))
+ONE = Term((_ONE,))
 
 
 def Var(name: str) -> Term:
-    return Term("var", name=name)
-
-
-def _binary(op: str, a: Term, b: Term) -> Term:
-    has_diff = a.has_diff or b.has_diff or op == "diff"
-    has_impl = a.has_impl or b.has_impl or op == "impl"
-    if has_diff and has_impl:
-        raise SignatureMismatch(
-            "a term may use difference or implication, not both"
-        )
-    return Term(op, args=(a, b), has_diff=has_diff, has_impl=has_impl)
+    return Term((name,))
 
 
 def Join(a: Term, b: Term) -> Term:
-    return _binary("join", a, b)
+    return _from_code(a.code + b.code + (_JOIN,))
 
 
 def Meet(a: Term, b: Term) -> Term:
-    return _binary("meet", a, b)
+    return _from_code(a.code + b.code + (_MEET,))
 
 
 def Diff(a: Term, b: Term) -> Term:
-    return _binary("diff", a, b)
+    return _from_code(a.code + b.code + (_DIFF,))
 
 
 def Impl(a: Term, b: Term) -> Term:
-    return _binary("impl", a, b)
+    return _from_code(a.code + b.code + (_IMPL,))
 
 
 # ---------------------------------------------------------------------------
@@ -149,50 +157,48 @@ def _term(toks: list[tuple[str, str, int]], i: int) -> tuple[Term, int]:
 
     ``term := join ('\\' join)* | join '->' term``, ``join := meet ('|'
     meet)*``, ``meet := atom ('&' atom)*``, ``atom := 0 | 1 | ident | '('
-    term ')'``.  The open terms are kept on an explicit stack, so nesting
-    needs no recursion limit."""
+    term ')'``.  Code is emitted as the tokens are read, each operator
+    after its right operand.  Pending operators are three flags and a
+    count of ``->`` per open term, kept on an explicit stack, so nesting
+    needs no recursion limit; mixed signatures are checked at the end."""
+    code: list[int | str] = []
     outer = []  # (imps, diff, join, meet) of each open parenthesis
-    imps: list[Term] = []  # left operands of '->', folded from the right
-    diff = join = meet = None
+    imps, diff, join, meet = 0, False, False, False
     while True:
         kind, text, pos = toks[i]
         i += 1
         if kind == "(":
             outer.append((imps, diff, join, meet))
-            imps, diff, join, meet = [], None, None, None
+            imps, diff, join, meet = 0, False, False, False
             continue
-        if kind == "ident":
-            t = Var(text)
-        elif kind == "0":
-            t = ZERO
-        elif kind == "1":
-            t = ONE
-        else:
+        if kind not in ("ident", "0", "1"):
             raise TermSyntaxError(f"unexpected token {text or 'end of input'!r}", pos)
-        while True:  # fold the finished atom t up until an operator follows
-            meet = t if meet is None else Meet(meet, t)
+        code.append(text if kind == "ident" else _ZERO if kind == "0" else _ONE)
+        while True:  # close what the finished atom completes until an operator follows
+            if meet:
+                code.append(_MEET)
             kind, text, pos = toks[i]
-            if kind == "&":
+            meet = kind == "&"
+            if meet:
                 break
-            join = meet if join is None else Join(join, meet)
-            meet = None
-            if kind == "|":
+            if join:
+                code.append(_JOIN)
+            join = kind == "|"
+            if join:
                 break
-            t, join = join, None
-            if diff is not None:
-                t = diff = Diff(diff, t)
+            if diff:
+                code.append(_DIFF)
                 if kind == "\\":
                     break
             elif kind == "\\":
-                diff = t
+                diff = True
                 break
             elif kind == "->":
-                imps.append(t)
+                imps += 1
                 break
-            for a in reversed(imps):
-                t = Impl(a, t)
+            code += [_IMPL] * imps
             if not outer:
-                return t, i
+                return _from_code(tuple(code)), i
             if kind != ")":
                 raise TermSyntaxError(f"expected ')', found {text!r}", pos)
             i += 1
@@ -209,19 +215,13 @@ def parse_term(src: str) -> Term:
     return t
 
 
-# opcode -> (symbol, precedence); constants and variables bind tightest
-_SYMBOL = {_ZERO: ("0", 4), _ONE: ("1", 4), _JOIN: ("|", 2), _MEET: ("&", 3),
-           _DIFF: ("\\", 1), _IMPL: ("->", 1)}
-
-
 def print_term(t: Term) -> str:
     """Minimal-parenthesis rendering; reparses to an equal term.  At equal
     precedence the left operand of ``->`` and the right operand of the other
     operators are parenthesized, the shape the parser rebuilds."""
-    code, names = t.program
     stack: list[tuple[str, int]] = []
-    for c in code:
-        text, prec = (names[c], 4) if c >= 0 else _SYMBOL[c]
+    for c in t.code:
+        text, prec = (c, 4) if type(c) is str else _OPS[c][1:]
         if prec < 4:
             b, bp = stack.pop()
             a, ap = stack.pop()
@@ -237,32 +237,39 @@ def print_term(t: Term) -> str:
 # ---------------------------------------------------------------------------
 # dualization and evaluation
 
-# opcode -> (dual operator, whether its operands swap)
-_DUAL = {_JOIN: ("meet", False), _MEET: ("join", False), _DIFF: ("impl", True),
-         _IMPL: ("diff", True)}
+# opcode -> (dual opcode, whether its operands swap)
+_DUAL = {_JOIN: (_MEET, False), _MEET: (_JOIN, False), _DIFF: (_IMPL, True),
+         _IMPL: (_DIFF, True)}
 
 
 def dualize(t: Term) -> Term:
     """Swap 0 with 1 and join with meet; difference becomes the reversed
-    implication and back.  An involution."""
-    code, names = t.program
-    leaves = [Var(n) for n in names]
-    stack: list[Term] = []
-    for c in code:
-        if c >= 0:
-            stack.append(leaves[c])
-        elif c in _DUAL:
+    implication and back.  An involution.  Built as ``(left, right,
+    opcode)`` nodes, then flattened into code with an explicit stack."""
+    stack: list = []
+    for c in t.code:
+        if c in _DUAL:
             op, swap = _DUAL[c]
             b = stack.pop()
-            stack[-1] = _binary(op, b, stack[-1]) if swap else _binary(op, stack[-1], b)
+            stack[-1] = (b, stack[-1], op) if swap else (stack[-1], b, op)
         else:
-            stack.append(ONE if c == _ZERO else ZERO)
-    return stack[0]
+            stack.append(_ONE if c == _ZERO else _ZERO if c == _ONE else c)
+    code: list[int | str] = []
+    todo = stack  # the root alone
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:
+            todo += (node[2], node[1], node[0])
+        else:
+            code.append(node)
+    return Term(tuple(code), t.has_impl, t.has_diff)
 
 
-def run_program(code: Sequence[int], values: Sequence[PointSet], order: Poset) -> PointSet:
-    """Value of a compiled term (``Term.program``) over point masks of
-    ``order``, with variable i bound to ``values[i]``.  Difference is
+def run_program(code: Sequence[int | str], values: Mapping[str, PointSet],
+                order: Poset) -> PointSet:
+    """Value of the postfix code of a term (``Term.code``) over point masks
+    of ``order``, with each variable bound to ``values[name]``; a variable
+    missing from ``values`` raises ``UnboundVariable``.  Difference is
     ``down(a & ~b)``; implication is forcing on a frame, the points with
     nothing of ``a & ~b`` below them.
 
@@ -272,7 +279,9 @@ def run_program(code: Sequence[int], values: Sequence[PointSet], order: Poset) -
     stack: list[PointSet] = []
     push, pop = stack.append, stack.pop
     for c in code:
-        if c >= 0:
+        if type(c) is str:
+            if c not in values:
+                raise UnboundVariable(f"variable {c!r} has no value")
             push(values[c])
         elif c == _DIFF:
             b = pop()
@@ -329,13 +338,13 @@ def _lanes(masks: Sequence[PointSet], n: int, block: int, offset: int, width: in
     return lanes
 
 
-def _run_lanes(code: Sequence[int], lanes: Sequence[list[int]], ups: Sequence[list[int]],
-               full: int) -> list[int]:
+def _run_lanes(code: Sequence[int | str], lanes: Mapping[str, list[int]],
+               ups: Sequence[list[int]], full: int) -> list[int]:
     """``run_program`` over a chunk: each value is one lane per point."""
     stack: list[list[int]] = []
     push, pop = stack.append, stack.pop
     for c in code:
-        if c >= 0:
+        if type(c) is str:
             push(lanes[c])
         elif c == _DIFF:
             b = pop()
@@ -361,30 +370,31 @@ def _run_lanes(code: Sequence[int], lanes: Sequence[list[int]], ups: Sequence[li
 
 
 def first_assignment(
-    atoms: Sequence[tuple[Sequence[int], bool]],
+    atoms: Sequence[tuple[Sequence[int | str], bool]],
     order: Poset,
     masks: Sequence[PointSet],
-    nvars: int,
+    names: Sequence[str],
     limit: int | None = None,
 ) -> tuple[PointSet, ...] | None:
-    """First assignment of ``itertools.product(masks, repeat=nvars)``,
-    among its first ``limit`` (all when None), under which every atom
-    ``(code, eq)`` holds: the compiled difference-signature ``code`` over
-    ``order`` is 0 exactly when ``eq``.  None when no such assignment.
+    """First assignment of ``itertools.product(masks, repeat=len(names))``
+    to ``names``, among its first ``limit`` (all when None), under which
+    every atom ``(code, eq)`` holds: the ``Term.code`` of a
+    difference-signature term over ``order`` is 0 exactly when ``eq``.
+    None when no such assignment.
 
     Bit-sliced: a value is a list of one int per point, whose bit k is set
     when the point is in the value under assignment k of the chunk, so
     each opcode runs once per ``SWEEP_CHUNK`` assignments.  Join and meet
     are lane-wise; difference is ``a & ~b`` OR-ed over each point's
     up-set.  It serves ``fmp_search`` and the slice checker."""
-    m = len(masks)
+    m, nvars = len(masks), len(names)
     ups = [list(bits(u)) for u in order.up]
     blocks = [m ** (nvars - 1 - i) for i in range(nvars)]
     count = m ** nvars if limit is None else min(m ** nvars, limit)
     for offset in range(0, count, SWEEP_CHUNK):
         width = min(SWEEP_CHUNK, count - offset)
         full = (1 << width) - 1
-        lanes = [_lanes(masks, order.n, b, offset, width) for b in blocks]
+        lanes = {v: _lanes(masks, order.n, b, offset, width) for v, b in zip(names, blocks)}
         sat = -1
         for code, eq in atoms:
             hit = 0
@@ -403,13 +413,9 @@ def eval_term(t: Term, algebra: Algebra, env: Mapping[str, Element]) -> Element:
     """Evaluate a difference-signature term in an algebra."""
     if t.has_impl:
         raise SignatureMismatch("implication cannot be evaluated here")
-    code, names = t.program
-    values = []
-    for name in names:
-        if name not in env:
-            raise UnboundVariable(f"variable {name!r} has no value")
-        values.append(algebra.element(env[name]).pts)
-    return Element(algebra, run_program(code, values, algebra.spec))
+    used = t.variables()
+    values = {name: algebra.element(e).pts for name, e in env.items() if name in used}
+    return Element(algebra, run_program(t.code, values, algebra.spec))
 
 
 def slice_term(k: int) -> Term:

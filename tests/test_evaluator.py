@@ -10,6 +10,7 @@ quantifies over the points below, so it shares no code with
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -29,6 +30,7 @@ from coheyting.terms import (
     SWEEP_CHUNK,
     ZERO,
     Diff,
+    Formula,
     Impl,
     Join,
     Meet,
@@ -214,16 +216,6 @@ def random_term(rng, names, depth):
     return op(random_term(rng, names, depth - 1), random_term(rng, names, depth - 1))
 
 
-def compiled(atoms, names):
-    # variable slots follow the order of ``names``, as in fmp_search
-    out = []
-    for t, eq in atoms:
-        code, used = t.program
-        slots = [names.index(v) for v in used]
-        out.append((tuple(c if c < 0 else slots[c] for c in code), eq))
-    return out
-
-
 @pytest.fixture(scope="module")
 def sweep_cases():
     """Seeded formulas of 1-3 atoms over 0-3 variables on every poset of at
@@ -246,7 +238,8 @@ def sweep_cases():
                     if all((ref.eval(t, env) == 0) == eq for t, eq in atoms):
                         first = (k, combo)
                         break
-                cases.append((poset, masks, compiled(atoms, names), nvars, first))
+                codes = [(t.code, eq) for t, eq in atoms]
+                cases.append((poset, masks, codes, names, first))
     return cases
 
 
@@ -256,11 +249,11 @@ def test_first_assignment_matches_reference(sweep_cases, width, monkeypatch):
     # inside the small sweeps
     monkeypatch.setattr(terms_module, "SWEEP_CHUNK", width)
     found = 0
-    for poset, masks, atoms, nvars, (k, combo) in sweep_cases:
-        total = len(masks) ** nvars
+    for poset, masks, atoms, names, (k, combo) in sweep_cases:
+        total = len(masks) ** len(names)
         for limit in (0, 1, width - 1, width, width + 1, 3 * width + 5, total + 1, None):
             expect = combo if k is not None and (limit is None or k < limit) else None
-            got = first_assignment(atoms, poset, masks, nvars, limit)
+            got = first_assignment(atoms, poset, masks, names, limit)
             assert got == expect, (poset, atoms, limit)
         found += k is not None
     assert len(sweep_cases) == 24 * 12 and 0 < found < len(sweep_cases)
@@ -268,16 +261,17 @@ def test_first_assignment_matches_reference(sweep_cases, width, monkeypatch):
 
 def test_first_assignment_rejects_implication():
     chain = build_poset(["p0", "p1"], [("p0", "p1")])
-    code, _ = parse_term("x -> 0").program
+    code = parse_term("x -> 0").code
     with pytest.raises(SignatureMismatch):
-        first_assignment([(code, True)], chain, chain.all_downsets(), 1)
+        first_assignment([(code, True)], chain, chain.all_downsets(), ["x"])
 
 
 def scalar_slice_vanishes(spec, d):
     """The former route: every assignment through ``run_program``."""
-    code, names = slice_term(d + 1).program
+    t = slice_term(d + 1)
+    names = sorted(t.variables())
     return not any(
-        run_program(code, combo, spec)
+        run_program(t.code, dict(zip(names, combo)), spec)
         for combo in itertools.product(spec.all_downsets(), repeat=len(names))
     )
 
@@ -367,12 +361,43 @@ DEEP = _deep_inputs()
 
 @pytest.mark.parametrize("shape", sorted(DEEP))
 def test_deep_parse_print_dualize(shape):
-    # programs, not terms, are compared: Term equality still recurses
     src, expected = DEEP[shape]
     t = parse_term(src)
-    assert t.program == expected.program
-    assert parse_term(print_term(t)).program == t.program
-    assert dualize(dualize(t)).program == t.program
+    assert t == expected
+    assert parse_term(print_term(t)) == t
+    assert dualize(dualize(t)) == t
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_deep_terms_hash_compare_and_print(shape):
+    src, expected = DEEP[shape]
+    t, dual = parse_term(src), dualize(expected)
+    assert hash(t) == hash(expected) and t == expected
+    assert repr(t) == f"Term(code={t.code!r}, has_diff={t.has_diff}, has_impl={t.has_impl})"
+    assert str(t) == print_term(expected) and str(dual) == print_term(dual)
+    assert hash(Formula(((t, True), (dual, False)))) == hash(
+        Formula(((expected, True), (dualize(t), False)))
+    )
+
+
+# operators in each chain of the linear-time test
+CHAIN = 60_000
+
+
+def test_long_chains_parse_and_dualize_in_linear_time():
+    # a left-nested '\\' chain, a '->' chain over distinct variables and a
+    # right-nested parenthesized '|' chain; copying the code at every
+    # operator would be quadratic, tens of seconds at this length
+    sources = [
+        " \\ ".join(["x"] * (CHAIN + 1)),
+        " -> ".join(f"x{i}" for i in range(CHAIN + 1)),
+        "x | (" * CHAIN + "x" + ")" * CHAIN,
+    ]
+    start = time.perf_counter()
+    for src in sources:
+        t = parse_term(src)
+        assert len(dualize(t).code) == len(t.code) == 2 * CHAIN + 1
+    assert time.perf_counter() - start < 5
 
 
 IMPL_CHAIN, DIFF_CHAIN = DEEP["impl"][0], DEEP["diff"][0]

@@ -217,3 +217,34 @@ def test_dualize_is_involution_on_random_terms(seed):
     rng = random.Random(seed)
     t = random_term(rng, ("a", "b"), depth=4, kind="diff")
     assert dualize(dualize(t)) == t
+
+
+_BUILD = {"join": Join, "meet": Meet, "diff": Diff, "impl": Impl}
+
+
+def rebuild(t):
+    """The term again from its tree view alone, through the constructors."""
+    if t.op == "var":
+        return Var(t.name)
+    if not t.args:
+        return ZERO if t.op == "zero" else ONE
+    a, b = t.args
+    return _BUILD[t.op](rebuild(a), rebuild(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["diff", "impl", "lattice"]))
+def test_tree_view_rebuilds_the_term(seed, kind):
+    rng = random.Random(seed)
+    t = random_term(rng, ("a", "b", "c"), depth=4, kind=kind)
+    again = rebuild(t)
+    assert again == t and (again.has_diff, again.has_impl) == (t.has_diff, t.has_impl)
+
+
+def test_tree_view_of_leaves_and_operators():
+    for leaf, op in ((ZERO, "zero"), (ONE, "one"), (Var("x"), "var")):
+        assert (leaf.op, leaf.args) == (op, ())
+    assert Var("x").name == "x" and ZERO.name is None
+    t = parse_term("(a -> b) & c")
+    assert (t.op, t.name, t.args) == ("meet", None, (parse_term("a -> b"), Var("c")))
+    assert t.args[0].has_impl and not t.args[1].has_impl
