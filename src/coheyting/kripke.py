@@ -180,18 +180,10 @@ def bisim_reduce(model: KripkeModel) -> tuple[KripkeModel, tuple[int, ...]]:
         for p in bits(frame.down[q]):
             if cls[p] != cls[q]:
                 pairs.add((names[cls[p]], names[cls[q]]))
-    reduced_frame = build_poset(names, sorted(pairs))
+    # build_poset keeps the order of names, so class c is reduced point c
     colors = [model.colors[rep[c]] for c in range(k)]
-    # build_poset may reorder nothing (names list is authoritative), but map
-    # colors through the name positions to stay safe
-    by_name = {nm: colors[i] for i, nm in enumerate(names)}
-    reduced = make_model(
-        reduced_frame,
-        model.vars,
-        [by_name[nm] for nm in reduced_frame.names],
-    )
-    mapping = tuple(reduced_frame.index(names[c]) for c in cls)
-    return reduced, mapping
+    reduced = make_model(build_poset(names, sorted(pairs)), model.vars, colors)
+    return reduced, tuple(cls)
 
 
 def is_reduced(model: KripkeModel) -> bool:

@@ -363,11 +363,16 @@ def build_poset(
 # ---------------------------------------------------------------------------
 # text format
 
+# characters of the text formats' own syntax, not allowed in a point name
+_RESERVED = ', { } < : " \\'
+
+
 def parse_poset_text(text: str) -> tuple[Poset, dict[str, frozenset[str]] | None]:
     """Parse the plain text poset format.
 
     Directives: ``points:``, ``covers:`` (tokens ``a<b``) and the optional
-    ``colors:`` (tokens ``p:{x,y}``).  ``#`` starts a comment.  Returns the
+    ``colors:`` (tokens ``p:{x,y}``).  ``#`` starts a comment.  A point
+    name may not contain ``, { } < : "`` or a backslash.  Returns the
     poset and the color map when one was given.
     """
     points: list[str] = []
@@ -384,6 +389,8 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, frozenset[str]] | None
                 mode = token[:-1]
                 continue
             if mode == "points":
+                if any(c in _RESERVED for c in token):
+                    raise FormatError(f"point name {token!r} contains one of {_RESERVED}")
                 points.append(token)
             elif mode == "covers":
                 if "<" not in token:

@@ -55,7 +55,7 @@ def fmp_search(
     Posets come in ``enumerate_posets`` order; on each, the assignments of
     the sorted variables are tried in ``itertools.product`` order over its
     downsets in ``set_key`` order, at most ``max_assignments`` of them.
-    The atoms' postfix codes are swept bit-sliced by ``first_assignment``
+    The atoms' postfix codes are swept packed by ``first_assignment``
     in chunks of bounded size; only the witness becomes ``Element``
     values, and it is replayed from text.
     """

@@ -7,8 +7,10 @@ or implication but never both; the two signatures are dual to each other
 under the involution that swaps 0 with 1 and join with meet.
 
 A term is stored as its postfix code alone, emitted by the parser as it
-reads.  The printer, ``dualize`` and both evaluators walk that tuple once,
-so no reader recurses and term depth needs no recursion limit.
+reads.  The printer, ``dualize`` and the one evaluator, ``run_program``,
+walk that tuple once, so no reader recurses and term depth needs no
+recursion limit.  The evaluator takes one assignment, or many packed
+into one int for the assignment sweep.
 
 Formulas are conjunctions of atoms ``term = 0`` and ``term != 0`` joined
 by ``&&``.
@@ -21,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .algebra import Algebra, Element
 from .errors import SignatureMismatch, TermSyntaxError, UnboundVariable
-from .posets import PointSet, Poset, bits
+from .posets import PointSet, Poset
 
 # opcode -> (name, symbol, precedence) in Term.code, where a string pushes
 # the variable of that name; constants and variables bind tightest
@@ -266,16 +268,20 @@ def dualize(t: Term) -> Term:
 
 
 def run_program(code: Sequence[int | str], values: Mapping[str, PointSet],
-                order: Poset) -> PointSet:
+                order: Poset, rep: int = 1) -> PointSet:
     """Value of the postfix code of a term (``Term.code``) over point masks
     of ``order``, with each variable bound to ``values[name]``; a variable
     missing from ``values`` raises ``UnboundVariable``.  Difference is
     ``down(a & ~b)``; implication is forcing on a frame, the points with
     nothing of ``a & ~b`` below them.
 
-    One assignment per call: it serves ``eval_term``, ``truth_set`` and
-    ``d_equivalent``.  Sweeps over every assignment go through
-    ``first_assignment``."""
+    A value packs one point mask per assignment: block j is bits ``j*n``
+    to ``j*n + n - 1``, and ``rep`` has bit 0 of each block set, so the
+    default ``rep = 1`` is a plain mask (``eval_term``, ``truth_set``,
+    ``d_equivalent``).  Join and meet are one ``|`` or ``&``; difference
+    and implication close ``a & ~b`` one point column at a time, or with
+    ``down_closure``/``up_closure`` for a single block."""
+    n = order.n
     stack: list[PointSet] = []
     push, pop = stack.append, stack.pop
     for c in code:
@@ -283,90 +289,59 @@ def run_program(code: Sequence[int | str], values: Mapping[str, PointSet],
             if c not in values:
                 raise UnboundVariable(f"variable {c!r} has no value")
             push(values[c])
-        elif c == _DIFF:
-            b = pop()
-            stack[-1] = order.down_closure(stack[-1] & ~b)
         elif c == _JOIN:
             push(pop() | pop())
         elif c == _MEET:
             push(pop() & pop())
-        elif c == _IMPL:
+        elif c == _DIFF or c == _IMPL:
             b = pop()
-            stack[-1] = order.full & ~order.up_closure(stack[-1] & ~b)
+            s = stack[-1] & ~b
+            if rep == 1:
+                out = order.down_closure(s) if c == _DIFF else order.up_closure(s)
+            else:
+                closed, out = order.down if c == _DIFF else order.up, 0
+                while s:
+                    p = ((s & -s).bit_length() - 1) % n
+                    col = s >> p & rep
+                    out |= col * closed[p]
+                    s ^= col << p
+            stack[-1] = out if c == _DIFF else order.full * rep & ~out
         else:
-            push(0 if c == _ZERO else order.full)
+            push(0 if c == _ZERO else order.full * rep)
     return stack[-1]
 
 
-# Assignments per chunk of ``first_assignment``: every lane has at most this
-# many bits, whatever the limit, so memory stays bounded.
+# Assignments per chunk of ``first_assignment``: every packed value has at
+# most this many blocks, whatever the limit, so memory stays bounded.
 SWEEP_CHUNK = 4096
 
 
-def _lanes(masks: Sequence[PointSet], n: int, block: int, offset: int, width: int) -> list[int]:
-    """Per-point lanes of one variable over the assignments ``offset`` to
-    ``offset + width - 1``: bit j of lane p is set when point p is in the
-    variable's value under assignment ``offset + j``, which takes
-    ``masks[(offset + j) // block % len(masks)]``.  A period of
-    ``len(masks) * block`` bits that fits in the chunk is built once and
-    tiled by a repeat-every-period multiplier; a longer one is laid down
-    as runs of ``block`` bits."""
+def _packed(masks: Sequence[PointSet], w: int, rep: int, block: int, offset: int,
+            width: int) -> int:
+    """One variable's packed value over the assignments ``offset`` to
+    ``offset + width - 1``: block j, ``w`` bits wide, holds
+    ``masks[(offset + j) // block % len(masks)]``.  ``rep`` has bit 0 of
+    each of the ``width`` blocks set, so a run of ``r`` equal blocks is
+    the mask times ``rep`` shifted down to ``r`` bits.  A period of
+    ``len(masks) * block`` assignments that fits in the chunk is laid down
+    once and repeated by doubling; a longer one is laid down in place."""
     m = len(masks)
     period = m * block
-    lanes = [0] * n
-    if period <= width:
-        run = (1 << block) - 1
-        for d, s in enumerate(masks):
-            r = run << d * block
-            while s:
-                low = s & -s
-                lanes[low.bit_length() - 1] |= r
-                s ^= low
-        phase = offset % period
-        times = (phase + width) // period + 1
-        tile = ((1 << period * times) - 1) // ((1 << period) - 1)
-        full = (1 << width) - 1
-        return [(x * tile >> phase) & full for x in lanes]
-    j = 0
-    while j < width:
-        k = (offset + j) // block
-        end = min(width, (k + 1) * block - offset)
-        run = ((1 << end - j) - 1) << j
-        for p in bits(masks[k % m]):
-            lanes[p] |= run
+    start = offset - offset % period if period <= width else offset
+    stop = start + period if period <= width else offset + width
+    out, j = 0, start
+    while j < stop:
+        end = min(stop, (j // block + 1) * block)
+        run = rep >> (width - end + j) * w  # end - j blocks
+        out |= masks[j // block % m] * run << (j - start) * w
         j = end
-    return lanes
-
-
-def _run_lanes(code: Sequence[int | str], lanes: Mapping[str, list[int]],
-               ups: Sequence[list[int]], full: int) -> list[int]:
-    """``run_program`` over a chunk: each value is one lane per point."""
-    stack: list[list[int]] = []
-    push, pop = stack.append, stack.pop
-    for c in code:
-        if type(c) is str:
-            push(lanes[c])
-        elif c == _DIFF:
-            b = pop()
-            s = [x & ~y for x, y in zip(stack[-1], b)]
-            out = []
-            for ps in ups:
-                v = 0
-                for p in ps:
-                    v |= s[p]
-                out.append(v)
-            stack[-1] = out
-        elif c == _JOIN:
-            b = pop()
-            stack[-1] = [x | y for x, y in zip(stack[-1], b)]
-        elif c == _MEET:
-            b = pop()
-            stack[-1] = [x & y for x, y in zip(stack[-1], b)]
-        elif c == _IMPL:
-            raise SignatureMismatch("implication cannot be evaluated here")
-        else:
-            push([0 if c == _ZERO else full] * len(ups))
-    return stack[-1]
+    if period <= width:
+        have, times = 1, (offset - start + width) // period + 1
+        while have < times:
+            out |= out << have * period * w
+            have *= 2
+        out >>= (offset - start) * w
+    return out & ((1 << width * w) - 1)
 
 
 def first_assignment(
@@ -382,29 +357,32 @@ def first_assignment(
     difference-signature term over ``order`` is 0 exactly when ``eq``.
     None when no such assignment.
 
-    Bit-sliced: a value is a list of one int per point, whose bit k is set
-    when the point is in the value under assignment k of the chunk, so
-    each opcode runs once per ``SWEEP_CHUNK`` assignments.  Join and meet
-    are lane-wise; difference is ``a & ~b`` OR-ed over each point's
-    up-set.  It serves ``fmp_search`` and the slice checker."""
-    m, nvars = len(masks), len(names)
-    ups = [list(bits(u)) for u in order.up]
+    The assignments go through ``run_program`` ``SWEEP_CHUNK`` at a time,
+    packed: block j of a value is assignment j of the chunk, ``w =
+    max(n, 1)`` bits wide so that a 0-point order still has one bit per
+    block.  An atom's blocks are OR-folded onto their bit 0, and the first
+    satisfying assignment is the lowest bit left.  It serves
+    ``fmp_search`` and the slice checker."""
+    if any(_IMPL in code for code, _ in atoms):
+        raise SignatureMismatch("implication cannot be evaluated here")
+    m, nvars, n = len(masks), len(names), order.n
+    w = max(n, 1)
     blocks = [m ** (nvars - 1 - i) for i in range(nvars)]
     count = m ** nvars if limit is None else min(m ** nvars, limit)
     for offset in range(0, count, SWEEP_CHUNK):
         width = min(SWEEP_CHUNK, count - offset)
-        full = (1 << width) - 1
-        lanes = {v: _lanes(masks, order.n, b, offset, width) for v, b in zip(names, blocks)}
-        sat = -1
+        rep = ((1 << width * w) - 1) // ((1 << w) - 1)
+        values = {v: _packed(masks, w, rep, b, offset, width) for v, b in zip(names, blocks)}
+        sat = rep
         for code, eq in atoms:
-            hit = 0
-            for x in _run_lanes(code, lanes, ups, full):
-                hit |= x
-            sat &= full & ~hit if eq else hit
+            value, hit = run_program(code, values, order, rep), 0
+            for p in range(n):
+                hit |= value >> p
+            sat &= ~hit if eq else hit
             if not sat:
                 break
         if sat:
-            k = offset + (sat & -sat).bit_length() - 1
+            k = offset + ((sat & -sat).bit_length() - 1) // w
             return tuple(masks[k // b % m] for b in blocks)
     return None
 

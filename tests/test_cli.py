@@ -350,12 +350,18 @@ S2_LAW = (
         (["-h"], 0),
         # a negated s2 law: every assignment on every poset of <= 5 points
         (["fmp-search", S2_LAW, "--max-points", "5", "--max-assignments", str(10**12)], 1),
+        # point names holding the text formats' own syntax
+        (["alg", "irr", "{tmp}/comma.poset"], 2),
+        (["export", "dot", "{tmp}/quote.poset"], 2),
     ],
 )
 def test_module_exit_codes_out_of_process(argv, expected, tmp_path):
-    # {tmp} is a directory holding a file that is not UTF-8 text and a
-    # 2,000-point chain, deeper than the default recursion limit
+    # {tmp} is a directory holding a file that is not UTF-8 text, two
+    # posets with bad point names and a 2,000-point chain, deeper than the
+    # default recursion limit
     (tmp_path / "binary.poset").write_bytes(b"\x80\xff\x00points")
+    (tmp_path / "comma.poset").write_text("points: a,b c\n")
+    (tmp_path / "quote.poset").write_text('points: a"b\n')
     n = 2000
     (tmp_path / "chain.poset").write_text(
         "points: " + " ".join(f"p{i}" for i in range(n)) + "\ncovers: "

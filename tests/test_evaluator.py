@@ -1,5 +1,7 @@
-"""The compiled term evaluator and the bit-sliced assignment sweep against
-an independent reference, on deep terms, and through fmp_search and the
+"""The term evaluator, ``run_program``, against an independent reference:
+on one assignment, on many packed into one value (block j against the
+run on assignment j alone), through the assignment sweep
+``first_assignment``, on deep terms, and through fmp_search and the
 slice checker.
 
 The reference rebuilds each order from its cover pairs alone and recurses
@@ -206,14 +208,14 @@ def test_fmp_search_witnesses_pinned(src, poset_text, assignment):
 
 
 # ---------------------------------------------------------------------------
-# the bit-sliced sweep
+# packed values and the assignment sweep
 
 
-def random_term(rng, names, depth):
+def random_term(rng, names, depth, binary=Diff):
     if depth == 0 or rng.random() < 0.3:
         return rng.choice([ZERO, ONE] + [Var(n) for n in names] * 2)
-    op = rng.choice([Join, Meet, Diff, Diff])
-    return op(random_term(rng, names, depth - 1), random_term(rng, names, depth - 1))
+    op = rng.choice([Join, Meet, binary, binary])
+    return op(*(random_term(rng, names, depth - 1, binary) for _ in range(2)))
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +266,34 @@ def test_first_assignment_rejects_implication():
     code = parse_term("x -> 0").code
     with pytest.raises(SignatureMismatch):
         first_assignment([(code, True)], chain, chain.all_downsets(), ["x"])
+
+
+@pytest.mark.parametrize(
+    "src, names, expect",
+    [("1 = 0", [], ()), ("x \\ x != 0", ["x"], None), ("x = 0", ["x"], (0,))],
+)
+def test_first_assignment_on_the_empty_order(src, names, expect):
+    empty = build_poset([])
+    atoms = [(t.code, eq) for t, eq in parse_formula(src).atoms]
+    assert first_assignment(atoms, empty, empty.all_downsets(), names) == expect
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 64])
+def test_packed_blocks_match_single_runs(width):
+    # block j of a packed run is the run on assignment j alone; difference
+    # and implication close one point column at a time when width > 1
+    rng = random.Random(width)
+    for poset in enumerate_posets(4):
+        n, pool = poset.n, poset.all_downsets()
+        rep = sum(1 << j * n for j in range(width))
+        for binary in (Diff, Impl):
+            for _ in range(4):
+                code = random_term(rng, NAMES, 3, binary).code
+                envs = [{v: rng.choice(pool) for v in NAMES} for _ in range(width)]
+                packed = {v: sum(e[v] << j * n for j, e in enumerate(envs)) for v in NAMES}
+                value = run_program(code, packed, poset, rep)
+                for j, env in enumerate(envs):
+                    assert value >> j * n & poset.full == run_program(code, env, poset)
 
 
 def scalar_slice_vanishes(spec, d):

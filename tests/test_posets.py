@@ -356,6 +356,13 @@ def test_parse_poset_text_errors():
         parse_poset_text("points: a\ncolors: b:{x}\n")
 
 
+@pytest.mark.parametrize("name", ["a,b", "{a", "a}", "a<b", "a:", 'a"b', "a\\b"])
+def test_point_names_exclude_format_syntax(name):
+    # each such name would print as text the formats read differently
+    with pytest.raises(FormatError, match="point name"):
+        parse_poset_text(f"points: {name} c\n")
+
+
 def test_parse_point_list():
     p = build_poset(["a", "b"], [("a", "b")])
     assert parse_point_list("{a,b}", p) == 0b11
