@@ -157,7 +157,14 @@ class Algebra:
         return self.spec.count_downsets()
 
     def elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[Element, ...]:
-        return tuple(Element(self, m) for m in self.spec.all_downsets(caps))
+        """Every element in ``set_key`` order, as one tuple kept for the
+        life of the algebra.  Built on first use from ``spec.downsets``,
+        whose cap check every call repeats."""
+        masks = self.spec.downsets(caps)
+        found = self.__dict__.get("_elements")
+        if found is None:
+            found = self.__dict__["_elements"] = tuple(Element(self, m) for m in masks)
+        return found
 
     # -- order and difference ------------------------------------------------
 

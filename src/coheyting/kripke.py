@@ -36,11 +36,11 @@ from .posets import (
     PointSet,
     Poset,
     _from_down,
+    antichain_stream,
     bits,
     build_poset,
     canonical_form,
     close,
-    enumerate_antichains,
     mask_of,
     poset_to_text,
     transpose,
@@ -273,18 +273,21 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
             layer1.append(idx)
         layers.append(tuple(layer1))
     for _layer in range(2, d + 1):
-        up = transpose(down)  # up masks from the running closure masks
-        top_mask = mask_of(layers[-1])
-        try:
-            # only antichains meeting the newest layer
-            found = enumerate_antichains(down, up, top_mask.__and__, caps)
-        except SizeCap:
-            raise SizeCap(
-                "universal frame antichain stream too large",
-                census=tuple(len(l) for l in layers),
-            ) from None
+        # the stream reads a frozen copy of the order while the layer grows;
+        # only antichains meeting the newest layer, read up to the node cap
+        lower = tuple(down)
+        found = antichain_stream(lower, transpose(lower), mask_of(layers[-1]).__and__, caps)
         new_layer = []
-        for antichain in found:
+        while True:
+            try:
+                antichain = next(found, 0)
+            except SizeCap:
+                raise SizeCap(
+                    "universal frame antichain stream too large",
+                    census=tuple(len(l) for l in layers),
+                ) from None
+            if not antichain:
+                break
             inter = (1 << n) - 1
             for w in bits(antichain):
                 inter &= colors[w]
@@ -421,7 +424,7 @@ def enumerate_reduced_models(
     uf = universal_frame(n, d, caps)
     frame = uf.model.frame
     seen: set[str] = set()
-    for ds in frame.all_downsets(caps):
+    for ds in frame.downsets(caps):
         if not ds or max_points is not None and ds.bit_count() > max_points:
             continue
         sub = frame.induced(ds)

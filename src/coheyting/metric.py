@@ -45,17 +45,16 @@ def ball(x: Element, d: int, caps: Caps = DEFAULT_CAPS) -> tuple[Element, ...]:
     """Elements within 2^(-d): symmetric difference of codimension >= d.
 
     codim(s) >= d iff every point of s has corank >= d iff s is inside
-    epsilon(d), and codim(bottom) = +inf.  As epsilon(d) is a downset, the
-    test runs on the plain mask difference, and only members are wrapped,
-    in the ``set_key`` order of ``all_downsets``.
+    epsilon(d), and codim(bottom) = +inf.  So y is in the ball iff it
+    agrees with x off epsilon(d): the fibre of the quotient by epsilon(d),
+    the interval from x - epsilon(d) to x | epsilon(d).  The ball filters
+    the algebra's kept ``elements``, in their ``set_key`` order, and makes
+    no new element.
     """
     algebra = x.owner
-    a, e = x.pts, algebra.epsilon(d).pts
-    return tuple(
-        Element(algebra, y)
-        for y in algebra.spec.all_downsets(caps)
-        if (a ^ y) & e == a ^ y
-    )
+    off = algebra.spec.full & ~algebra.epsilon(d).pts
+    fixed = x.pts & off
+    return tuple(y for y in algebra.elements(caps) if y.pts & off == fixed)
 
 
 def dense_skeleton(

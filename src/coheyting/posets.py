@@ -166,19 +166,32 @@ class Poset:
         """All nonempty antichains, sorted by size then lexicographic indices."""
         return enumerate_antichains(self.down, self.up, None, caps)
 
+    def downsets(self, caps: Caps = DEFAULT_CAPS) -> tuple[PointSet, ...]:
+        """Every downset, sorted by (size, indices), as one tuple kept for
+        the life of the poset.  It is built on first use under ``caps``;
+        SizeCap is raised when there are more than ``caps.max_closure``,
+        at that call or any later one, and a build that raised keeps
+        nothing.  In a topological order, each downset so far that holds
+        the points below i gains a copy with i: each is made once, as its
+        ``_step`` key."""
+        found = self.__dict__.get("_downsets")
+        if found is None:
+            n, keys = self.n, [0]
+            for i in self._topo_order():
+                low, step = self.down[i] & ~(1 << i), _step(n, i)
+                keys += [k + step for k in keys if k & low == low]
+                if len(keys) > caps.max_closure:
+                    raise SizeCap(f"more than {caps.max_closure} downsets")
+            keys.sort()
+            full = self.full
+            found = self.__dict__["_downsets"] = tuple([k & full for k in keys])
+        if len(found) > caps.max_closure:
+            raise SizeCap(f"more than {caps.max_closure} downsets")
+        return found
+
     def all_downsets(self, caps: Caps = DEFAULT_CAPS) -> list[PointSet]:
-        """Every downset, sorted by (size, indices).  Capped.  In a
-        topological order, each downset so far that holds the points below
-        i gains a copy with i: each is made once, as its ``_step`` key."""
-        n, keys = self.n, [0]
-        for i in self._topo_order():
-            low, step = self.down[i] & ~(1 << i), _step(n, i)
-            keys += [k + step for k in keys if k & low == low]
-            if len(keys) > caps.max_closure:
-                raise SizeCap(f"more than {caps.max_closure} downsets")
-        keys.sort()
-        full = self.full
-        return [k & full for k in keys]
+        """A fresh list of ``downsets(caps)``: the caller may change it."""
+        return list(self.downsets(caps))
 
     def count_downsets(self) -> int:
         """Number of downsets, computed without materializing them.
@@ -208,42 +221,57 @@ class Poset:
         return f"Poset({self.n} points{'; ' + rel if rel else ''})"
 
 
+def antichain_stream(
+    down: Sequence[PointSet],
+    up: Sequence[PointSet],
+    keep: Callable[[PointSet], bool] | None,
+    caps: Caps,
+) -> Iterator[PointSet]:
+    """Nonempty antichains of the order given by reflexive ``down``/``up``
+    closure masks that pass ``keep``, lazily, in ``set_key`` order.
+
+    Size by size: each antichain of size k, in lexicographic order of its
+    index tuple, gains in turn each larger point incomparable to all of
+    it, which lists those of size k+1 in the same order.  Only the
+    antichains of the current and the next size are held, and each
+    rebuilds its extension mask when it is extended.  A caller that stops
+    reading stops the work; SizeCap is raised once more than
+    ``caps.max_antichains`` have passed ``keep``.
+    """
+    full = (1 << len(down)) - 1
+    incomparable = [full & ~(d | u) for d, u in zip(down, up)]
+    kept, level = 0, [0]
+    while level:
+        bigger = []
+        for chosen in level:
+            top = chosen.bit_length()
+            rest, s = full >> top << top, chosen
+            while s:
+                low = s & -s
+                rest &= incomparable[low.bit_length() - 1]
+                s ^= low
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cur = chosen | low
+                bigger.append(cur)
+                if keep is None or keep(cur):
+                    kept += 1
+                    if kept > caps.max_antichains:
+                        raise SizeCap(f"more than {caps.max_antichains} antichains")
+                    yield cur
+        level = bigger
+
+
 def enumerate_antichains(
     down: Sequence[PointSet],
     up: Sequence[PointSet],
     keep: Callable[[PointSet], bool] | None,
     caps: Caps,
 ) -> list[PointSet]:
-    """Nonempty antichains of the order given by reflexive ``down``/``up``
-    closure masks that pass ``keep``, sorted by ``set_key``.
-
-    Depth-first over ascending indices on an explicit stack, a flat list
-    of (antichain, points still to try) pairs, so no recursion limit
-    applies.  The walk meets the antichains in lexicographic order of
-    their index tuples, so a stable sort by size gives ``set_key`` order.
-    Every antichain is visited, and SizeCap is raised once more than
-    ``caps.max_antichains`` are kept.
-    """
-    full = (1 << len(down)) - 1
-    incomparable = [full & ~(d | u) for d, u in zip(down, up)]
-    found: list[PointSet] = []
-    todo = [0, full]
-    while todo:
-        rest = todo.pop()
-        chosen = todo.pop()
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            cur = chosen | low
-            if keep is None or keep(cur):
-                found.append(cur)
-                if len(found) > caps.max_antichains:
-                    raise SizeCap(f"more than {caps.max_antichains} antichains")
-            todo.append(chosen)
-            todo.append(rest)
-            chosen, rest = cur, rest & incomparable[low.bit_length() - 1]
-    found.sort(key=int.bit_count)
-    return found
+    """Every antichain of ``antichain_stream``, as a list in ``set_key``
+    order; SizeCap as there."""
+    return list(antichain_stream(down, up, keep, caps))
 
 
 def close(
@@ -364,7 +392,13 @@ def build_poset(
 # text format
 
 # characters of the text formats' own syntax, not allowed in a point name
+# or a color variable
 _RESERVED = ', { } < : " \\'
+
+
+def _check_name(kind: str, name: str) -> None:
+    if any(c in _RESERVED for c in name):
+        raise FormatError(f"{kind} name {name!r} contains one of {_RESERVED}")
 
 
 def parse_poset_text(text: str) -> tuple[Poset, dict[str, frozenset[str]] | None]:
@@ -372,8 +406,8 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, frozenset[str]] | None
 
     Directives: ``points:``, ``covers:`` (tokens ``a<b``) and the optional
     ``colors:`` (tokens ``p:{x,y}``).  ``#`` starts a comment.  A point
-    name may not contain ``, { } < : "`` or a backslash.  Returns the
-    poset and the color map when one was given.
+    name or a color variable may not contain ``, { } < : "`` or a
+    backslash.  Returns the poset and the color map when one was given.
     """
     points: list[str] = []
     cover_pairs: list[tuple[str, str]] = []
@@ -389,8 +423,7 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, frozenset[str]] | None
                 mode = token[:-1]
                 continue
             if mode == "points":
-                if any(c in _RESERVED for c in token):
-                    raise FormatError(f"point name {token!r} contains one of {_RESERVED}")
+                _check_name("point", token)
                 points.append(token)
             elif mode == "covers":
                 if "<" not in token:
@@ -404,8 +437,10 @@ def parse_poset_text(text: str) -> tuple[Poset, dict[str, frozenset[str]] | None
                 name, body = token.split(":", 1)
                 if not (body.startswith("{") and body.endswith("}")):
                     raise FormatError(f"bad color token {token!r}")
-                inner = body[1:-1]
-                colors[name] = frozenset(v for v in inner.split(",") if v)
+                variables = [v for v in body[1:-1].split(",") if v]
+                for v in variables:
+                    _check_name("color variable", v)
+                colors[name] = frozenset(variables)
             else:
                 raise FormatError(f"unexpected token {token!r}")
     poset = build_poset(points, cover_pairs)
@@ -573,7 +608,7 @@ def _iso_classes(size: int, caps: Caps) -> tuple[Poset, ...]:
     reps: dict[str, Poset] = {}
     for base in _iso_classes(size - 1, caps):
         k = base.n
-        for downset in base.all_downsets(caps):
+        for downset in base.downsets(caps):
             down = list(base.down) + [downset | 1 << k]
             names = base.names + (f"p{k}",)
             cand = _from_down(names, down)

@@ -64,7 +64,7 @@ def fmp_search(
     names = sorted(formula.variables())
     atoms = [(t.code, eq) for t, eq in formula.atoms]
     for poset in enumerate_posets(max_points, caps):
-        masks = poset.all_downsets(caps)
+        masks = poset.downsets(caps)
         combo = first_assignment(atoms, poset, masks, names, max_assignments)
         if combo is not None:
             algebra = Algebra(poset)

@@ -34,6 +34,7 @@ from coheyting.errors import (
     SizeCap,
 )
 from coheyting.fixtures import load_fixture
+from coheyting.metric import ball
 from coheyting.posets import build_poset, enumerate_posets
 
 
@@ -267,6 +268,28 @@ def test_kernel_is_computed_once():
     first, second = proj.kernel(), proj.kernel()
     assert first.gen == second.gen == v3.epsilon(1)
     assert first is second
+
+
+def test_elements_are_kept_and_capped_on_every_call():
+    chain = build_poset(["a", "b", "c"], [("a", "b")])
+    algebra = Algebra(chain)
+    elems = algebra.elements()
+    assert [e.pts for e in elems] == chain.all_downsets()
+    assert algebra.elements() is elems
+    with pytest.raises(SizeCap):
+        algebra.elements(Caps(max_closure=len(elems) - 1))
+    assert algebra.elements() is elems
+    # a ball hands out the kept elements, not new ones
+    assert all(a is b for a, b in zip(ball(elems[2], 0), elems, strict=True))
+
+
+def test_elements_build_that_raised_keeps_nothing():
+    flat = build_poset(["a", "b", "c"])
+    algebra = Algebra(flat)
+    with pytest.raises(SizeCap):
+        algebra.elements(Caps(max_closure=7))
+    assert [e.pts for e in algebra.elements()] == flat.all_downsets()
+    assert len(algebra.elements()) == 8
 
 
 def test_morphism_validation_errors():

@@ -302,6 +302,14 @@ def test_input_errors_exit_two(capsys, tmp_path, vee_file):
     code, _, err = run(capsys, "alg", "codim", vee_file, "{zz}")
     assert code == 2
     assert "unknown point" in err
+    # color variables obey the point-name rule
+    for argv, name in ((("export", "dot"), 'a"b'), (("kripke", "reduce"), "a{b")):
+        bad.write_text(f"points: w0\ncolors: w0:{{{name}}}\n")
+        code, out, err = run(capsys, *argv, str(bad))
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == [
+            f"error: color variable name {name!r} contains one of , {{ }} < : \" \\"
+        ]
 
 
 def test_size_cap_exit_three(capsys):

@@ -5,6 +5,7 @@ the symmetric difference.  The tower examples pin the one-generator free
 tower truncated at depth 2, whose level sizes are 1, 4 and 8.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from coheyting.metric import (
     precompactness_census,
     squeeze_limit,
 )
-from coheyting.posets import enumerate_posets
+from coheyting.posets import enumerate_posets, set_key
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,26 @@ def test_ball_matches_definitional_filter():
                     y for y in elems if algebra.codim(x ^ y) >= d
                 )
                 assert ball(x, d) == expected
+
+
+def test_ball_is_the_fibre_interval():
+    """ball(x, d) lists the downsets y with x - eps(d) <= y <= x | eps(d),
+    the fibre of the quotient by eps(d), in set_key order: every centre
+    of F(1,4) and 50 seeded centres of F(2,2), for d = 0..3."""
+    rng = random.Random(11)
+    for n, depth, picks in ((1, 4, None), (2, 2, 50)):
+        algebra = free_quotient(n, depth).algebra
+        spec, elems = algebra.spec, algebra.elements()
+        every = sorted(spec.all_downsets(), key=set_key)
+        centres = elems if picks is None else rng.sample(elems, picks)
+        intervals = {}
+        for x in centres:
+            for d in range(4):
+                e = algebra.epsilon(d)
+                lo, hi = (x - e).pts, (x | e).pts
+                if (lo, hi) not in intervals:
+                    intervals[lo, hi] = [y for y in every if y & lo == lo and y | hi == hi]
+                assert [y.pts for y in ball(x, d)] == intervals[lo, hi]
 
 
 def test_dense_skeleton_exhausts_fixtures():

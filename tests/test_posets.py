@@ -25,6 +25,7 @@ from coheyting.kripke import free_quotient
 from coheyting.posets import (
     Poset,
     _from_down,
+    antichain_stream,
     bits,
     build_poset,
     canonical_form,
@@ -280,6 +281,59 @@ def test_streams_on_tiny_posets_and_caps():
     assert len(flat.antichains(Caps(max_antichains=15))) == 15
     with pytest.raises(SizeCap):
         flat.antichains(Caps(max_antichains=14))
+
+
+def fresh_f14() -> Poset:
+    """A new object equal to F(1,4)'s spectrum, so no list is kept yet."""
+    spec = free_quotient(1, 4).algebra.spec
+    return _from_down(spec.names, spec.down)
+
+
+def test_downset_list_is_kept_and_capped_on_every_call():
+    p = fresh_f14()
+    full = p.all_downsets()
+    assert full == reference_downsets(p)
+    assert p.downsets() is p.downsets()
+    with pytest.raises(SizeCap):
+        p.all_downsets(Caps(max_closure=len(full) - 1))
+    with pytest.raises(SizeCap):
+        p.downsets(Caps(max_closure=len(full) - 1))
+    # a fresh list each call: changing one leaves the next as it was
+    mine = p.all_downsets()
+    mine[0] = -1
+    mine.append(99)
+    mine.reverse()
+    assert p.all_downsets() == reference_downsets(p)
+
+
+def test_downset_build_that_raised_keeps_nothing():
+    p = fresh_f14()
+    n = p.count_downsets()
+    with pytest.raises(SizeCap):
+        p.all_downsets(Caps(max_closure=n - 1))
+    assert p.all_downsets() == reference_downsets(p)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["f22", "f22-dual"])
+def test_antichain_stream_matches_former_route(dual):
+    p = free_quotient(2, 2).algebra.spec
+    if dual:
+        p = p.dual()
+    every = reference_antichains(p)
+    assert list(antichain_stream(p.down, p.up, None, DEFAULT_CAPS)) == every
+    odd = mask_of(range(1, p.n, 2))
+    kept = antichain_stream(p.down, p.up, odd.__and__, DEFAULT_CAPS)
+    assert list(kept) == [m for m in every if m & odd]
+
+
+def test_antichain_stream_reads_only_what_is_asked():
+    wide = build_poset([f"p{i}" for i in range(1500)])
+    first = [1 << i for i in range(10)]
+    for caps in (DEFAULT_CAPS, Caps(max_antichains=10)):
+        stream = antichain_stream(wide.down, wide.up, None, caps)
+        assert list(itertools.islice(stream, 10)) == first
+    with pytest.raises(SizeCap):
+        list(itertools.islice(antichain_stream(wide.down, wide.up, None, Caps(max_antichains=10)), 11))
 
 
 def test_antichain_keep_sees_plain_masks():
