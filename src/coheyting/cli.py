@@ -49,18 +49,31 @@ def _caps(args) -> Caps:
     return caps
 
 
+def _text(value) -> str:
+    """``str(value)`` with every int in full, past the interpreter's limit
+    on int-to-str conversion (4,300 digits by default)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(args, key: str, value) -> None:
     if args.format == "records":
-        print(f"{key}={value}")
+        print(f"{key}={_text(value)}")
     else:
-        print(value)
+        print(_text(value))
 
 
 def _emit_pair(args, key: str, value) -> None:
     if args.format == "records":
-        print(f"{key}={value}")
+        print(f"{key}={_text(value)}")
     else:
-        print(f"{key}: {value}")
+        print(f"{key}: {_text(value)}")
 
 
 def _load_poset(path: str):

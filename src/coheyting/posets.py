@@ -17,7 +17,13 @@ from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import CycleDetected, DuplicateName, FormatError, SizeCap
+from .errors import (
+    CycleDetected,
+    DuplicateName,
+    FormatError,
+    FrameMismatch,
+    SizeCap,
+)
 
 PointSet = int  # bitmask of point indices
 
@@ -505,17 +511,32 @@ def canonical_form(
 ) -> str:
     """Canonical code: equal exactly for label-preserving isomorphic posets.
 
-    Refinement plus individualization; the code is the minimum encoding
-    over all discrete orderings explored.  Refinement splits colour classes
-    by the sorted colours strictly below and strictly above each point.
+    Refinement plus individualization on an ordered partition of the
+    points, a list of cells; the code is the minimum encoding over all
+    discrete partitions explored.  The cells start as the points of each
+    label, labels in sorted order.  A round of refinement splits every
+    cell in place by the sorted cell offsets strictly below and strictly
+    above each of its points; singleton cells are left alone, and
+    refinement stops when a round splits no cell.  Individualizing a point
+    of the first cell with more than one point moves it to the front of
+    the whole order as a cell of its own, the rest of its cell staying
+    where the cell was.  A partition of singletons is a leaf, and its
+    code lists the labels and the covers in the partition's order.
 
     Twins (points with the same strict down-set, strict up-set and label)
     are pruned: swapping two twins is an automorphism fixing every other
     point, so individualizing either gives the same leaf codes, and only
     the first twin of each class in the target cell is explored.  The
     minimum, and with it the code, is byte-identical to that of the
-    unpruned search.  An antichain, a star or a complete bipartite order
-    explores one leaf instead of one per permutation of its twins.
+    unpruned search.  Offsets order the cells as their ranks do, so the
+    splits and the codes are those of a search on colour lists that
+    re-ranks every point by (colour, sorted colours below, sorted colours
+    above) each round, with an individualized point coloured -1.
+    An antichain, a star or a complete bipartite order explores one leaf
+    instead of one per permutation of its twins.
+
+    A label sequence must have one label per point (FrameMismatch
+    otherwise); a mapping gives None to the points it leaves out.
     """
     n = poset.n
     if n > caps.max_canonical_points:
@@ -524,10 +545,12 @@ def canonical_form(
         keys = [("none",)] * n
     elif isinstance(labels, Mapping):
         keys = [_label_key(labels.get(i)) for i in range(n)]
+    elif len(labels) != n:
+        raise FrameMismatch(f"{len(labels)} labels for {n} points")
     else:
-        keys = [_label_key(labels[i]) for i in range(n)]
-    uniq = sorted(set(keys))
-    start = [uniq.index(k) for k in keys]
+        keys = [_label_key(label) for label in labels]
+    if n == 0:
+        return repr((0, (), ()))
     strict_down = [poset.down[i] & ~(1 << i) for i in range(n)]
     strict_up = [poset.up[i] & ~(1 << i) for i in range(n)]
     below = [list(bits(m)) for m in strict_down]
@@ -537,46 +560,55 @@ def canonical_form(
         first_twin.setdefault((strict_down[i], strict_up[i], keys[i]), i)
         for i in range(n)
     ]
+    by_key: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    offset = [0] * n
 
-    def refine(color: list[int]) -> list[int]:
+    def refine(cells: list[list[int]]) -> list[list[int]]:
         while True:
-            get = color.__getitem__
-            sigs = [
-                (get(i), tuple(sorted(map(get, below[i]))),
-                 tuple(sorted(map(get, above[i]))))
-                for i in range(n)
-            ]
-            ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
-            new = [ranks[s] for s in sigs]
-            if new == color:
-                return new
-            color = new
+            at = 0
+            for cell in cells:
+                for i in cell:
+                    offset[i] = at
+                at += len(cell)
+            get = offset.__getitem__
+            split: list[list[int]] = []
+            for cell in cells:
+                if len(cell) == 1:
+                    split.append(cell)
+                    continue
+                parts: dict[tuple, list[int]] = {}
+                for i in cell:
+                    sig = (tuple(sorted(map(get, below[i]))),
+                           tuple(sorted(map(get, above[i]))))
+                    parts.setdefault(sig, []).append(i)
+                if len(parts) == 1:
+                    split.append(cell)
+                else:
+                    split += [parts[sig] for sig in sorted(parts)]
+            if len(split) == len(cells):
+                return cells
+            cells = split
 
     best: list[str | None] = [None]
     budget = [caps.max_canonical_leaves]
 
-    def encode(color: list[int]) -> str:
-        order = sorted(range(n), key=lambda i: color[i])
-        pos = {old: new for new, old in enumerate(order)}
-        lab = tuple(keys[i] for i in order)
-        cov = tuple(sorted((pos[a], pos[b]) for a, b in poset.covers))
-        return repr((n, lab, cov))
-
-    def rec(color: list[int]) -> None:
-        color = refine(color)
-        cells: dict[int, list[int]] = {}
-        for i, c in enumerate(color):
-            cells.setdefault(c, []).append(i)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
+    def rec(cells: list[list[int]]) -> None:
+        cells = refine(cells)
+        for c, target in enumerate(cells):
+            if len(target) > 1:
                 break
-        if target is None:
+        else:
             budget[0] -= 1
             if budget[0] < 0:
                 raise SizeCap("canonical form backtracking budget exhausted")
-            code = encode(color)
+            pos = [0] * n
+            for new, (old,) in enumerate(cells):
+                pos[old] = new
+            lab = tuple(keys[old] for (old,) in cells)
+            cov = tuple(sorted((pos[a], pos[b]) for a, b in poset.covers))
+            code = repr((n, lab, cov))
             if best[0] is None or code < best[0]:
                 best[0] = code
             return
@@ -585,13 +617,10 @@ def canonical_form(
             if twin[i] in explored:
                 continue
             explored.add(twin[i])
-            child = list(color)
-            child[i] = -1
-            rec(child)
+            rest = [j for j in target if j != i]
+            rec([[i], *cells[:c], rest, *cells[c + 1:]])
 
-    if n == 0:
-        return repr((0, (), ()))
-    rec(start)
+    rec([by_key[key] for key in sorted(by_key)])
     assert best[0] is not None
     return best[0]
 
@@ -608,9 +637,18 @@ def _iso_classes(size: int, caps: Caps) -> tuple[Poset, ...]:
     reps: dict[str, Poset] = {}
     for base in _iso_classes(size - 1, caps):
         k = base.n
+        names = base.names + (f"p{k}",)
+        # (a, b) bits of consecutive twins a < b: same strict down and up masks
+        twins, last = [], {}
+        for i in range(k):
+            key = (base.down[i] & ~(1 << i), base.up[i] & ~(1 << i))
+            if key in last:
+                twins.append((1 << last[key], 1 << i))
+            last[key] = i
         for downset in base.downsets(caps):
+            if any(downset & b and not downset & a for a, b in twins):
+                continue
             down = list(base.down) + [downset | 1 << k]
-            names = base.names + (f"p{k}",)
             cand = _from_down(names, down)
             code = canonical_form(cand, caps=caps)
             if code not in reps:
@@ -625,7 +663,12 @@ def enumerate_posets(
 
     Deterministic order: by size, then by canonical code.  Every poset of
     size k+1 arises from a size-k poset by attaching a new maximal point
-    above one of its downsets, so the sweep is exhaustive.
+    above one of its downsets, so the sweep is exhaustive; the first
+    candidate of each class, over the bases in order and their downsets
+    in ``downsets()`` order, represents it.  Twins a < b of a base (the
+    same strict down and up masks) are skipped over: a downset holding b
+    but not a gives, swapped, an isomorphic candidate from an earlier
+    downset of the same base, so it is never first and is not built.
     """
     if max_points > caps.max_enum_points:
         raise SizeCap(

@@ -65,6 +65,28 @@ def test_poset_check(capsys, chain_file):
     assert "downsets: 3" in out
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit"
+)
+def test_poset_check_prints_huge_counts_in_full(capsys, tmp_path):
+    # 2**2200 has 663 digits, past the lowest int-to-str limit Python allows
+    # (640); the default limit of 4,300 digits is passed at 14,285 points
+    wide = tmp_path / "wide.poset"
+    wide.write_text("points: " + " ".join(f"a{i}" for i in range(2200)) + "\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "poset", "check", str(wide))
+        rcode, rout, _ = run(capsys, "--format", "records", "poset", "check", str(wide))
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and rcode == 0 and err == ""
+    count = str(2 ** 2200)
+    assert out.splitlines() == ["points: 2200", "height: 0", "downsets: " + count]
+    assert rout.splitlines()[2] == "downsets=" + count
+
+
 def test_poset_show_lists_ranks(capsys, vee_file):
     code, out, _ = run(capsys, "poset", "show", vee_file)
     assert code == 0

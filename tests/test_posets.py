@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coheyting import posets
 from coheyting.config import DEFAULT_CAPS, Caps
 from coheyting.errors import (
     CycleDetected,
     DuplicateName,
     FormatError,
+    FrameMismatch,
     SizeCap,
 )
 from coheyting.fixtures import load_fixture
@@ -453,6 +455,103 @@ def test_canonical_codes_pinned():
     assert len(codes) == 405
     digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
     assert digest.startswith("d573d0ee718d3017")
+
+
+def sha256_of(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_canonical_codes_pinned_on_seven_points():
+    # every 7-point class (2,045), bare and under one fixed persistent
+    # colouring of three variables (each holds on a downset); the digest
+    # was computed on the colour-list search that preceded the ordered
+    # partitions, so the codes are byte-identical to it
+    sevens = [p for p in enumerate_posets(7) if p.n == 7]
+    assert len(sevens) == 2045
+    rng = random.Random(7)
+    seeds = [rng.getrandbits(7) for _ in range(3)]
+
+    def colouring(p):
+        holds = [p.down_closure(s) for s in seeds]
+        return [
+            frozenset(v for v, m in zip(("x1", "x2", "x3"), holds) if m >> i & 1)
+            for i in range(p.n)
+        ]
+
+    codes = [canonical_form(p) for p in sevens]
+    codes += [canonical_form(p, colouring(p)) for p in sevens]
+    assert sha256_of(codes).startswith("6b1bd5a348d43686")
+
+
+def symmetric_labelled(rng):
+    """m copies of a random q-point poset, labelled alike, plus extra points
+    each above or below one point of every copy, in a shuffled order: 8 to
+    14 points whose copies refinement cannot tell apart."""
+    n, q = rng.randint(8, 14), rng.randint(2, 4)
+    m = n // q
+    inner = [(a, b) for a in range(q) for b in range(a + 1, q) if rng.random() < 0.5]
+    inner_labels = [rng.choice((None, "a")) for _ in range(q)]
+    covers, labels = [], []
+    for c in range(m):
+        covers += [(c * q + a, c * q + b) for a, b in inner]
+        labels += inner_labels
+    for e in range(m * q, n):
+        t = rng.randrange(q)
+        upward = rng.random() < 0.5
+        covers += [(c * q + t, e) if upward else (e, c * q + t) for c in range(m)]
+        labels.append(rng.choice((None, "b")))
+    names = [f"r{i}" for i in range(n)]
+    rng.shuffle(names)
+    return build_poset(names, [(names[a], names[b]) for a, b in covers]), labels
+
+
+def test_canonical_codes_pinned_on_searches_of_several_leaves():
+    # 40 seeded labelled posets of 8-14 points, most of which search more
+    # than one leaf (up to 720); the digest was computed on the colour-list
+    # search that preceded the ordered partitions
+    rng = random.Random(12)
+    codes, several = [], 0
+    for _ in range(40):
+        poset, labels = symmetric_labelled(rng)
+        code = canonical_form(poset, labels)
+        # a mapping that leaves out the None labels gives the same code
+        mapped = {i: label for i, label in enumerate(labels) if label is not None}
+        assert canonical_form(poset, mapped) == code
+        codes.append(code)
+        try:
+            canonical_form(poset, labels, Caps(max_canonical_leaves=1))
+        except SizeCap:
+            several += 1
+    assert several >= 25
+    assert sha256_of(codes).startswith("bb5dfebfff5a4fb6")
+
+
+def test_enumeration_pinned(monkeypatch):
+    # names and covers of all 2,450 representatives of up to 7 points, and
+    # the canonical_form calls of a cold enumeration (caps used nowhere
+    # else, so the per-caps cache is empty); the digest was computed on
+    # the enumeration without the twin skip, which made 6,377 calls
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return canonical_form(*args, **kwargs)
+
+    monkeypatch.setattr(posets, "canonical_form", counting)
+    reps = list(enumerate_posets(7, Caps(max_enum_points=8)))
+    assert len(reps) == 2450 and len(calls) == 5069
+    assert sha256_of(repr((p.names, p.covers)) for p in reps).startswith("6af9dbfe7644e4ce")
+    monkeypatch.undo()
+    assert reps == list(enumerate_posets(7))
+
+
+def test_canonical_form_label_count_must_match():
+    vee = build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    for labels in (["x", "y"], ["x", "y", "z", "w"], [], ()):
+        with pytest.raises(FrameMismatch):
+            canonical_form(vee, labels)
+    # a mapping gives None to the points it leaves out, and ignores others
+    assert canonical_form(vee, {1: "x", 7: "y"}) == canonical_form(vee, [None, "x", None])
 
 
 def relabelled(names, covers, labels, rng):
