@@ -73,6 +73,18 @@ class KripkeModel:
     vars: tuple[str, ...]
     colors: tuple[int, ...]
 
+    @property
+    def columns(self) -> tuple[PointSet, ...]:
+        """``columns[i]``: the points whose colour holds variable i, the
+        truth set of ``vars[i]``; computed on first use and kept."""
+        found = self.__dict__.get("_columns")
+        if found is None:
+            found = self.__dict__["_columns"] = tuple(
+                mask_of(p for p, c in enumerate(self.colors) if c >> i & 1)
+                for i in range(len(self.vars))
+            )
+        return found
+
     def color_set(self, p: int) -> frozenset[str]:
         return frozenset(
             self.vars[i] for i in range(len(self.vars)) if self.colors[p] >> i & 1
@@ -124,9 +136,7 @@ def truth_set(model: KripkeModel, t: Term) -> PointSet:
     """Points forcing an implication-signature term; always a frame downset."""
     if t.has_diff:
         raise SignatureMismatch("forcing evaluates implication-signature terms")
-    values = {v: mask_of(p for p, c in enumerate(model.colors) if c >> i & 1)
-              for i, v in enumerate(model.vars)}
-    return run_program(t.code, values, model.frame)
+    return run_program(t.code, dict(zip(model.vars, model.columns)), model.frame)
 
 
 def forces(model: KripkeModel, point: int | str, t: Term) -> bool:
@@ -288,9 +298,10 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
                 ) from None
             if not antichain:
                 break
-            inter = (1 << n) - 1
+            inter, below = (1 << n) - 1, 0
             for w in bits(antichain):
                 inter &= colors[w]
+                below |= down[w]
             single = antichain.bit_count() == 1
             for c in range(inter + 1):
                 if c & inter != c:
@@ -305,10 +316,7 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
                     )
                 names.append(f"u{idx}")
                 colors.append(c)
-                mask = 1 << idx
-                for w in bits(antichain):
-                    mask |= down[w]
-                down.append(mask)
+                down.append(below | 1 << idx)
                 new_layer.append(idx)
         if not new_layer:
             break
@@ -409,10 +417,11 @@ def d_equivalent(
         raise UnboundVariable(
             f"terms use {len(names)} variables but only {n} generators exist"
         )
-    # sorted name i stands for generator i, read off colour bit i
+    # sorted name i stands for generator i, read off colour column i
     uf = free_quotient(n, d, caps).frame.model
-    model = KripkeModel(uf.frame, names, uf.colors)
-    return truth_set(model, t1) == truth_set(model, t2)
+    values = dict(zip(names, uf.columns))
+    frame = uf.frame
+    return run_program(t1.code, values, frame) == run_program(t2.code, values, frame)
 
 
 def enumerate_reduced_models(
@@ -420,12 +429,22 @@ def enumerate_reduced_models(
 ) -> Iterator[KripkeModel]:
     """All reduced models of depth at most d on n letters, up to
     isomorphism: the nonempty downsets of the universal frame, as induced
-    submodels, deduplicated by canonical code."""
+    submodels in ``set_key`` order, deduplicated by canonical code.
+
+    With ``max_points`` the downsets come from ``Poset.downsets_upto``,
+    which walks only those of at most ``max_points`` points, and
+    ``caps.max_closure`` bounds the downsets walked; without it they come
+    from the full list ``Poset.downsets``, which is faster to build whole
+    and is bounded by its own count."""
     uf = universal_frame(n, d, caps)
     frame = uf.model.frame
+    if max_points is None:
+        found = frame.downsets(caps)
+    else:
+        found = frame.downsets_upto(max_points, caps)
     seen: set[str] = set()
-    for ds in frame.downsets(caps):
-        if not ds or max_points is not None and ds.bit_count() > max_points:
+    for ds in found:
+        if not ds:
             continue
         sub = frame.induced(ds)
         colors = [uf.model.colors[p] for p in bits(ds)]

@@ -199,23 +199,61 @@ class Poset:
         """A fresh list of ``downsets(caps)``: the caller may change it."""
         return list(self.downsets(caps))
 
+    def downsets_upto(self, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[PointSet, ...]:
+        """The downsets of at most ``k`` points: a prefix of ``downsets()``,
+        the same masks in the same order, built without the rest and kept
+        by no one.  Level by level, each downset of s points gains in turn
+        each point outside it whose strict down-set it holds, and the
+        level of s+1 points is sorted by its ``_step`` keys.  SizeCap is
+        raised once more than ``caps.max_closure`` downsets have been
+        walked, whatever ``downsets()`` would count."""
+        n, down, full, cap = self.n, self.down, self.full, caps.max_closure
+        steps = [_step(n, i) for i in range(n)]
+        found, level = [0], [0]
+        for _size in range(min(k, n)):
+            bigger: set[int] = set()
+            for key in level:
+                ds = key & full
+                out = full & ~ds
+                while out:
+                    low = out & -out
+                    out ^= low
+                    i = low.bit_length() - 1
+                    if down[i] & ~ds == low:
+                        bigger.add(key + steps[i])
+                if len(found) + len(bigger) > cap:
+                    raise SizeCap(f"more than {cap} downsets")
+            level = sorted(bigger)
+            found += level
+        return tuple([key & full for key in found])
+
     def count_downsets(self) -> int:
-        """Number of downsets, computed without materializing them.
-        Those of ``sub`` without its lowest point x plus those with it,
-        memoized, with an explicit stack in place of recursion."""
-        memo: dict[PointSet, int] = {0: 1}
-        todo = [self.full]
-        while todo:
-            sub = todo.pop()
-            if sub in memo:
-                continue
-            x = (sub & -sub).bit_length() - 1
-            a, b = sub & ~self.up[x], sub & ~self.down[x]
-            if a in memo and b in memo:
-                memo[sub] = memo[a] + memo[b]
-            else:
-                todo += (sub, a, b)
-        return memo[self.full]
+        """Number of downsets, computed without materializing them: the
+        product over the connected components of the comparability graph.
+        In each component, those of ``sub`` without its lowest point x plus
+        those with it, memoized, with an explicit stack in place of
+        recursion; an antichain is n components of one point."""
+        down, up, total, rest = self.down, self.up, 1, self.full
+        while rest:
+            comp, new = 0, rest & -rest
+            while new:
+                comp |= new
+                new = (self.down_closure(new) | self.up_closure(new)) & ~comp
+            rest &= ~comp
+            memo: dict[PointSet, int] = {0: 1}
+            todo = [comp]
+            while todo:
+                sub = todo.pop()
+                if sub in memo:
+                    continue
+                x = (sub & -sub).bit_length() - 1
+                a, b = sub & ~up[x], sub & ~down[x]
+                if a in memo and b in memo:
+                    memo[sub] = memo[a] + memo[b]
+                else:
+                    todo += (sub, a, b)
+            total *= memo[comp]
+        return total
 
     def format_points(self, s: PointSet) -> str:
         return "{" + ",".join(self.names[i] for i in bits(s)) + "}"

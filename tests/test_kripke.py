@@ -42,7 +42,7 @@ from coheyting.kripke import (
     truth_set,
     universal_frame,
 )
-from coheyting.posets import bits, build_poset
+from coheyting.posets import Poset, bits, build_poset
 from coheyting.suites import random_term
 from coheyting.terms import dualize, eval_term, parse_term
 
@@ -197,6 +197,43 @@ def test_universal_frame_antichain_cap_reports_census():
     assert err.value.census == (4, 18, 19978)
 
 
+def test_universal_frame_structure_pinned():
+    # sha256 of (names, covers, colors, layers), computed on the build that
+    # walked each antichain once per colour: pins the frames themselves,
+    # beyond their censuses
+    pins = {
+        (1, 5): "5b1d4af087402f9e",
+        (2, 2): "fe2b5a7efe1a2b07",
+        (3, 1): "307f0e884c0fe92c",
+    }
+    for (n, d), pin in pins.items():
+        uf = universal_frame(n, d)
+        frame = uf.model.frame
+        text = repr((frame.names, frame.covers, uf.model.colors, uf.layers))
+        assert hashlib.sha256(text.encode()).hexdigest().startswith(pin)
+
+
+def test_columns_are_colour_bits():
+    for model in [two_chain_model(), universal_frame(2, 2).model,
+                  universal_frame(3, 1).model]:
+        assert len(model.columns) == len(model.vars)
+        for i, column in enumerate(model.columns):
+            assert column == sum(
+                1 << p for p, c in enumerate(model.colors) if c >> i & 1
+            )
+        assert model.columns is model.columns
+
+
+def test_truth_set_follows_renamed_variables():
+    model = universal_frame(2, 2).model
+    renamed = make_model(model.frame, ("b", "a"), model.colors)
+    for seed in range(200):
+        # the same draws over two name lists give the same term, renamed
+        t = random_term(random.Random(seed), list(model.vars), depth=4, kind="impl")
+        u = random_term(random.Random(seed), ["b", "a"], depth=4, kind="impl")
+        assert truth_set(model, t) == truth_set(renamed, u)
+
+
 def test_algebra_of_model_closure_cap():
     model = free_quotient(1, 3).frame.model
     assert len(algebra_of_model(model)) == free_quotient(1, 3).algebra.size()
@@ -281,6 +318,33 @@ def test_reduced_models_of_f22_pinned():
     assert len(codes) == 865
     digest = hashlib.sha256("\n".join(codes).encode()).hexdigest()
     assert digest.startswith("d1a55e034b284611")
+
+
+def test_bounded_reduced_models_walk_only_small_downsets(monkeypatch):
+    def no_full_list(self, caps=DEFAULT_CAPS):
+        raise AssertionError("the full downset list was built")
+
+    # the unbounded route, cut to the bound, gives the same models in order
+    expected = {
+        k: [model_code(m) for m in enumerate_reduced_models(1, 3) if m.frame.n <= k]
+        for k in range(1, 8)
+    }
+    monkeypatch.setattr(Poset, "downsets", no_full_list)
+    assert len(list(enumerate_reduced_models(2, 2, 6))) == 865
+    for k, codes in expected.items():
+        assert [model_code(m) for m in enumerate_reduced_models(1, 3, k)] == codes
+    with pytest.raises(AssertionError):
+        list(enumerate_reduced_models(1, 2))
+
+
+def test_bounded_reduced_models_cap_counts_the_walk():
+    # 866 downsets of at most 6 points are walked, the empty one included,
+    # of 265,454 in all
+    with pytest.raises(SizeCap):
+        list(enumerate_reduced_models(2, 2, 6, Caps(max_closure=800)))
+    assert len(list(enumerate_reduced_models(2, 2, 6, Caps(max_closure=1000)))) == 865
+    with pytest.raises(SizeCap):
+        list(enumerate_reduced_models(2, 2, None, Caps(max_closure=1000)))
 
 
 def test_model_algebra_round_trip():

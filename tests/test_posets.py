@@ -23,7 +23,7 @@ from coheyting.errors import (
     SizeCap,
 )
 from coheyting.fixtures import load_fixture
-from coheyting.kripke import free_quotient
+from coheyting.kripke import free_quotient, universal_frame
 from coheyting.posets import (
     Poset,
     _from_down,
@@ -224,6 +224,53 @@ def test_downsets_against_subset_brute_force():
 def test_count_downsets_matches_all_downsets():
     for p in enumerate_posets(6):
         assert p.count_downsets() == len(p.all_downsets())
+
+
+def test_count_downsets_multiplies_components():
+    # a 3-chain (4 downsets), a diamond (6) and a 3-point antichain (8),
+    # side by side and interleaved in index order
+    union = build_poset(
+        ["c0", "d0", "a0", "c1", "d1", "d2", "a1", "c2", "d3", "a2"],
+        [("c0", "c1"), ("c1", "c2"),
+         ("d0", "d1"), ("d0", "d2"), ("d1", "d3"), ("d2", "d3")],
+    )
+    assert union.count_downsets() == len(union.downsets()) == 4 * 6 * 8
+    wide = build_poset([f"p{i}" for i in range(14400)])
+    assert wide.count_downsets() == 2 ** 14400
+
+
+def walk_is_prefix(p: Poset, ks) -> None:
+    full = p.downsets()
+    for k in ks:
+        walked = p.downsets_upto(k)
+        assert walked == full[:len(walked)]
+        assert len(walked) == sum(1 for m in full if m.bit_count() <= k)
+
+
+def test_downsets_upto_is_a_prefix_of_downsets():
+    for p in enumerate_posets(6):
+        for q in (p, p.dual()):
+            walk_is_prefix(q, range(q.n + 2))
+    for n, d in ((1, 1), (1, 2), (1, 3), (1, 4), (2, 1)):
+        frame = universal_frame(n, d).model.frame
+        walk_is_prefix(frame, range(frame.n + 2))
+    # the (2,2) frame: every k up to 12 points, 110,060 downsets, then all
+    # 22 points; one full walk takes ~1 s
+    frame = universal_frame(2, 2).model.frame
+    walk_is_prefix(frame, [*range(13), frame.n])
+    assert len(frame.downsets_upto(6)) == 866
+
+
+def test_downsets_upto_counts_its_own_walk():
+    flat = build_poset(["a", "b", "c", "d"])
+    # 1 + 4 + 6 downsets of at most 2 points, of 16 in all
+    assert len(flat.downsets_upto(2, Caps(max_closure=11))) == 11
+    with pytest.raises(SizeCap):
+        flat.downsets_upto(2, Caps(max_closure=10))
+    with pytest.raises(SizeCap):
+        flat.downsets(Caps(max_closure=11))
+    assert flat.downsets_upto(0) == (0,)
+    assert build_poset([]).downsets_upto(3) == (0,)
 
 
 def reference_downsets(p: Poset) -> list[int]:
