@@ -7,6 +7,7 @@ empty, 2 bad input, 3 a size cap was hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -43,10 +44,9 @@ from .terms import dualize, eval_term, parse_formula, parse_term, print_term
 
 
 def _caps(args) -> Caps:
-    caps = DEFAULT_CAPS
-    if getattr(args, "max_nodes", None) is not None:
-        caps = replace(caps, max_frame_nodes=args.max_nodes)
-    return caps
+    if args.max_nodes is None:
+        return DEFAULT_CAPS
+    return replace(DEFAULT_CAPS, max_frame_nodes=args.max_nodes)
 
 
 def _text(value) -> str:
@@ -407,7 +407,94 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg)
 
 
+_INT = {"type": int}
+_N, _D, _DEPTH = ("n", _INT), ("d", _INT), ("depth", _INT)
+_ELEMENT = ("element", {"help": "element literal, e.g. {p0,p1}"})
+_SHOW = ("--show", {"action": "store_true"})
+
+# One row per leaf command: its handler and its arguments.  An argument is
+# a positional name, or an (add_argument name, keywords) pair.  A group is
+# made on its first row, so the rows give the order of ``--help``.
+_COMMANDS = {
+    "poset check": (cmd_poset_check, ["file"]),
+    "poset show": (cmd_poset_show, ["file"]),
+    "alg dim": (cmd_alg, ["file"]),
+    "alg codim": (cmd_alg, ["file", _ELEMENT]),
+    "alg dim-elt": (cmd_alg, ["file", _ELEMENT]),
+    "alg epsilon": (cmd_alg, ["file", _D]),
+    "alg irr": (cmd_alg, ["file"]),
+    "alg jsupp": (cmd_alg, ["file", _ELEMENT]),
+    "alg msupp": (cmd_alg, ["file", _ELEMENT]),
+    "alg quotient": (cmd_alg, ["file", _D]),
+    "alg conj": (cmd_alg_conj, [
+        ("direction", {"choices": ["up", "down"]}), "file", "element",
+    ]),
+    "terms parse": (cmd_terms_parse, ["term"]),
+    "terms dual": (cmd_terms_dual, ["term"]),
+    "terms eval": (cmd_terms_eval, [
+        "term", "file", ("--let", {"action": "append", "help": "binding name={p,q}"}),
+    ]),
+    "kripke force": (cmd_kripke_force, [
+        "file", ("point", {"help": "point name, or * for all points"}), "term",
+    ]),
+    "kripke reduce": (cmd_kripke_reduce, ["file"]),
+    "kripke universal": (cmd_kripke_universal, [_N, _D, _SHOW]),
+    "kripke models": (cmd_kripke_models, [_N, _D, ("--max-points", _INT), _SHOW]),
+    "free size": (cmd_free_size, [_N, _D]),
+    "free epsilon": (cmd_free_epsilon, [_N, _D, ("e", _INT)]),
+    "free project": (cmd_free_project, [_N, _D]),
+    "equiv": (cmd_equiv, [_N, _D, "term1", "term2"]),
+    "tower census": (cmd_tower_census, [_N, _DEPTH]),
+    "tower lift": (cmd_tower_lift, [_N, _DEPTH, "term"]),
+    "tower limit": (cmd_tower_limit, [_N, _DEPTH, ("terms", {"nargs": "+"})]),
+    "fmp-search": (cmd_fmp_search, [
+        "formula",
+        ("--max-points", {
+            "type": int, "default": 5,
+            "help": "search posets of 1..N points (default 5)",
+        }),
+        ("--max-assignments", {
+            "type": int, "default": 100000,
+            "help": "variable assignments tried per poset, not in total, before "
+            "the search moves on to the next poset (default 100000)",
+        }),
+    ]),
+    "verify": (cmd_verify, [
+        ("suites", {"nargs": "*"}),
+        ("--list", {"action": "store_true"}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--budget", {"type": int, "default": 300}),
+        ("--max-points", {"type": int, "default": 5}),
+    ]),
+    "export dot": (cmd_export_dot, ["file"]),
+}
+
+_HELP = {
+    "poset": "inspect poset files",
+    "poset check": "validate a poset file",
+    "poset show": "normalized text plus rank data",
+    "alg": "downset algebra of a poset file",
+    "terms": "parse, dualize and evaluate terms",
+    "kripke": "models over frames",
+    "free": "finite stages of free algebras",
+    "equiv": "depth-bounded equivalence of terms",
+    "tower": "quotient towers of free algebras",
+    "fmp-search": "search small posets for a formula witness",
+    "verify": "run the law-checking suites",
+    "export": "export a poset file",
+}
+
+
+def _add_parser(group, path: str) -> argparse.ArgumentParser:
+    # a command without a help line stays out of its group's listing
+    keywords = {"help": _HELP[path]} if path in _HELP else {}
+    return group.add_parser(path.rpartition(" ")[2], **keywords)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, built on the first call and shared by every
+    later one; ``parse_args`` reads it and makes a fresh namespace."""
     parser = _Parser(
         prog="coheyting",
         description="Dimension, codimension and quotient towers of finite "
@@ -421,145 +508,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-nodes", type=int, default=None,
         help="override the frame size cap",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("poset", help="inspect poset files")
-    psub = p.add_subparsers(dest="sub", required=True)
-    q = psub.add_parser("check", help="validate a poset file")
-    q.add_argument("file")
-    q.set_defaults(func=cmd_poset_check)
-    q = psub.add_parser("show", help="normalized text plus rank data")
-    q.add_argument("file")
-    q.set_defaults(func=cmd_poset_show)
-
-    p = sub.add_parser("alg", help="downset algebra of a poset file")
-    asub = p.add_subparsers(dest="op2", required=True)
-    for op, with_elem, with_d in [
-        ("dim", False, False),
-        ("codim", True, False),
-        ("dim-elt", True, False),
-        ("epsilon", False, True),
-        ("irr", False, False),
-        ("jsupp", True, False),
-        ("msupp", True, False),
-        ("quotient", False, True),
-    ]:
-        q = asub.add_parser(op)
-        q.add_argument("file")
-        if with_elem:
-            q.add_argument("element", help="element literal, e.g. {p0,p1}")
-        if with_d:
-            q.add_argument("d", type=int)
-        q.set_defaults(func=cmd_alg, op=op)
-    q = asub.add_parser("conj")
-    q.add_argument("direction", choices=["up", "down"])
-    q.add_argument("file")
-    q.add_argument("element")
-    q.set_defaults(func=cmd_alg_conj)
-
-    p = sub.add_parser("terms", help="parse, dualize and evaluate terms")
-    tsub = p.add_subparsers(dest="sub", required=True)
-    q = tsub.add_parser("parse")
-    q.add_argument("term")
-    q.set_defaults(func=cmd_terms_parse)
-    q = tsub.add_parser("dual")
-    q.add_argument("term")
-    q.set_defaults(func=cmd_terms_dual)
-    q = tsub.add_parser("eval")
-    q.add_argument("term")
-    q.add_argument("file")
-    q.add_argument("--let", action="append", help="binding name={p,q}")
-    q.set_defaults(func=cmd_terms_eval)
-
-    p = sub.add_parser("kripke", help="models over frames")
-    ksub = p.add_subparsers(dest="sub", required=True)
-    q = ksub.add_parser("force")
-    q.add_argument("file")
-    q.add_argument("point", help="point name, or * for all points")
-    q.add_argument("term")
-    q.set_defaults(func=cmd_kripke_force)
-    q = ksub.add_parser("reduce")
-    q.add_argument("file")
-    q.set_defaults(func=cmd_kripke_reduce)
-    q = ksub.add_parser("universal")
-    q.add_argument("n", type=int)
-    q.add_argument("d", type=int)
-    q.add_argument("--show", action="store_true")
-    q.set_defaults(func=cmd_kripke_universal)
-    q = ksub.add_parser("models")
-    q.add_argument("n", type=int)
-    q.add_argument("d", type=int)
-    q.add_argument("--max-points", type=int, default=None)
-    q.add_argument("--show", action="store_true")
-    q.set_defaults(func=cmd_kripke_models)
-
-    p = sub.add_parser("free", help="finite stages of free algebras")
-    fsub = p.add_subparsers(dest="sub", required=True)
-    q = fsub.add_parser("size")
-    q.add_argument("n", type=int)
-    q.add_argument("d", type=int)
-    q.set_defaults(func=cmd_free_size)
-    q = fsub.add_parser("epsilon")
-    q.add_argument("n", type=int)
-    q.add_argument("d", type=int)
-    q.add_argument("e", type=int)
-    q.set_defaults(func=cmd_free_epsilon)
-    q = fsub.add_parser("project")
-    q.add_argument("n", type=int)
-    q.add_argument("d", type=int)
-    q.set_defaults(func=cmd_free_project)
-
-    p = sub.add_parser("equiv", help="depth-bounded equivalence of terms")
-    p.add_argument("n", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("term1")
-    p.add_argument("term2")
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("tower", help="quotient towers of free algebras")
-    wsub = p.add_subparsers(dest="sub", required=True)
-    q = wsub.add_parser("census")
-    q.add_argument("n", type=int)
-    q.add_argument("depth", type=int)
-    q.set_defaults(func=cmd_tower_census)
-    q = wsub.add_parser("lift")
-    q.add_argument("n", type=int)
-    q.add_argument("depth", type=int)
-    q.add_argument("term")
-    q.set_defaults(func=cmd_tower_lift)
-    q = wsub.add_parser("limit")
-    q.add_argument("n", type=int)
-    q.add_argument("depth", type=int)
-    q.add_argument("terms", nargs="+")
-    q.set_defaults(func=cmd_tower_limit)
-
-    p = sub.add_parser("fmp-search", help="search small posets for a formula witness")
-    p.add_argument("formula")
-    p.add_argument(
-        "--max-points", type=int, default=5,
-        help="search posets of 1..N points (default 5)",
-    )
-    p.add_argument(
-        "--max-assignments", type=int, default=100000,
-        help="variable assignments tried per poset, not in total, before the "
-        "search moves on to the next poset (default 100000)",
-    )
-    p.set_defaults(func=cmd_fmp_search)
-
-    p = sub.add_parser("verify", help="run the law-checking suites")
-    p.add_argument("suites", nargs="*")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=300)
-    p.add_argument("--max-points", type=int, default=5)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("export", help="export a poset file")
-    esub = p.add_subparsers(dest="sub", required=True)
-    q = esub.add_parser("dot")
-    q.add_argument("file")
-    q.set_defaults(func=cmd_export_dot)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, (func, arguments) in _COMMANDS.items():
+        group, _, op = path.rpartition(" ")
+        if group not in groups:
+            parent = _add_parser(groups[""], group)
+            groups[group] = parent.add_subparsers(dest="sub", required=True)
+        leaf = _add_parser(groups[group], path)
+        for arg in arguments:
+            name, keywords = (arg, {}) if isinstance(arg, str) else arg
+            leaf.add_argument(name, **keywords)
+        leaf.set_defaults(func=func, op=op)
     return parser
 
 

@@ -268,6 +268,11 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
     """
     if n < 0 or d < 0:
         raise FrameMismatch("need n >= 0 and d >= 0")
+    # layer 1 holds 2**n points; n >= bit_length(cap) is 2**n > cap
+    if d >= 1 and n >= caps.max_frame_nodes.bit_length():
+        raise SizeCap(
+            f"universal frame exceeds {caps.max_frame_nodes} nodes", census=()
+        )
     vars = tuple(f"x{i + 1}" for i in range(n))
     names: list[str] = []
     colors: list[int] = []

@@ -170,7 +170,7 @@ class Poset:
 
     def antichains(self, caps: Caps = DEFAULT_CAPS) -> list[PointSet]:
         """All nonempty antichains, sorted by size then lexicographic indices."""
-        return enumerate_antichains(self.down, self.up, None, caps)
+        return list(antichain_stream(self.down, self.up, None, caps))
 
     def downsets(self, caps: Caps = DEFAULT_CAPS) -> tuple[PointSet, ...]:
         """Every downset, sorted by (size, indices), as one tuple kept for
@@ -305,17 +305,6 @@ def antichain_stream(
                         raise SizeCap(f"more than {caps.max_antichains} antichains")
                     yield cur
         level = bigger
-
-
-def enumerate_antichains(
-    down: Sequence[PointSet],
-    up: Sequence[PointSet],
-    keep: Callable[[PointSet], bool] | None,
-    caps: Caps,
-) -> list[PointSet]:
-    """Every antichain of ``antichain_stream``, as a list in ``set_key``
-    order; SizeCap as there."""
-    return list(antichain_stream(down, up, keep, caps))
 
 
 def close(

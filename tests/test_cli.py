@@ -4,8 +4,11 @@ Commands run in-process through main(argv) so assertions can read captured
 stdout; subprocess tests run the module and the installed console script.
 """
 
+import argparse
 import contextlib
+import hashlib
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coheyting.cli import main
+from coheyting.cli import build_parser, main
 
 CHAIN = "points: p0 p1\ncovers: p0<p1\n"
 VEE = "points: p0 p1 p2\ncovers: p0<p1 p0<p2\n"
@@ -150,6 +153,19 @@ def test_terms_eval_with_bindings(capsys, chain_file):
     )
     assert code == 2
     assert "binding" in err
+
+
+def test_shared_parser_keeps_no_values_between_calls(capsys, chain_file):
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "terms", "eval", "x", chain_file, "--let", "x={p0}")
+    assert code == 0 and out.strip() == "{p0}"
+    code, out, err = run(capsys, "terms", "eval", "x", chain_file)
+    assert code == 2 and out == ""
+    assert err == "error: variable 'x' has no value\n"
+    # every group names its subcommand dest 'sub', the alg group too
+    code, _, err = run(capsys, "alg")
+    assert code == 2
+    assert err == "error: the following arguments are required: sub\n"
 
 
 def test_kripke_force(capsys, model_file):
@@ -338,6 +354,12 @@ def test_size_cap_exit_three(capsys):
     code, _, err = run(capsys, "--max-nodes", "8", "kripke", "universal", "2", "2")
     assert code == 3
     assert "cap exceeded" in err
+    # the 2**n points of layer 1 count toward the cap
+    code, out, err = run(capsys, "--max-nodes", "3", "kripke", "universal", "2", "1")
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: universal frame exceeds 3 nodes\n"
+    code, out, _ = run(capsys, "--max-nodes", "4", "kripke", "universal", "2", "1")
+    assert code == 0 and "census: 4" in out
 
 
 def test_console_script_roundtrip():
@@ -447,3 +469,65 @@ def test_cli_fuzz_exit_codes(fuzz_files, toks, depth):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 1, 2, 3), argv[:2]
+
+
+LEAVES = [
+    "poset check", "poset show",
+    "alg dim", "alg codim", "alg dim-elt", "alg epsilon", "alg irr",
+    "alg jsupp", "alg msupp", "alg quotient", "alg conj",
+    "terms parse", "terms dual", "terms eval",
+    "kripke force", "kripke reduce", "kripke universal", "kripke models",
+    "free size", "free epsilon", "free project",
+    "equiv",
+    "tower census", "tower lift", "tower limit",
+    "fmp-search", "verify", "export dot",
+]
+
+
+def command_tree(parser, path=()):
+    """Every parser's actions, defaults and subcommand help lines, keyed by
+    command path.  Leaf ``op`` defaults are left out, and the ``alg``
+    group's subcommand dest reads ``sub`` under either of its names
+    (``op2`` before the command table): neither is part of the command
+    line a user types."""
+    tree = {}
+    actions = []
+    for action in parser._actions:
+        record = {
+            "class": type(action).__name__,
+            "dest": "sub" if action.dest == "op2" else action.dest,
+            "options": action.option_strings,
+            "nargs": action.nargs,
+            "type": getattr(action.type, "__name__", action.type),
+            "default": action.default,
+            "choices": list(action.choices) if action.choices else None,
+            "help": action.help,
+            "required": action.required,
+        }
+        if isinstance(action, argparse._SubParsersAction):
+            record["helps"] = {a.dest: a.help for a in action._choices_actions}
+            for name, child in action.choices.items():
+                tree.update(command_tree(child, path + (name,)))
+        actions.append(record)
+    defaults = {k: getattr(v, "__name__", v) for k, v in parser._defaults.items()}
+    defaults.pop("op", None)
+    tree[" ".join(path)] = {"actions": actions, "defaults": defaults}
+    return tree
+
+
+def test_command_tree_pinned():
+    # sha256 prefix of the tree as the hand-written parser built it, before
+    # the command table; the structure, not the rendered --help text, which
+    # varies with the Python version and COLUMNS
+    tree = command_tree(build_parser())
+    leaves = [path for path, node in tree.items() if "func" in node["defaults"]]
+    assert sorted(leaves) == sorted(LEAVES)
+    text = json.dumps(tree, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("6adec1b804d19bc6")
+
+
+@pytest.mark.parametrize("path", LEAVES)
+def test_every_leaf_has_help(capsys, path):
+    code, out, err = run(capsys, *path.split(), "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: coheyting " + path)

@@ -9,6 +9,7 @@ operation-closure route.
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,22 @@ def test_universal_frame_is_reduced_and_capped():
     with pytest.raises(SizeCap) as err:
         universal_frame(2, 2, Caps(max_frame_nodes=10))
     assert err.value.census is not None
+
+
+def test_universal_frame_caps_layer_one():
+    # layer 1 alone holds 2**n points: 32,768 for n = 15, over the default
+    # cap of 20,000; the check comes before any point or variable is made
+    with pytest.raises(SizeCap) as err:
+        universal_frame(15, 1)
+    assert err.value.census == ()
+    start = time.perf_counter()
+    with pytest.raises(SizeCap) as err:
+        universal_frame(64, 1)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.census == ()
+    assert universal_frame(2, 1, Caps(max_frame_nodes=4)).census == (4,)
+    with pytest.raises(SizeCap):
+        universal_frame(2, 1, Caps(max_frame_nodes=3))
 
 
 def test_universal_frame_antichain_cap_reports_census():

@@ -31,7 +31,6 @@ from coheyting.posets import (
     bits,
     build_poset,
     canonical_form,
-    enumerate_antichains,
     enumerate_posets,
     mask_of,
     parse_point_list,
@@ -393,7 +392,7 @@ def test_antichain_keep_sees_plain_masks():
         seen.append(m)
         return m.bit_count() % 2 == 1
 
-    kept = enumerate_antichains(p.down, p.up, keep, DEFAULT_CAPS)
+    kept = list(antichain_stream(p.down, p.up, keep, DEFAULT_CAPS))
     every = reference_antichains(p)
     assert sorted(seen, key=set_key) == every
     assert kept == [m for m in every if m.bit_count() % 2]
