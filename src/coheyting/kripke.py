@@ -273,6 +273,13 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
         raise SizeCap(
             f"universal frame exceeds {caps.max_frame_nodes} nodes", census=()
         )
+    # at d = 0 the frame is empty, but its model still names n variables
+    if n > caps.max_frame_nodes:
+        raise SizeCap(
+            f"universal frame names {n} variables, over the"
+            f" {caps.max_frame_nodes}-node cap",
+            census=(),
+        )
     vars = tuple(f"x{i + 1}" for i in range(n))
     names: list[str] = []
     colors: list[int] = []

@@ -6,12 +6,15 @@ scanning all joins and meets.  Frozen values for the bundled fixtures were
 computed by hand from the two- and three-point diagrams.
 """
 
+import copy
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coheyting import algebra as algebra_module
 from coheyting.algebra import (
     Algebra,
     Element,
@@ -292,6 +295,45 @@ def test_elements_build_that_raised_keeps_nothing():
     assert len(algebra.elements()) == 8
 
 
+def test_elements_build_with_the_collector_paused(monkeypatch):
+    # every element the build makes is kept, so the collector is paused
+    # for it and left as the caller had it, even when the build raises
+    made = []
+    fail_at = None
+
+    def recording(owner, pts):
+        made.append(gc.isenabled())
+        if len(made) == fail_at:
+            raise RuntimeError("constructor failed")
+        return Element(owner, pts)
+
+    monkeypatch.setattr(algebra_module, "Element", recording)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            chain = Algebra(build_poset(["a", "b"], [("a", "b")]))
+            made.clear()
+            assert len(chain.elements()) == 3
+            assert made == [False] * 3
+            assert gc.isenabled() is enabled
+            flat = Algebra(build_poset(["a", "b", "c"]))
+            made.clear()
+            fail_at = 3
+            with pytest.raises(RuntimeError):
+                flat.elements()
+            assert made == [False] * 3
+            assert gc.isenabled() is enabled
+            # the build that raised kept nothing: the next call builds anew
+            made.clear()
+            fail_at = None
+            assert [e.pts for e in flat.elements()] == flat.spec.all_downsets()
+            assert made == [False] * 8
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_morphism_validation_errors():
     chain = algebra_of("c2")
     point = Algebra(build_poset(["q"], []))
@@ -368,6 +410,26 @@ def test_element_str_and_points():
     assert str(a) == "{p0}"
     assert a.points() == ("p0",)
     assert str(c2.bottom()) == "{}"
+
+
+def test_element_constructor_contract():
+    c2 = algebra_of("c2")
+    a = c2.element({"p0"})
+    assert Element(owner=c2, pts=a.pts) == Element(c2, a.pts) == a
+    for args, kwargs in (
+        ((c2,), {}),
+        ((), {"pts": a.pts}),
+        ((c2, a.pts, 0), {}),
+        ((c2, a.pts), {"extra": 0}),
+        ((c2,), {"owner": c2, "pts": a.pts}),
+    ):
+        with pytest.raises(TypeError):
+            Element(*args, **kwargs)
+    for field in ("owner", "pts"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, field, None)
+    twin = copy.copy(a)
+    assert twin == a and hash(twin) == hash(a)
 
 
 def test_element_is_slotted_and_frozen():

@@ -360,6 +360,15 @@ def test_size_cap_exit_three(capsys):
     assert err == "cap exceeded: universal frame exceeds 3 nodes\n"
     code, out, _ = run(capsys, "--max-nodes", "4", "kripke", "universal", "2", "1")
     assert code == 0 and "census: 4" in out
+    # at d = 0 the n variable names count toward it
+    code, out, err = run(capsys, "free", "size", "20001", "0")
+    assert code == 3 and out == ""
+    assert err == (
+        "cap exceeded: universal frame names 20001 variables,"
+        " over the 20000-node cap\n"
+    )
+    code, out, _ = run(capsys, "--max-nodes", "20001", "free", "size", "20001", "0")
+    assert code == 0 and out == "1\n"
 
 
 def test_console_script_roundtrip():
@@ -405,6 +414,8 @@ S2_LAW = (
         # point names holding the text formats' own syntax
         (["alg", "irr", "{tmp}/comma.poset"], 2),
         (["export", "dot", "{tmp}/quote.poset"], 2),
+        # d = 0 names n variables; the cap stops it before any is made
+        (["kripke", "universal", "10000000", "0"], 3),
     ],
 )
 def test_module_exit_codes_out_of_process(argv, expected, tmp_path):

@@ -204,6 +204,20 @@ def test_universal_frame_caps_layer_one():
         universal_frame(2, 1, Caps(max_frame_nodes=3))
 
 
+def test_universal_frame_caps_variables_at_depth_zero():
+    # the d = 0 frame is empty, but its model names n variables
+    assert universal_frame(3, 0, Caps(max_frame_nodes=3)).census == ()
+    start = time.perf_counter()
+    with pytest.raises(SizeCap) as err:
+        universal_frame(10**7, 0)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.census == ()
+    with pytest.raises(SizeCap) as err:
+        free_quotient(4, 0, Caps(max_frame_nodes=3))
+    assert err.value.census == ()
+    assert free_quotient(3, 0, Caps(max_frame_nodes=3)).algebra.size() == 1
+
+
 def test_universal_frame_antichain_cap_reports_census():
     with pytest.raises(SizeCap) as err:
         universal_frame(2, 3, Caps(max_antichains=1000))
