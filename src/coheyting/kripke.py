@@ -441,7 +441,13 @@ def enumerate_reduced_models(
 ) -> Iterator[KripkeModel]:
     """All reduced models of depth at most d on n letters, up to
     isomorphism: the nonempty downsets of the universal frame, as induced
-    submodels in ``set_key`` order, deduplicated by canonical code.
+    submodels in ``set_key`` order, one model per downset.
+
+    No two are isomorphic.  Distinct points of the universal model have
+    distinct theories, and an isomorphism between two of its downsets is
+    a bisimulation, which maps each point to one with the same theory:
+    the point itself.  So isomorphic downsets are equal (N. Bezhanishvili,
+    PhD thesis, Amsterdam 2006, ch. 3).
 
     With ``max_points`` the downsets come from ``Poset.downsets_upto``,
     which walks only those of at most ``max_points`` points, and
@@ -454,15 +460,7 @@ def enumerate_reduced_models(
         found = frame.downsets(caps)
     else:
         found = frame.downsets_upto(max_points, caps)
-    seen: set[str] = set()
     for ds in found:
-        if not ds:
-            continue
-        sub = frame.induced(ds)
-        colors = [uf.model.colors[p] for p in bits(ds)]
-        model = make_model(sub, uf.model.vars, colors)
-        code = model_code(model)
-        if code in seen:
-            continue
-        seen.add(code)
-        yield model
+        if ds:
+            colors = [uf.model.colors[p] for p in bits(ds)]
+            yield make_model(frame.induced(ds), uf.model.vars, colors)

@@ -52,8 +52,8 @@ def set_key(mask: PointSet) -> tuple:
     The bits are read from bit 0 up with 0 and 1 swapped, so a present
     point sorts first; at equal cardinality no such string is a proper
     prefix of another, so the order is that of ascending index tuples.
-    The downset stream reaches the same order through the packed integer
-    key of ``_step`` instead.
+    ``downsets_upto`` reaches the same order through the packed integer
+    key of ``_step``, which serves nothing else.
     """
     return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
@@ -177,20 +177,27 @@ class Poset:
         the life of the poset.  It is built on first use under ``caps``;
         SizeCap is raised when there are more than ``caps.max_closure``,
         at that call or any later one, and a build that raised keeps
-        nothing.  In a topological order, each downset so far that holds
-        the points below i gains a copy with i: each is made once, as its
-        ``_step`` key."""
+        nothing.  The points are decided from index n-1 down: the downsets
+        of the decided points that hold those below i gain a copy with i,
+        appended, and those that hold one above i lose theirs without i.
+        No list is longer than the last, and each size ends in reverse
+        ``set_key`` order, put right by a reverse and a stable sort by size."""
         found = self.__dict__.get("_downsets")
         if found is None:
-            n, keys = self.n, [0]
-            for i in self._topo_order():
-                low, step = self.down[i] & ~(1 << i), _step(n, i)
-                keys += [k + step for k in keys if k & low == low]
-                if len(keys) > caps.max_closure:
+            down, up = self.down, self.up
+            masks = [0]
+            for i in reversed(range(self.n)):
+                b, later = 1 << i, -2 << i  # later: every index above i
+                need, bar = down[i] & later, up[i] & later
+                with_i = [m | b for m in masks if m & need == need]
+                if bar:
+                    masks = [m for m in masks if not m & bar]
+                masks += with_i
+                if len(masks) > caps.max_closure:
                     raise SizeCap(f"more than {caps.max_closure} downsets")
-            keys.sort()
-            full = self.full
-            found = self.__dict__["_downsets"] = tuple([k & full for k in keys])
+            masks.reverse()
+            masks.sort(key=int.bit_count)
+            found = self.__dict__["_downsets"] = tuple(masks)
         if len(found) > caps.max_closure:
             raise SizeCap(f"more than {caps.max_closure} downsets")
         return found

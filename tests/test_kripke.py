@@ -332,15 +332,27 @@ def test_depth_equivalence_matches_model_quantification():
 
 
 def test_enumerate_reduced_models_counts():
-    shallow = list(enumerate_reduced_models(1, 1))
-    assert len(shallow) == 3
-    deeper = list(enumerate_reduced_models(1, 2))
-    assert len(deeper) == 7
-    codes = [model_code(m) for m in deeper]
-    assert len(set(codes)) == 7
-    assert all(is_reduced(m) for m in deeper)
     small = list(enumerate_reduced_models(1, 2, max_points=1))
     assert len(small) == 2
+
+
+@pytest.mark.parametrize("n,d,max_points,count", [
+    (1, 1, None, 3), (1, 2, None, 7), (1, 3, None, 11), (1, 4, None, 15),
+    (2, 1, None, 15), (3, 1, None, 255),
+    (2, 2, 6, 865), (2, 2, 8, 6072), (3, 2, 5, 11106),
+])
+def test_one_reduced_model_per_nonempty_downset(n, d, max_points, count):
+    # no two downsets of the universal model are isomorphic, so each gives
+    # a model of its own: the canonical codes, computed here, are distinct
+    frame = universal_frame(n, d).model.frame
+    if max_points is None:
+        assert frame.count_downsets() - 1 == count
+    else:
+        assert len(frame.downsets_upto(max_points)) - 1 == count
+    models = list(enumerate_reduced_models(n, d, max_points))
+    assert len(models) == count
+    assert len({model_code(m) for m in models}) == count
+    assert all(is_reduced(m) for m in models)
 
 
 def test_reduced_models_of_f22_pinned():

@@ -337,29 +337,73 @@ def fresh_f14() -> Poset:
     return _from_down(spec.names, spec.down)
 
 
+def shuffled(p: Poset, seed: int) -> Poset:
+    """A new object for the same order, its points listed in a seeded
+    shuffled order."""
+    order = list(p.names)
+    random.Random(seed).shuffle(order)
+    return build_poset(order, [(p.names[a], p.names[b]) for a, b in p.covers])
+
+
+def f14_layouts() -> tuple[Poset, Poset]:
+    """Fresh objects for F(1,4)'s spectrum, listed top-down as built and
+    in a mixed order."""
+    return fresh_f14(), shuffled(fresh_f14(), 4)
+
+
 def test_downset_list_is_kept_and_capped_on_every_call():
-    p = fresh_f14()
-    full = p.all_downsets()
-    assert full == reference_downsets(p)
-    assert p.downsets() is p.downsets()
-    with pytest.raises(SizeCap):
-        p.all_downsets(Caps(max_closure=len(full) - 1))
-    with pytest.raises(SizeCap):
-        p.downsets(Caps(max_closure=len(full) - 1))
-    # a fresh list each call: changing one leaves the next as it was
-    mine = p.all_downsets()
-    mine[0] = -1
-    mine.append(99)
-    mine.reverse()
-    assert p.all_downsets() == reference_downsets(p)
+    for p in f14_layouts():
+        full = p.all_downsets()
+        assert full == reference_downsets(p)
+        assert p.downsets() is p.downsets()
+        with pytest.raises(SizeCap):
+            p.all_downsets(Caps(max_closure=len(full) - 1))
+        with pytest.raises(SizeCap):
+            p.downsets(Caps(max_closure=len(full) - 1))
+        # a fresh list each call: changing one leaves the next as it was
+        mine = p.all_downsets()
+        mine[0] = -1
+        mine.append(99)
+        mine.reverse()
+        assert p.all_downsets() == reference_downsets(p)
 
 
 def test_downset_build_that_raised_keeps_nothing():
-    p = fresh_f14()
-    n = p.count_downsets()
-    with pytest.raises(SizeCap):
-        p.all_downsets(Caps(max_closure=n - 1))
-    assert p.all_downsets() == reference_downsets(p)
+    for p in f14_layouts():
+        n = p.count_downsets()
+        with pytest.raises(SizeCap):
+            p.all_downsets(Caps(max_closure=n - 1))
+        assert "_downsets" not in p.__dict__
+        assert p.all_downsets(Caps(max_closure=n)) == reference_downsets(p)
+
+
+@st.composite
+def posets_in_any_layout(draw, max_points: int = 10) -> Poset:
+    """A random order on up to ``max_points`` points, listed in a random
+    order: p_a < p_b only when a < b."""
+    n = draw(st.integers(min_value=0, max_value=max_points))
+    names = draw(st.permutations([f"p{i}" for i in range(n)]))
+    pairs = [(f"p{a}", f"p{b}") for b in range(n) for a in range(b)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return build_poset(names, chosen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(posets_in_any_layout())
+def test_downsets_match_every_subset_in_any_layout(p):
+    for q in (p, p.dual()):
+        every = [s for s in range(1 << q.n) if q.is_downset(s)]
+        assert q.downsets() == tuple(sorted(every, key=set_key))
+
+
+def test_f22_downsets_in_other_layouts():
+    # the spectrum is listed top-down; its frame bottom-up, where the walk's
+    # lists grow longest; the shuffle is mixed
+    frame = universal_frame(2, 2).model.frame
+    bottom_up = _from_down(frame.names, frame.down)
+    mixed = shuffled(free_quotient(2, 2).algebra.spec, 16)
+    for p in (bottom_up, mixed):
+        assert list(p.downsets()) == reference_downsets(p)
 
 
 @pytest.mark.parametrize("dual", [False, True], ids=["f22", "f22-dual"])
