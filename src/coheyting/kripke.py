@@ -43,7 +43,6 @@ from .posets import (
     close,
     mask_of,
     poset_to_text,
-    transpose,
 )
 from .terms import Term, Var, run_program
 
@@ -284,6 +283,7 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
     names: list[str] = []
     colors: list[int] = []
     down: list[int] = []
+    up: list[int] = []
     layers: list[tuple[int, ...]] = []
     if d >= 1:
         layer1 = []
@@ -292,13 +292,13 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
             names.append(f"u{idx}")
             colors.append(c)
             down.append(1 << idx)
+            up.append(1 << idx)
             layer1.append(idx)
         layers.append(tuple(layer1))
     for _layer in range(2, d + 1):
         # the stream reads a frozen copy of the order while the layer grows;
         # only antichains meeting the newest layer, read up to the node cap
-        lower = tuple(down)
-        found = antichain_stream(lower, transpose(lower), mask_of(layers[-1]).__and__, caps)
+        found = antichain_stream(tuple(down), tuple(up), mask_of(layers[-1]).__and__, caps)
         new_layer = []
         while True:
             try:
@@ -332,6 +332,12 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
                 new_layer.append(idx)
         if not new_layer:
             break
+        # grow the up masks by the newest layer only: a transpose of the
+        # whole lower frame per layer would cost O(layers * n**2)
+        for idx in new_layer:
+            up.append(1 << idx)
+            for w in bits(down[idx] ^ 1 << idx):
+                up[w] |= 1 << idx
         layers.append(tuple(new_layer))
     frame = _from_down(names, down)
     model = make_model(frame, vars, colors)
@@ -450,8 +456,9 @@ def enumerate_reduced_models(
     PhD thesis, Amsterdam 2006, ch. 3).
 
     With ``max_points`` the downsets come from ``Poset.downsets_upto``,
-    which walks only those of at most ``max_points`` points, and
-    ``caps.max_closure`` bounds the downsets walked; without it they come
+    which walks the points bottom-up in a linear extension, keeps only
+    the downsets of at most ``max_points`` points, sorts them once, and
+    ``caps.max_closure`` bounds how many it keeps; without it they come
     from the full list ``Poset.downsets``, which is faster to build whole
     and is bounded by its own count."""
     uf = universal_frame(n, d, caps)

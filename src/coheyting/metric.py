@@ -84,7 +84,6 @@ class Tower:
 
     levels: tuple[Algebra, ...]
     maps: tuple[Morphism, ...]
-    label: str
 
     @property
     def depth(self) -> int:
@@ -172,7 +171,6 @@ def make_tower(
             free_quotient(source, d, caps).algebra for d in range(depth + 1)
         )
         maps = tuple(projection(source, d, caps) for d in range(depth))
-        label = f"free({source})"
     else:
         quotients = []
         for d in range(depth + 1):
@@ -188,8 +186,7 @@ def make_tower(
             )
             maps_list.append(make_morphism(upper, lower, dualmap))
         maps = tuple(maps_list)
-        label = "finite"
-    tower = Tower(levels=levels, maps=maps, label=label)
+    tower = Tower(levels=levels, maps=maps)
     _audit_tower(tower)
     return tower
 

@@ -52,18 +52,8 @@ def set_key(mask: PointSet) -> tuple:
     The bits are read from bit 0 up with 0 and 1 swapped, so a present
     point sorts first; at equal cardinality no such string is a proper
     prefix of another, so the order is that of ascending index tuples.
-    ``downsets_upto`` reaches the same order through the packed integer
-    key of ``_step``, which serves nothing else.
     """
     return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
-
-
-def _step(n: int, i: int) -> int:
-    """Point i's share of the packed key ``popcount(m)*4**n - rev(m)*2**n
-    + m`` of an n-point mask, ``rev`` its n bits reversed.  Sizes do not
-    overlap, at equal size the larger ``rev`` holds ``min(A ^ B)`` and
-    sorts first, as in ``set_key``, and ``key & (2**n - 1) == m``."""
-    return (1 << 2 * n) - (1 << 2 * n - 1 - i) + (1 << i)
 
 
 @dataclass(frozen=True)
@@ -172,29 +162,42 @@ class Poset:
         """All nonempty antichains, sorted by size then lexicographic indices."""
         return list(antichain_stream(self.down, self.up, None, caps))
 
+    def _walk(self, order: Iterable[int], k: int | None, caps: Caps) -> list[PointSet]:
+        """The downsets of at most ``k`` points (``None``: every one), the
+        points decided in ``order``: the downsets of the decided points
+        that hold those below i gain a copy with i, appended, and those
+        that hold one above i lose theirs without i.  SizeCap is raised
+        as soon as a list holds more than ``caps.max_closure``."""
+        down, up, cap = self.down, self.up, caps.max_closure
+        masks, decided = [0], 0
+        for i in order:
+            b = 1 << i
+            need, bar = down[i] & decided, up[i] & decided
+            if k is not None:
+                with_i = [m | b for m in masks if m & need == need and m.bit_count() < k]
+            elif need:
+                with_i = [m | b for m in masks if m & need == need]
+            else:
+                with_i = [m | b for m in masks]
+            if bar:
+                masks = [m for m in masks if not m & bar]
+            masks += with_i
+            if len(masks) > cap:
+                raise SizeCap(f"more than {cap} downsets")
+            decided |= b
+        return masks
+
     def downsets(self, caps: Caps = DEFAULT_CAPS) -> tuple[PointSet, ...]:
         """Every downset, sorted by (size, indices), as one tuple kept for
         the life of the poset.  It is built on first use under ``caps``;
         SizeCap is raised when there are more than ``caps.max_closure``,
         at that call or any later one, and a build that raised keeps
-        nothing.  The points are decided from index n-1 down: the downsets
-        of the decided points that hold those below i gain a copy with i,
-        appended, and those that hold one above i lose theirs without i.
-        No list is longer than the last, and each size ends in reverse
+        nothing.  ``_walk`` decides the points from index n-1 down, so no
+        list is longer than the last, and each size ends in reverse
         ``set_key`` order, put right by a reverse and a stable sort by size."""
         found = self.__dict__.get("_downsets")
         if found is None:
-            down, up = self.down, self.up
-            masks = [0]
-            for i in reversed(range(self.n)):
-                b, later = 1 << i, -2 << i  # later: every index above i
-                need, bar = down[i] & later, up[i] & later
-                with_i = [m | b for m in masks if m & need == need]
-                if bar:
-                    masks = [m for m in masks if not m & bar]
-                masks += with_i
-                if len(masks) > caps.max_closure:
-                    raise SizeCap(f"more than {caps.max_closure} downsets")
+            masks = self._walk(reversed(range(self.n)), None, caps)
             masks.reverse()
             masks.sort(key=int.bit_count)
             found = self.__dict__["_downsets"] = tuple(masks)
@@ -209,30 +212,14 @@ class Poset:
     def downsets_upto(self, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[PointSet, ...]:
         """The downsets of at most ``k`` points: a prefix of ``downsets()``,
         the same masks in the same order, built without the rest and kept
-        by no one.  Level by level, each downset of s points gains in turn
-        each point outside it whose strict down-set it holds, and the
-        level of s+1 points is sorted by its ``_step`` keys.  SizeCap is
-        raised once more than ``caps.max_closure`` downsets have been
-        walked, whatever ``downsets()`` would count."""
-        n, down, full, cap = self.n, self.down, self.full, caps.max_closure
-        steps = [_step(n, i) for i in range(n)]
-        found, level = [0], [0]
-        for _size in range(min(k, n)):
-            bigger: set[int] = set()
-            for key in level:
-                ds = key & full
-                out = full & ~ds
-                while out:
-                    low = out & -out
-                    out ^= low
-                    i = low.bit_length() - 1
-                    if down[i] & ~ds == low:
-                        bigger.add(key + steps[i])
-                if len(found) + len(bigger) > cap:
-                    raise SizeCap(f"more than {cap} downsets")
-            level = sorted(bigger)
-            found += level
-        return tuple([key & full for key in found])
+        by no one.  ``_walk`` decides the points bottom-up in a linear
+        extension, so every list holds only downsets of at most ``k``
+        points and grows, and the last is sorted by ``set_key``.  SizeCap
+        is raised once there are more than ``caps.max_closure`` of them,
+        whatever ``downsets()`` would count."""
+        masks = self._walk(self._topo_order(), k, caps)
+        masks.sort(key=set_key)
+        return tuple(masks)
 
     def count_downsets(self) -> int:
         """Number of downsets, computed without materializing them: the

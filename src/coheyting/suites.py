@@ -239,7 +239,8 @@ def replay_failure(failure: Failure) -> bool:
 def _model_from_masks(
     algebra: Algebra, names: list[str], per_var: dict[str, int]
 ) -> KripkeModel:
-    """Build a model on the dual frame from per-variable truth downsets."""
+    """Build a model on ``algebra.spec`` itself, not on its dual frame,
+    from per-variable truth downsets."""
     frame = algebra.spec
     colors = []
     for p in range(frame.n):

@@ -180,6 +180,16 @@ def test_universal_censuses():
     assert universal_frame(2, 0).census == ()
 
 
+def test_universal_frame_of_many_layers():
+    # each layer extends the up masks by its own points: a transpose of the
+    # whole lower frame per layer took ~2 s on this frame
+    start = time.perf_counter()
+    uf = universal_frame(1, 200)
+    assert time.perf_counter() - start < 1.0
+    assert uf.census == (2,) * 200
+    assert uf.model.frame.n == 400
+
+
 def test_universal_frame_is_reduced_and_capped():
     uf = universal_frame(2, 2)
     assert is_reduced(uf.model)

@@ -270,6 +270,15 @@ def test_downsets_upto_counts_its_own_walk():
         flat.downsets(Caps(max_closure=11))
     assert flat.downsets_upto(0) == (0,)
     assert build_poset([]).downsets_upto(3) == (0,)
+    # and on every order of up to 5 points and its dual
+    for p in enumerate_posets(5):
+        for q in (p, p.dual()):
+            sizes = [m.bit_count() for m in q.downsets()]
+            for k in range(q.n + 2):
+                count = sum(1 for size in sizes if size <= k)
+                assert len(q.downsets_upto(k, Caps(max_closure=count))) == count
+                with pytest.raises(SizeCap):
+                    q.downsets_upto(k, Caps(max_closure=count - 1))
 
 
 def reference_downsets(p: Poset) -> list[int]:
