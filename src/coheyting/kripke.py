@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Element, Morphism, make_morphism
@@ -36,9 +36,9 @@ from .posets import (
     PointSet,
     Poset,
     _from_down,
+    _refine,
     antichain_stream,
     bits,
-    build_poset,
     canonical_form,
     close,
     mask_of,
@@ -72,17 +72,14 @@ class KripkeModel:
     vars: tuple[str, ...]
     colors: tuple[int, ...]
 
-    @property
+    @cached_property
     def columns(self) -> tuple[PointSet, ...]:
         """``columns[i]``: the points whose colour holds variable i, the
         truth set of ``vars[i]``; computed on first use and kept."""
-        found = self.__dict__.get("_columns")
-        if found is None:
-            found = self.__dict__["_columns"] = tuple(
-                mask_of(p for p, c in enumerate(self.colors) if c >> i & 1)
-                for i in range(len(self.vars))
-            )
-        return found
+        return tuple(
+            mask_of(p for p, c in enumerate(self.colors) if c >> i & 1)
+            for i in range(len(self.vars))
+        )
 
     def color_set(self, p: int) -> frozenset[str]:
         return frozenset(
@@ -119,6 +116,10 @@ def make_model(
             masks.append(mask)
     else:
         masks = list(colors)
+        if len(masks) != frame.n:
+            raise FrameMismatch(f"{len(masks)} colours for {frame.n} points")
+        if any(m >> len(var_list) for m in masks):
+            raise UnboundVariable(f"a colour holds a variable past {len(var_list)}")
     for lo, hi in frame.covers:
         if masks[lo] | masks[hi] != masks[lo]:
             raise NotMonotone(
@@ -150,54 +151,49 @@ def globally_true(model: KripkeModel, t: Term) -> bool:
 # ---------------------------------------------------------------------------
 # bisimulation
 
-def _theory_classes(model: KripkeModel) -> list[int]:
-    """Partition refinement: same class = same color and same classes met
-    going down (reflexively)."""
-    frame = model.frame
-    n = frame.n
-    palette = {c: i for i, c in enumerate(sorted(set(model.colors)))}
-    cls = [palette[c] for c in model.colors]
-    while True:
-        sigs = []
-        for p in range(n):
-            seen = tuple(sorted(set(cls[q] for q in bits(frame.down[p]))))
-            sigs.append((model.colors[p], seen))
-        ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if new == cls:
-            break
-        cls = new
-    # stable ids: order classes by their smallest member
-    first = {}
-    for p in range(n):
-        first.setdefault(cls[p], p)
-    order = sorted(first, key=lambda c: first[c])
-    relabel = {c: i for i, c in enumerate(order)}
-    return [relabel[c] for c in cls]
+def _theory_classes(model: KripkeModel) -> list[list[int]]:
+    """The points in classes of the same theory, each class in ascending
+    order and the classes ordered by smallest member: ``_refine`` splits
+    the colour classes, colours in sorted order, by the set of cell
+    offsets met going down (reflexively)."""
+    by_color: dict[int, list[int]] = {}
+    for p, c in enumerate(model.colors):
+        by_color.setdefault(c, []).append(p)
+    down = model.frame.down
+    cells = _refine(
+        [by_color[c] for c in sorted(by_color)],
+        lambda p, get: mask_of(map(get, bits(down[p]))),
+    )
+    return sorted(cells)
 
 
 def bisim_reduce(model: KripkeModel) -> tuple[KripkeModel, tuple[int, ...]]:
     """Quotient by theory equivalence; returns the reduced model and the
-    point-to-class map."""
+    point-to-class map.
+
+    Class c is represented by its smallest member and lies above the
+    classes met below that point.  Any member would do: bisimilar points
+    meet the same classes going down.  The order has no cycle: two classes
+    each below the other meet the same classes going down and, by
+    persistence, have the same colour, so refinement never split them."""
     frame = model.frame
-    cls = _theory_classes(model)
-    k = max(cls, default=-1) + 1
-    rep = [min(p for p in range(frame.n) if cls[p] == c) for c in range(k)]
-    names = [frame.names[rep[c]] for c in range(k)]
-    pairs = set()
-    for q in range(frame.n):
-        for p in bits(frame.down[q]):
-            if cls[p] != cls[q]:
-                pairs.add((names[cls[p]], names[cls[q]]))
-    # build_poset keeps the order of names, so class c is reduced point c
-    colors = [model.colors[rep[c]] for c in range(k)]
-    reduced = make_model(build_poset(names, sorted(pairs)), model.vars, colors)
+    cells = _theory_classes(model)
+    cls = [0] * frame.n
+    for c, cell in enumerate(cells):
+        for p in cell:
+            cls[p] = c
+    rep = [cell[0] for cell in cells]
+    down = [mask_of(cls[q] for q in bits(frame.down[p])) for p in rep]
+    reduced = make_model(
+        _from_down([frame.names[p] for p in rep], down),
+        model.vars,
+        [model.colors[p] for p in rep],
+    )
     return reduced, tuple(cls)
 
 
 def is_reduced(model: KripkeModel) -> bool:
-    cls = _theory_classes(model)
-    return len(set(cls)) == model.frame.n
+    return len(_theory_classes(model)) == model.frame.n
 
 
 def model_code(model: KripkeModel) -> str:
@@ -219,13 +215,10 @@ def model_of_algebra(
     if len(var_names) != len(gens):
         raise FrameMismatch("one variable name per generator required")
     frame = spec_to_frame(algebra.spec)
-    colors = []
-    for p in range(frame.n):
-        mask = 0
-        for i, g in enumerate(gens):
-            if not algebra.element(g).pts >> p & 1:
-                mask |= 1 << i
-        colors.append(mask)
+    colors = [0] * frame.n
+    for i, g in enumerate(gens):
+        for p in bits(frame.full & ~algebra.element(g).pts):
+            colors[p] |= 1 << i
     return make_model(frame, tuple(var_names), colors)
 
 
@@ -373,14 +366,8 @@ def free_quotient(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> FreeQuotient:
 def _free_quotient(n: int, d: int, caps: Caps) -> FreeQuotient:
     uf = universal_frame(n, d, caps)
     algebra = Algebra(frame_to_spec(uf.model.frame))
-    gens = []
-    for i in range(n):
-        mask = mask_of(
-            p
-            for p in range(uf.model.frame.n)
-            if not uf.model.colors[p] >> i & 1
-        )
-        gens.append(algebra.element(mask))
+    full = uf.model.frame.full
+    gens = [algebra.element(full & ~column) for column in uf.model.columns]
     complete: bool | None = None
     size = algebra.size()
     if size <= caps.max_generation_check:

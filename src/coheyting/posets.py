@@ -525,6 +525,42 @@ def _label_key(label) -> tuple:
     return ("atom", type(label).__name__, repr(label))
 
 
+def _refine(
+    cells: list[list[int]], signature: Callable[[int, Callable[[int], int]], object]
+) -> list[list[int]]:
+    """Refine an ordered partition of the points 0..n-1, a list of cells,
+    until it is stable.  A round gives each point the offset of its cell,
+    the number of points in the cells before it, and splits every cell of
+    more than one point by ``signature(i, get)``, where ``get`` maps a
+    point to its cell's offset; the parts take the cell's place in sorted
+    signature order, each keeping the order of its points.  Singleton
+    cells are left alone, and refinement stops when a round splits no cell.
+    """
+    offset = [0] * sum(map(len, cells))
+    get = offset.__getitem__
+    while True:
+        at = 0
+        for cell in cells:
+            for i in cell:
+                offset[i] = at
+            at += len(cell)
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            parts: dict = {}
+            for i in cell:
+                parts.setdefault(signature(i, get), []).append(i)
+            if len(parts) == 1:
+                split.append(cell)
+            else:
+                split += [parts[sig] for sig in sorted(parts)]
+        if len(split) == len(cells):
+            return cells
+        cells = split
+
+
 def canonical_form(
     poset: Poset,
     labels: Sequence | Mapping[int, object] | None = None,
@@ -535,14 +571,13 @@ def canonical_form(
     Refinement plus individualization on an ordered partition of the
     points, a list of cells; the code is the minimum encoding over all
     discrete partitions explored.  The cells start as the points of each
-    label, labels in sorted order.  A round of refinement splits every
-    cell in place by the sorted cell offsets strictly below and strictly
-    above each of its points; singleton cells are left alone, and
-    refinement stops when a round splits no cell.  Individualizing a point
-    of the first cell with more than one point moves it to the front of
-    the whole order as a cell of its own, the rest of its cell staying
-    where the cell was.  A partition of singletons is a leaf, and its
-    code lists the labels and the covers in the partition's order.
+    label, labels in sorted order.  ``_refine`` splits them by the sorted
+    cell offsets strictly below and strictly above each point.
+    Individualizing a point of the first cell with more than one point
+    moves it to the front of the whole order as a cell of its own, the
+    rest of its cell staying where the cell was.  A partition of
+    singletons is a leaf, and its code lists the labels and the covers in
+    the partition's order.
 
     Twins (points with the same strict down-set, strict up-set and label)
     are pruned: swapping two twins is an automorphism fixing every other
@@ -584,39 +619,15 @@ def canonical_form(
     by_key: dict[tuple, list[int]] = {}
     for i, key in enumerate(keys):
         by_key.setdefault(key, []).append(i)
-    offset = [0] * n
 
-    def refine(cells: list[list[int]]) -> list[list[int]]:
-        while True:
-            at = 0
-            for cell in cells:
-                for i in cell:
-                    offset[i] = at
-                at += len(cell)
-            get = offset.__getitem__
-            split: list[list[int]] = []
-            for cell in cells:
-                if len(cell) == 1:
-                    split.append(cell)
-                    continue
-                parts: dict[tuple, list[int]] = {}
-                for i in cell:
-                    sig = (tuple(sorted(map(get, below[i]))),
-                           tuple(sorted(map(get, above[i]))))
-                    parts.setdefault(sig, []).append(i)
-                if len(parts) == 1:
-                    split.append(cell)
-                else:
-                    split += [parts[sig] for sig in sorted(parts)]
-            if len(split) == len(cells):
-                return cells
-            cells = split
+    def signature(i: int, get: Callable[[int], int]) -> tuple:
+        return (tuple(sorted(map(get, below[i]))), tuple(sorted(map(get, above[i]))))
 
     best: list[str | None] = [None]
     budget = [caps.max_canonical_leaves]
 
     def rec(cells: list[list[int]]) -> None:
-        cells = refine(cells)
+        cells = _refine(cells, signature)
         for c, target in enumerate(cells):
             if len(target) > 1:
                 break

@@ -242,13 +242,10 @@ def _model_from_masks(
     """Build a model on ``algebra.spec`` itself, not on its dual frame,
     from per-variable truth downsets."""
     frame = algebra.spec
-    colors = []
-    for p in range(frame.n):
-        cm = 0
-        for i, nm in enumerate(names):
-            if per_var.get(nm, 0) >> p & 1:
-                cm |= 1 << i
-        colors.append(cm)
+    colors = [0] * frame.n
+    for i, nm in enumerate(names):
+        for p in bits(per_var.get(nm, 0)):
+            colors[p] |= 1 << i
     return make_model(frame, names, colors)
 
 

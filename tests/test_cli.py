@@ -7,6 +7,7 @@ stdout; subprocess tests run the module and the installed console script.
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -380,6 +381,16 @@ def test_console_script_roundtrip():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"
+
+
+def test_console_script_entry_point_declared():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["coheyting"]
+    assert target == "coheyting.cli:main"
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 S2_LAW = (

@@ -43,7 +43,7 @@ from coheyting.kripke import (
     truth_set,
     universal_frame,
 )
-from coheyting.posets import Poset, bits, build_poset
+from coheyting.posets import Poset, bits, build_poset, enumerate_posets
 from coheyting.suites import random_term
 from coheyting.terms import dualize, eval_term, parse_term
 
@@ -82,6 +82,18 @@ def test_make_model_validates_persistence():
         make_model(frame, ("x",), {"w1": frozenset({"x"})})
     with pytest.raises(UnboundVariable):
         make_model(frame, ("x",), {"w0": frozenset({"y"})})
+
+
+def test_make_model_checks_colour_sequences():
+    frame = build_poset(["a", "b", "c"])
+    with pytest.raises(FrameMismatch):
+        make_model(frame, ("x",), [1, 0])
+    with pytest.raises(UnboundVariable):
+        make_model(frame, ("x",), [1, 0, 6])
+    chain = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    with pytest.raises(FrameMismatch):
+        make_model(chain, ("x",), [1])
+    assert make_model(chain, ("x",), [1, 1, 0]).columns == (0b011,)
 
 
 def test_forcing_negation_example():
@@ -149,6 +161,66 @@ def test_bisim_preserves_forcing(seed):
     t = random_term(rng, ("x",), depth=4, kind="impl")
     for p in range(frame.n):
         assert forces(model, p, t) == forces(reduced, mapping[p], t)
+
+
+def oracle_bisimulation(model):
+    """Greatest bisimulation, brute force over point pairs: start from the
+    pairs of the same colour and drop a pair while one side has a point
+    below it that no point below the other side is still paired with."""
+    down = [list(bits(m)) for m in model.frame.down]
+    n = model.frame.n
+    pairs = {(p, q) for p in range(n) for q in range(n)
+             if model.colors[p] == model.colors[q]}
+    changed = True
+    while changed:
+        changed = False
+        for p, q in sorted(pairs):
+            if not (all(any((a, b) in pairs for b in down[q]) for a in down[p])
+                    and all(any((a, b) in pairs for a in down[p]) for b in down[q])):
+                pairs.discard((p, q))
+                pairs.discard((q, p))
+                changed = True
+    return pairs
+
+
+def bisim_corpus():
+    """Every poset of up to 5 points with seeded persistent colourings of
+    0, 1 and 2 variables: each variable holds on a random downset."""
+    for index, poset in enumerate(enumerate_posets(5)):
+        downsets = poset.downsets()
+        for nvars in range(3):
+            for k in range(1 if nvars == 0 else 3):
+                rng = random.Random(1000 * index + 10 * nvars + k)
+                columns = [downsets[rng.randrange(len(downsets))] for _ in range(nvars)]
+                colors = [sum(1 << i for i, col in enumerate(columns) if col >> p & 1)
+                          for p in range(poset.n)]
+                yield make_model(poset, tuple(f"x{i + 1}" for i in range(nvars)), colors)
+
+
+def test_bisim_reduce_matches_brute_force_oracle():
+    digest = hashlib.sha256()
+    count = 0
+    for model in bisim_corpus():
+        frame = model.frame
+        reduced, mapping = bisim_reduce(model)
+        pairs = oracle_bisimulation(model)
+        assert {(p, q) for p in range(frame.n) for q in range(frame.n)
+                if mapping[p] == mapping[q]} == pairs
+        # class ids run in order of smallest member
+        firsts = [mapping.index(c) for c in range(reduced.frame.n)]
+        assert firsts == sorted(firsts) and set(mapping) == set(range(len(firsts)))
+        # class a lies below class b when some point of a lies below one of b
+        members = [[p for p in range(frame.n) if mapping[p] == c] for c in range(len(firsts))]
+        for a, pa in enumerate(members):
+            assert reduced.colors[a] == model.colors[pa[0]]
+            for b, pb in enumerate(members):
+                assert reduced.frame.leq(a, b) == any(frame.leq(p, q) for p in pa for q in pb)
+        assert is_reduced(reduced)
+        assert is_reduced(model) == (reduced.frame.n == frame.n)
+        digest.update(repr((reduced.to_text(), mapping)).encode())
+        count += 1
+    assert count == 609
+    assert digest.hexdigest().startswith("1e53751f9f7cdbda")
 
 
 def test_model_code_is_isomorphism_invariant():
