@@ -255,8 +255,11 @@ class UniversalFrame:
 def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame:
     """Layered universal frame on n proposition letters and d layers.
 
-    Deterministic: layer 1 is ordered by ascending color mask; later
-    points are ordered by (antichain size, antichain indices, color mask).
+    One step builds every layer: a point lies over an antichain, its colour
+    inside every colour of the antichain.  Layer 1 lies over the empty
+    antichain, each later layer over the antichains that meet the one
+    below, ordered by (antichain size, antichain indices, color mask).
+    Skipped antichains count toward ``caps.max_antichains`` too.
     """
     if n < 0 or d < 0:
         raise FrameMismatch("need n >= 0 and d >= 0")
@@ -273,53 +276,43 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
             census=(),
         )
     vars = tuple(f"x{i + 1}" for i in range(n))
-    names: list[str] = []
     colors: list[int] = []
     down: list[int] = []
     up: list[int] = []
     layers: list[tuple[int, ...]] = []
-    if d >= 1:
-        layer1 = []
-        for c in range(1 << n):
-            idx = len(names)
-            names.append(f"u{idx}")
-            colors.append(c)
-            down.append(1 << idx)
-            up.append(1 << idx)
-            layer1.append(idx)
-        layers.append(tuple(layer1))
-    for _layer in range(2, d + 1):
+    for _layer in range(d):
         # the stream reads a frozen copy of the order while the layer grows;
         # only antichains meeting the newest layer, read up to the node cap
-        found = antichain_stream(tuple(down), tuple(up), mask_of(layers[-1]).__and__, caps)
+        newest = mask_of(layers[-1] if layers else ())
+        found = antichain_stream(tuple(down), tuple(up), caps) if layers else iter((0,))
         new_layer = []
         while True:
             try:
-                antichain = next(found, 0)
+                antichain = next(found, None)
             except SizeCap:
                 raise SizeCap(
                     "universal frame antichain stream too large",
                     census=tuple(len(l) for l in layers),
                 ) from None
-            if not antichain:
+            if antichain is None:
                 break
+            if antichain and not antichain & newest:
+                continue
             inter, below = (1 << n) - 1, 0
             for w in bits(antichain):
                 inter &= colors[w]
                 below |= down[w]
+            # over a single cover, a colour must lose some variable
             single = antichain.bit_count() == 1
-            for c in range(inter + 1):
+            for c in range(inter if single else inter + 1):
                 if c & inter != c:
                     continue
-                if single and c == inter:
-                    continue  # a single cover must lose some variable
-                idx = len(names)
+                idx = len(colors)
                 if idx >= caps.max_frame_nodes:
                     raise SizeCap(
                         f"universal frame exceeds {caps.max_frame_nodes} nodes",
                         census=tuple(len(l) for l in layers + [tuple(new_layer)]),
                     )
-                names.append(f"u{idx}")
                 colors.append(c)
                 down.append(below | 1 << idx)
                 new_layer.append(idx)
@@ -332,7 +325,7 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
             for w in bits(down[idx] ^ 1 << idx):
                 up[w] |= 1 << idx
         layers.append(tuple(new_layer))
-    frame = _from_down(names, down)
+    frame = _from_down([f"u{i}" for i in range(len(colors))], down)
     model = make_model(frame, vars, colors)
     return UniversalFrame(n=n, d=d, model=model, layers=tuple(layers))
 

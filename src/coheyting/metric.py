@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import Algebra, Element, Infinite, Morphism, make_morphism
+from .algebra import Algebra, Element, Infinite, Morphism
 from .config import DEFAULT_CAPS, Caps
 from .errors import (
     CoheytingError,
@@ -172,20 +172,14 @@ def make_tower(
         )
         maps = tuple(projection(source, d, caps) for d in range(depth))
     else:
-        quotients = []
-        for d in range(depth + 1):
-            quotient, _ = source.quotient_by(source.epsilon(d))
-            quotients.append(quotient)
-        levels = tuple(quotients)
-        maps_list = []
-        for d in range(depth):
-            upper = levels[d + 1]
-            lower = levels[d]
-            dualmap = tuple(
-                upper.spec.index(nm) for nm in lower.spec.names
-            )
-            maps_list.append(make_morphism(upper, lower, dualmap))
-        maps = tuple(maps_list)
+        # a cut by epsilon(d+1) leaves the up-set of points of corank <= d,
+        # whose coranks it keeps: cut again by its own epsilon(d), it gives
+        # source's quotient by epsilon(d), and the cut is the tower map
+        level, _ = source.quotient_by(source.epsilon(depth))
+        levels, maps = (level,), ()
+        for d in reversed(range(depth)):
+            level, proj = level.quotient_by(level.epsilon(d))
+            levels, maps = (level,) + levels, (proj,) + maps
     tower = Tower(levels=levels, maps=maps)
     _audit_tower(tower)
     return tower

@@ -160,7 +160,7 @@ class Poset:
 
     def antichains(self, caps: Caps = DEFAULT_CAPS) -> list[PointSet]:
         """All nonempty antichains, sorted by size then lexicographic indices."""
-        return list(antichain_stream(self.down, self.up, None, caps))
+        return list(antichain_stream(self.down, self.up, caps))
 
     def _walk(self, order: Iterable[int], k: int | None, caps: Caps) -> list[PointSet]:
         """The downsets of at most ``k`` points (``None``: every one), the
@@ -260,13 +260,10 @@ class Poset:
 
 
 def antichain_stream(
-    down: Sequence[PointSet],
-    up: Sequence[PointSet],
-    keep: Callable[[PointSet], bool] | None,
-    caps: Caps,
+    down: Sequence[PointSet], up: Sequence[PointSet], caps: Caps
 ) -> Iterator[PointSet]:
     """Nonempty antichains of the order given by reflexive ``down``/``up``
-    closure masks that pass ``keep``, lazily, in ``set_key`` order.
+    closure masks, lazily, in ``set_key`` order.
 
     Size by size: each antichain of size k, in lexicographic order of its
     index tuple, gains in turn each larger point incomparable to all of
@@ -274,11 +271,11 @@ def antichain_stream(
     antichains of the current and the next size are held, and each
     rebuilds its extension mask when it is extended.  A caller that stops
     reading stops the work; SizeCap is raised once more than
-    ``caps.max_antichains`` have passed ``keep``.
+    ``caps.max_antichains`` are yielded, which bounds the work too.
     """
     full = (1 << len(down)) - 1
     incomparable = [full & ~(d | u) for d, u in zip(down, up)]
-    kept, level = 0, [0]
+    count, level = 0, [0]
     while level:
         bigger = []
         for chosen in level:
@@ -292,12 +289,11 @@ def antichain_stream(
                 low = rest & -rest
                 rest ^= low
                 cur = chosen | low
+                count += 1
+                if count > caps.max_antichains:
+                    raise SizeCap(f"more than {caps.max_antichains} antichains")
                 bigger.append(cur)
-                if keep is None or keep(cur):
-                    kept += 1
-                    if kept > caps.max_antichains:
-                        raise SizeCap(f"more than {caps.max_antichains} antichains")
-                    yield cur
+                yield cur
         level = bigger
 
 

@@ -155,7 +155,8 @@ def _pool(ctx: SuiteContext) -> list[tuple[Poset, Algebra, tuple[Element, ...]]]
 def _shrink(
     name: str, poset: Poset, masks: dict[str, int], extra: dict[str, str]
 ) -> tuple[Poset, dict[str, int]]:
-    """Greedy minimization: drop maximal carrier points, then peel masks."""
+    """Greedy minimization: take the first candidate that still fails,
+    dropping maximal carrier points before peeling masks, until none does."""
     checker = CHECKERS[name]
 
     def still_fails(p: Poset, ms: dict[str, int]) -> bool:
@@ -167,35 +168,26 @@ def _shrink(
             # A shrink step that breaks a precondition is not a counterexample.
             return False
 
-    changed = True
-    while changed:
-        changed = False
+    def candidates(poset: Poset, masks: dict[str, int]):
         if poset.n > 1:
             for b in sorted(bits(poset.maximal_points(poset.full)), reverse=True):
                 keep = poset.full & ~(1 << b)
                 old_to_new = {old: new for new, old in enumerate(bits(keep))}
-                cand_poset = poset.induced(keep)
-                cand_masks = {
+                yield poset.induced(keep), {
                     k: mask_of(old_to_new[x] for x in bits(v & keep))
                     for k, v in masks.items()
                 }
-                if still_fails(cand_poset, cand_masks):
-                    poset, masks = cand_poset, cand_masks
-                    changed = True
-                    break
-        if changed:
-            continue
         for k in sorted(masks):
             for b in sorted(bits(poset.maximal_points(masks[k])), reverse=True):
-                cand_masks = dict(masks)
-                cand_masks[k] = masks[k] & ~(1 << b)
-                if still_fails(poset, cand_masks):
-                    masks = cand_masks
-                    changed = True
-                    break
-            if changed:
+                yield poset, {**masks, k: masks[k] & ~(1 << b)}
+
+    while True:
+        for poset_masks in candidates(poset, masks):
+            if still_fails(*poset_masks):
+                poset, masks = poset_masks
                 break
-    return poset, masks
+        else:
+            return poset, masks
 
 
 def _fail(

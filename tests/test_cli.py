@@ -61,12 +61,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_poset_check(capsys, chain_file):
+def test_poset_check(capsys, chain_file, model_file):
     code, out, _ = run(capsys, "poset", "check", chain_file)
     assert code == 0
     assert "points: 2" in out
     assert "height: 1" in out
     assert "downsets: 3" in out
+    code, out, _ = run(capsys, "poset", "check", model_file)
+    assert code == 0
+    assert out == "points: 2\nheight: 1\ndownsets: 3\ncolored: yes\n"
 
 
 @pytest.mark.skipif(
@@ -207,6 +210,26 @@ def test_kripke_universal_and_models(capsys):
     code, out, _ = run(capsys, "kripke", "models", "1", "2", "--max-points", "1")
     assert code == 0
     assert "models: 2" in out
+    code, out, _ = run(capsys, "kripke", "universal", "1", "2", "--show")
+    assert code == 0
+    assert out == (
+        "census: 2 2\n"
+        "points: 4\n"
+        "points: u0 u1 u2 u3\n"
+        "covers: u0<u3 u1<u2 u1<u3\n"
+        "colors: u0:{} u1:{x1} u2:{} u3:{}\n"
+    )
+    models = (
+        "points: u0\ncolors: u0:{}\n\n"
+        "points: u1\ncolors: u1:{x1}\n\n"
+        "points: u0 u1\ncolors: u0:{} u1:{x1}\n\n"
+    )
+    code, out, _ = run(capsys, "kripke", "models", "1", "1", "--show")
+    assert code == 0 and out == models + "models: 3\n"
+    code, out, _ = run(
+        capsys, "--format", "records", "kripke", "models", "1", "1", "--show"
+    )
+    assert code == 0 and out == models + "models=3\n"
 
 
 def test_free_commands(capsys):
@@ -266,6 +289,12 @@ def test_fmp_search(capsys):
     assert "covers: p0<p1" in out and "assignment: x={p0}" in out
     code, out, _ = run(capsys, "fmp-search", formula, "--max-assignments", "1")
     assert code == 1
+    # 8 points is past the enumeration cap (exit 3): only fmp_search's own
+    # check, made before it enumerates, gives exit 2 there
+    for extra in ((), ("--max-points", "8")):
+        code, out, err = run(capsys, "fmp-search", "x -> y = 0", *extra)
+        assert code == 2 and out == ""
+        assert err == "error: implication cannot be evaluated here\n"
 
 
 def test_verify_list_and_run(capsys):

@@ -310,6 +310,15 @@ def test_universal_frame_antichain_cap_reports_census():
     assert err.value.census == (4, 18, 19978)
 
 
+def test_universal_frame_antichain_cap_counts_skipped_antichains():
+    # only 4 antichains a layer meet the newest one, but the stream yields
+    # every antichain of the lower frame, and the cap counts them all
+    with pytest.raises(SizeCap) as err:
+        universal_frame(1, 60, Caps(max_antichains=100))
+    assert err.value.census == (2,) * 26
+    assert universal_frame(1, 26, Caps(max_antichains=100)).census == (2,) * 26
+
+
 def test_universal_frame_structure_pinned():
     # sha256 of (names, covers, colors, layers), computed on the build that
     # walked each antichain once per colour: pins the frames themselves,

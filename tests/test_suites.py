@@ -143,6 +143,30 @@ def test_shrinker_minimizes_planted_failure():
         del CHECKERS["planted"]
 
 
+def planted_two_point_checker(algebra, e, extra):
+    if algebra.spec.n >= 2 and not e["a"].is_bottom():
+        return "a must be empty on two points"
+    return None
+
+
+def test_shrinker_peels_masks_once_no_point_drops():
+    # no carrier point can go, so only peeling a and b shrinks this failure
+    CHECKERS["planted"] = planted_two_point_checker
+    try:
+        chain = build_poset(
+            ["q0", "q1", "q2"], [("q0", "q1"), ("q1", "q2")]
+        )
+        failure = _fail(
+            "planted", "a must be empty on two points", chain,
+            {"a": chain.full, "b": chain.full}, {},
+        )
+        assert failure.poset_text == "points: q0 q1\ncovers: q0<q1\n"
+        assert failure.masks == {"a": "{q0}", "b": "{}"}
+        assert replay_failure(failure)
+    finally:
+        del CHECKERS["planted"]
+
+
 def _drop_first_kept_point(quotient_by):
     """A quotient whose projection forgets the first point it should keep."""
     def broken(self, e):
