@@ -5,14 +5,19 @@ counterexamples to a minimal carrier and that replay reproduces them from
 the text payload alone.
 """
 
+import collections
+import functools
 import hashlib
+import itertools
+import operator
+import random
 
 import pytest
 
 from coheyting import suites
-from coheyting.algebra import Algebra, make_morphism
+from coheyting.algebra import Algebra, Element, fiber_max, fiber_min, make_morphism
 from coheyting.fixtures import load_fixture
-from coheyting.posets import build_poset, mask_of, poset_to_text
+from coheyting.posets import bits, build_poset, enumerate_posets, mask_of, poset_to_text
 from coheyting.suites import (
     CHECKERS,
     Failure,
@@ -177,6 +182,16 @@ def _drop_first_kept_point(quotient_by):
     return broken
 
 
+def _keep_last_eps_point(quotient_by):
+    """A quotient that also keeps the last point of e: a finer kernel."""
+    def broken(self, e):
+        quotient, proj = quotient_by(self, e)
+        kept = sorted({*proj.dualmap, max(bits(e.pts))})
+        finer = Algebra(self.spec.induced(mask_of(kept)))
+        return quotient, make_morphism(self, finer, kept, validate=False)
+    return broken
+
+
 @pytest.mark.parametrize(
     "target, attr, mutant, law",
     [
@@ -190,6 +205,8 @@ def _drop_first_kept_point(quotient_by):
          "fiber_max is the greatest fiber element"),
         (Algebra, "quotient_by", _drop_first_kept_point(Algebra.quotient_by),
          "pi(a) = pi(b) iff a ^ b <= epsilon(d)"),
+        (Algebra, "quotient_by", _keep_last_eps_point(Algebra.quotient_by),
+         "pi(a) = pi(b) iff a ^ b <= epsilon(d)"),
     ],
 )
 def test_quotient_checker_negative_controls(monkeypatch, target, attr, mutant, law):
@@ -200,6 +217,199 @@ def test_quotient_checker_negative_controls(monkeypatch, target, attr, mutant, l
     assert check(Algebra(poset), {}, {"d": "1"}) is None
     monkeypatch.setattr(target, attr, mutant)
     assert check(Algebra(poset), {}, {"d": "1"}) == law
+
+
+def _quadratic_check_quotient(algebra, e, extra):
+    """quotient-fini as it was before the one-pass pair law: every pair of
+    elements, two down closures a pair."""
+    d = int(extra["d"])
+    eps = algebra.epsilon(d)
+    quotient, proj = algebra.quotient_by(eps)
+    elems = algebra.elements()
+    image_of = {a.pts: proj.apply(a).pts for a in elems}
+    meet, join = {}, {}
+    for m, image in image_of.items():
+        meet[image] = meet.get(image, m) & m
+        join[image] = join.get(image, m) | m
+    for a in elems:
+        image = image_of[a.pts]
+        lo = fiber_min(proj, a).pts
+        hi = fiber_max(proj, a).pts
+        if image_of.get(lo) != image or lo & meet[image] != lo:
+            return "fiber_min is the least fiber element"
+        if image_of.get(hi) != image or hi | join[image] != hi:
+            return "fiber_max is the greatest fiber element"
+    down, eps_pts = algebra.spec.down_closure, eps.pts
+    for (a, image), (b, other) in itertools.combinations(image_of.items(), 2):
+        s = down(a & ~b) | down(b & ~a)
+        if (image == other) != (s & eps_pts == s):
+            return "pi(a) = pi(b) iff a ^ b <= epsilon(d)"
+    qj = set(quotient.join_irreducibles())
+    lifted = {proj.apply(j) for j in algebra.join_irreducibles() if not j <= eps}
+    if qj != lifted:
+        return "join irreducibles not below epsilon(d) biject with quotient's"
+    survivors = [j for j in algebra.join_irreducibles() if not j <= eps]
+    if len(survivors) != len(lifted):
+        return "projection is injective on surviving join irreducibles"
+    qm = set(quotient.meet_irreducibles())
+    lifted_m = {proj.apply(m) for m in algebra.meet_irreducibles() if eps <= m}
+    if qm != lifted_m:
+        return "meet irreducibles above epsilon(d) biject with quotient's"
+    return None
+
+
+def _outcome(check, algebra, d):
+    try:
+        return check(algebra, {}, {"d": str(d)})
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+_EPSILON, _QUOTIENT_BY = Algebra.epsilon, Algebra.quotient_by
+
+
+def _quotient_mutants(seed):
+    """(name, epsilon, quotient_by) replacements; each draws from its own
+    Random(seed) per call, so both checkers of a case see the same mutant."""
+    epsilon, quotient_by = _EPSILON, _QUOTIENT_BY
+
+    def flip_point(self, d):
+        eps = epsilon(self, d)
+        p = random.Random(seed).randrange(self.spec.n)
+        return Element(self, eps.pts ^ 1 << p)
+
+    def random_mask(self, d):
+        return Element(self, random.Random(seed).randrange(self.spec.full + 1))
+
+    def by_downset(pick):
+        # a true quotient by a downset picked from the mask e, which need
+        # not be one: the pair law then reads a mask that is no downset
+        def broken(self, e):
+            inside = [x.pts for x in self.elements()]
+            return quotient_by(self, Element(self, pick(e.pts, inside)))
+        return broken
+
+    def largest_inside(m, inside):
+        return functools.reduce(operator.or_, (x for x in inside if x & ~m == 0))
+
+    def least_above(m, inside):
+        return min((x for x in inside if m & ~x == 0), key=int.bit_count)
+
+    def rebuilt(choose):
+        def broken(self, e):
+            quotient, proj = quotient_by(self, e)
+            kept = choose(random.Random(seed), e, list(proj.dualmap))
+            if kept is None:
+                return quotient, proj
+            sub = Algebra(self.spec.induced(mask_of(kept)))
+            return quotient, make_morphism(self, sub, sorted(kept), validate=False)
+        return broken
+
+    def drop_kept(rng, e, kept):
+        if kept:
+            del kept[rng.randrange(len(kept))]
+            return kept
+        return None
+
+    def add_eps_point(rng, e, kept):
+        return [*kept, rng.choice(list(bits(e.pts)))] if e.pts else None
+
+    def random_dualmap(self, e):
+        quotient, proj = quotient_by(self, e)
+        rng = random.Random(seed)
+        dualmap = [rng.randrange(self.spec.n) for _ in proj.dualmap]
+        return quotient, make_morphism(self, quotient, dualmap, validate=False)
+
+    return [
+        ("unmutated", epsilon, quotient_by),
+        ("epsilon flips a point", flip_point, quotient_by),
+        ("epsilon is a random mask", random_mask, quotient_by),
+        ("random mask, quotient by its largest downset", random_mask,
+         by_downset(largest_inside)),
+        ("random mask, quotient by its down closure", random_mask,
+         by_downset(least_above)),
+        ("quotient drops a kept point", epsilon, rebuilt(drop_kept)),
+        ("quotient keeps a point of epsilon", epsilon, rebuilt(add_eps_point)),
+        ("quotient has a random dual map", epsilon, random_dualmap),
+    ]
+
+
+def test_quotient_checker_matches_quadratic_reference(monkeypatch):
+    # every poset of up to 5 points at every d, unmutated and under mutants
+    # of epsilon and quotient_by: the one-pass pair law returns what the
+    # loop over all pairs returned
+    check = CHECKERS["quotient-fini"]
+    seeds = random.Random(20)
+    mismatches, verdicts = [], collections.Counter()
+    for poset in enumerate_posets(5):
+        for d in range(poset.height() + 2):
+            for name, epsilon, quotient_by in _quotient_mutants(seeds.random()):
+                monkeypatch.setattr(Algebra, "epsilon", epsilon)
+                monkeypatch.setattr(Algebra, "quotient_by", quotient_by)
+                want = _outcome(_quadratic_check_quotient, Algebra(poset), d)
+                got = _outcome(check, Algebra(poset), d)
+                verdicts[name, want] += 1
+                if got != want:
+                    mismatches.append((poset_to_text(poset), d, name, want, got))
+    assert mismatches == []
+    assert sum(verdicts.values()) > 2500
+    assert verdicts["unmutated", None] > 300
+    # the pair law decides cases, also where epsilon is not a downset
+    pair_law = "pi(a) = pi(b) iff a ^ b <= epsilon(d)"
+    assert sum(n for (_, law), n in verdicts.items() if law == pair_law) > 500
+    assert verdicts["random mask, quotient by its down closure", pair_law] > 150
+    # and passes it there when the quotient is by the largest downset inside
+    assert verdicts["random mask, quotient by its largest downset", (
+        "meet irreducibles above epsilon(d) biject with quotient's"
+    )] > 150
+
+
+def _cubic_irreducibles(algebra, elems):
+    top = algebra.top()
+    join_irr = {
+        a for a in elems
+        if not a.is_bottom()
+        and not any((y | z) == a and y != a and z != a for y in elems for z in elems)
+    }
+    meet_irr = {
+        a for a in elems
+        if a != top
+        and not any((y & z) == a and y != a and z != a for y in elems for z in elems)
+    }
+    return join_irr, meet_irr
+
+
+_JOIN_IRR, _MEET_IRR = Algebra.join_irreducibles, Algebra.meet_irreducibles
+
+
+def test_irreducible_sets_match_cubic_definition():
+    for poset in enumerate_posets(5):
+        algebra = Algebra(poset)
+        elems = algebra.elements()
+        assert suites._irreducible_sets(algebra, elems) == _cubic_irreducibles(
+            algebra, elems
+        )
+
+
+@pytest.mark.parametrize(
+    "attr, mutant, law",
+    [
+        ("join_irreducibles", lambda self: _JOIN_IRR(self)[1:],
+         "join irreducibles match the definitional set"),
+        ("join_irreducibles", lambda self: (self.top(), *_JOIN_IRR(self)),
+         "join irreducibles match the definitional set"),
+        ("meet_irreducibles", lambda self: (self.top(), *_MEET_IRR(self)),
+         "meet irreducibles match the definitional set"),
+    ],
+)
+def test_irr_supports_catches_wrong_irreducibles(monkeypatch, attr, mutant, law):
+    # v3 is p0 < p1, p0 < p2: its top {p0, p1, p2} = {p0, p1} | {p0, p2}
+    # is join reducible, and no top is meet irreducible
+    poset, _ = load_fixture("v3")
+    check = CHECKERS["irr-supports"]
+    assert check(Algebra(poset), {}, {}) is None
+    monkeypatch.setattr(Algebra, attr, mutant)
+    assert check(Algebra(poset), {}, {}) == law
 
 
 def test_failure_describe_format():
