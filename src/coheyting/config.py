@@ -15,9 +15,7 @@ class Caps:
     max_frame_nodes: int = 20000    # universal frame construction
     max_closure: int = 2 ** 20      # element materialization / signature closure
     max_antichains: int = 2 ** 20   # antichain streams
-    max_canonical_points: int = 64  # canonical form input size
     max_canonical_leaves: int = 2 ** 20  # canonical form backtracking leaves
-    max_generation_check: int = 600  # generated-subalgebra completeness audit
 
 
 DEFAULT_CAPS = Caps()

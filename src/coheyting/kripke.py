@@ -47,6 +47,7 @@ from .posets import (
 from .terms import Term, Var, run_program
 
 log = logging.getLogger(__name__)
+MAX_GENERATION_CHECK = 600  # generated-subalgebra completeness audit
 
 
 def frame_to_spec(frame: Poset) -> Poset:
@@ -363,7 +364,7 @@ def _free_quotient(n: int, d: int, caps: Caps) -> FreeQuotient:
     gens = [algebra.element(full & ~column) for column in uf.model.columns]
     complete: bool | None = None
     size = algebra.size()
-    if size <= caps.max_generation_check:
+    if size <= MAX_GENERATION_CHECK:
         generated = algebra.subalgebra_generated(gens, caps)
         complete = len(generated) == size
         if not complete:
@@ -436,11 +437,9 @@ def enumerate_reduced_models(
     PhD thesis, Amsterdam 2006, ch. 3).
 
     With ``max_points`` the downsets come from ``Poset.downsets_upto``,
-    which walks the points bottom-up in a linear extension, keeps only
-    the downsets of at most ``max_points`` points, sorts them once, and
-    ``caps.max_closure`` bounds how many it keeps; without it they come
-    from the full list ``Poset.downsets``, which is faster to build whole
-    and is bounded by its own count."""
+    which builds and keeps only those of at most ``max_points`` points,
+    and ``caps.max_closure`` bounds how many; without it they come from
+    the full list ``Poset.downsets``, bounded by its own count."""
     uf = universal_frame(n, d, caps)
     frame = uf.model.frame
     if max_points is None:

@@ -26,6 +26,7 @@ from .errors import (
 )
 
 PointSet = int  # bitmask of point indices
+MAX_CANONICAL_POINTS = 64  # canonical form input size
 
 
 def bits(mask: PointSet) -> Iterator[int]:
@@ -162,45 +163,47 @@ class Poset:
         """All nonempty antichains, sorted by size then lexicographic indices."""
         return list(antichain_stream(self.down, self.up, caps))
 
-    def _walk(self, order: Iterable[int], k: int | None, caps: Caps) -> list[PointSet]:
-        """The downsets of at most ``k`` points (``None``: every one), the
-        points decided in ``order``: the downsets of the decided points
-        that hold those below i gain a copy with i, appended, and those
-        that hold one above i lose theirs without i.  SizeCap is raised
-        as soon as a list holds more than ``caps.max_closure``."""
+    def _walk(self, k: int | None, caps: Caps) -> tuple[PointSet, ...]:
+        """The downsets of at most ``k`` points (``None``: every one), sorted
+        by (size, indices).  The points are decided from index n-1 down, each
+        partial downset kept as its down closure: those that hold the decided
+        points below i gain a copy with ``down[i]``, appended, and those that
+        hold one above i, and so i, lose theirs without it.  A closure is a
+        downset of the whole poset and only grows, so no list is longer than
+        the last, and one of more than ``k`` points is dropped at once.  Each
+        size of the last ends in reverse ``set_key`` order: a reverse and a
+        stable sort by size put it right.  SizeCap is raised as soon as a
+        list holds more than ``caps.max_closure``."""
         down, up, cap = self.down, self.up, caps.max_closure
         masks, decided = [0], 0
-        for i in order:
-            b = 1 << i
-            need, bar = down[i] & decided, up[i] & decided
+        for i in reversed(range(self.n)):
+            d = down[i]
+            need, bar = d & decided, up[i] & decided
             if k is not None:
-                with_i = [m | b for m in masks if m & need == need and m.bit_count() < k]
+                with_i = [m | d for m in masks if m & need == need and (m | d).bit_count() <= k]
             elif need:
-                with_i = [m | b for m in masks if m & need == need]
+                with_i = [m | d for m in masks if m & need == need]
             else:
-                with_i = [m | b for m in masks]
+                with_i = [m | d for m in masks]
             if bar:
                 masks = [m for m in masks if not m & bar]
             masks += with_i
             if len(masks) > cap:
                 raise SizeCap(f"more than {cap} downsets")
-            decided |= b
-        return masks
+            decided |= 1 << i
+        masks.reverse()
+        masks.sort(key=int.bit_count)
+        return tuple(masks)
 
     def downsets(self, caps: Caps = DEFAULT_CAPS) -> tuple[PointSet, ...]:
         """Every downset, sorted by (size, indices), as one tuple kept for
-        the life of the poset.  It is built on first use under ``caps``;
-        SizeCap is raised when there are more than ``caps.max_closure``,
-        at that call or any later one, and a build that raised keeps
-        nothing.  ``_walk`` decides the points from index n-1 down, so no
-        list is longer than the last, and each size ends in reverse
-        ``set_key`` order, put right by a reverse and a stable sort by size."""
+        the life of the poset.  It is built by ``_walk`` on first use under
+        ``caps``; SizeCap is raised when there are more than
+        ``caps.max_closure``, at that call or any later one, and a build
+        that raised keeps nothing."""
         found = self.__dict__.get("_downsets")
         if found is None:
-            masks = self._walk(reversed(range(self.n)), None, caps)
-            masks.reverse()
-            masks.sort(key=int.bit_count)
-            found = self.__dict__["_downsets"] = tuple(masks)
+            found = self.__dict__["_downsets"] = self._walk(None, caps)
         if len(found) > caps.max_closure:
             raise SizeCap(f"more than {caps.max_closure} downsets")
         return found
@@ -211,15 +214,11 @@ class Poset:
 
     def downsets_upto(self, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[PointSet, ...]:
         """The downsets of at most ``k`` points: a prefix of ``downsets()``,
-        the same masks in the same order, built without the rest and kept
-        by no one.  ``_walk`` decides the points bottom-up in a linear
-        extension, so every list holds only downsets of at most ``k``
-        points and grows, and the last is sorted by ``set_key``.  SizeCap
-        is raised once there are more than ``caps.max_closure`` of them,
-        whatever ``downsets()`` would count."""
-        masks = self._walk(self._topo_order(), k, caps)
-        masks.sort(key=set_key)
-        return tuple(masks)
+        the same masks in the same order, built by ``_walk`` without the
+        rest and kept by no one.  SizeCap is raised once there are more
+        than ``caps.max_closure`` of them, whatever ``downsets()`` would
+        count."""
+        return self._walk(k, caps)
 
     def count_downsets(self) -> int:
         """Number of downsets, computed without materializing them: the
@@ -591,8 +590,8 @@ def canonical_form(
     otherwise); a mapping gives None to the points it leaves out.
     """
     n = poset.n
-    if n > caps.max_canonical_points:
-        raise SizeCap(f"canonical form limited to {caps.max_canonical_points} points")
+    if n > MAX_CANONICAL_POINTS:
+        raise SizeCap(f"canonical form limited to {MAX_CANONICAL_POINTS} points")
     if labels is None:
         keys = [("none",)] * n
     elif isinstance(labels, Mapping):

@@ -25,6 +25,7 @@ from coheyting.errors import (
     UnboundVariable,
 )
 from coheyting.kripke import (
+    MAX_GENERATION_CHECK,
     algebra_of_model,
     bisim_reduce,
     d_equivalent,
@@ -370,6 +371,9 @@ def test_free_sizes_two_routes():
         assert fq.algebra.size() == size
         assert len(algebra_of_model(fq.frame.model)) == size
         assert fq.complete is True
+    # the generator audit stops above 600 elements
+    assert MAX_GENERATION_CHECK == 600
+    assert free_quotient(2, 2).complete is None
 
 
 def test_free_quotient_generators_and_epsilon():

@@ -258,6 +258,9 @@ def test_downsets_upto_is_a_prefix_of_downsets():
     frame = universal_frame(2, 2).model.frame
     walk_is_prefix(frame, [*range(13), frame.n])
     assert len(frame.downsets_upto(6)) == 866
+    # the F(2,2) spectrum lists its points top-down: every k
+    spec = free_quotient(2, 2).algebra.spec
+    walk_is_prefix(spec, range(spec.n + 2))
 
 
 def test_downsets_upto_counts_its_own_walk():
@@ -279,6 +282,12 @@ def test_downsets_upto_counts_its_own_walk():
                 assert len(q.downsets_upto(k, Caps(max_closure=count))) == count
                 with pytest.raises(SizeCap):
                     q.downsets_upto(k, Caps(max_closure=count - 1))
+    # and on the F(2,2) spectrum, whose points are listed top-down
+    spec = free_quotient(2, 2).algebra.spec
+    for k, count in ((6, 31180), (10, 199209)):
+        assert len(spec.downsets_upto(k, Caps(max_closure=count))) == count
+        with pytest.raises(SizeCap):
+            spec.downsets_upto(k, Caps(max_closure=count - 1))
 
 
 def reference_downsets(p: Poset) -> list[int]:
@@ -634,6 +643,16 @@ def test_canonical_form_label_count_must_match():
             canonical_form(vee, labels)
     # a mapping gives None to the points it leaves out, and ignores others
     assert canonical_form(vee, {1: "x", 7: "y"}) == canonical_form(vee, [None, "x", None])
+
+
+def test_canonical_form_point_limit():
+    # a module constant, not a Caps field: no caps lift it
+    assert posets.MAX_CANONICAL_POINTS == 64
+    chain = [f"p{i}" for i in range(65)]
+    covers = list(zip(chain, chain[1:]))
+    assert canonical_form(build_poset(chain[:64], covers[:63]))
+    with pytest.raises(SizeCap, match="canonical form limited to 64 points"):
+        canonical_form(build_poset(chain, covers), caps=Caps(max_canonical_leaves=2 ** 30))
 
 
 def relabelled(names, covers, labels, rng):
