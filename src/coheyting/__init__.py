@@ -9,7 +9,6 @@ from .algebra import (
     Algebra,
     DimPreservationReport,
     Element,
-    Ideal,
     Infinite,
     MINUS_INFINITY,
     Morphism,

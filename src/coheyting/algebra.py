@@ -283,12 +283,10 @@ class Algebra:
 
     def quotient_by(self, e: Element) -> tuple["Algebra", "Morphism"]:
         """Quotient by the principal ideal on e: downsets of spec minus e."""
-        e = self.element(e)
-        keep = self.spec.full & ~e.pts
-        sub = self.spec.induced(keep)
-        quotient = Algebra(sub)
-        dualmap = tuple(bits(keep))
-        return quotient, make_morphism(self, quotient, dualmap)
+        keep = self.spec.full & ~self.element(e).pts
+        quotient = Algebra(self.spec.induced(keep))
+        # the dual map includes the up-set keep: monotone and open as built
+        return quotient, Morphism(self, quotient, tuple(bits(keep)))
 
     def subalgebra_generated(
         self, gens: Sequence[Element], caps: Caps = DEFAULT_CAPS
@@ -298,20 +296,6 @@ class Algebra:
         seeds = [0, spec.full] + [self.element(g).pts for g in gens]
         closed = close(seeds, lambda a, b: spec.down_closure(a & ~b), caps)
         return tuple(Element(self, m) for m in closed)
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """Principal ideal: every element below ``gen``."""
-
-    owner: Algebra
-    gen: Element
-
-    def contains(self, a: Element) -> bool:
-        return self.owner.element(a) <= self.gen
-
-    def __contains__(self, a: Element) -> bool:
-        return self.contains(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,15 +320,15 @@ class Morphism:
                 m |= 1 << q
         return Element(self.dst, m)
 
-    def kernel(self) -> Ideal:
-        """Largest element sent to bottom, as a principal ideal."""
+    def kernel(self) -> Element:
+        """Largest source element sent to bottom, the kernel generator; cached."""
         return self._kernel
 
     @cached_property
-    def _kernel(self) -> Ideal:
+    def _kernel(self) -> Element:
         spec, image = self.src.spec, mask_of(self.dualmap)
         gen = mask_of(p for p in range(spec.n) if spec.down[p] & image == 0)
-        return Ideal(self.src, Element(self.src, gen))
+        return Element(self.src, gen)
 
     def dual_injective(self) -> bool:
         return len(set(self.dualmap)) == len(self.dualmap)
@@ -353,8 +337,9 @@ class Morphism:
         """self after earlier: earlier.src -> self.dst."""
         if earlier.dst is not self.src:
             raise OwnerMismatch("morphisms do not compose")
+        # a composite of monotone open dual maps is monotone and open
         dm = tuple(earlier.dualmap[q] for q in self.dualmap)
-        return make_morphism(earlier.src, self.dst, dm)
+        return Morphism(earlier.src, self.dst, dm)
 
 
 @dataclass(frozen=True)
@@ -371,44 +356,41 @@ class DimPreservationReport:
         return self.contained and (self.equal or not self.dual_injective)
 
 
-def make_morphism(
-    src: Algebra, dst: Algebra, dualmap: Sequence[int], validate: bool = True
-) -> Morphism:
-    """Validate and build a morphism from its dual map."""
+def make_morphism(src: Algebra, dst: Algebra, dualmap: Sequence[int]) -> Morphism:
+    """Build a morphism from a dual map that comes from outside the library,
+    checking that it is total, monotone and open.  The library's own
+    quotient, composite, identity and projection maps are inclusions of
+    up-sets, or composites of them, and are built as ``Morphism`` directly."""
     dm = tuple(dualmap)
-    if len(dm) != dst.spec.n or any(
-        not 0 <= p < src.spec.n for p in dm
-    ):
+    if len(dm) != dst.spec.n or any(not 0 <= p < src.spec.n for p in dm):
         raise NotMonotone("dual map is not a total map into the source spectrum")
-    phi = Morphism(src, dst, dm)
-    if validate:
-        for lo, hi in dst.spec.covers:
-            if not src.spec.leq(dm[lo], dm[hi]):
-                raise NotMonotone(
-                    f"dual map inverts {dst.spec.names[lo]} <= {dst.spec.names[hi]}"
-                )
-        for q in range(dst.spec.n):
-            image = mask_of(dm[r] for r in bits(dst.spec.up[q]))
-            if image != src.spec.up[dm[q]]:
-                raise NotOpen(
-                    f"dual map does not carry the up-set of {dst.spec.names[q]}"
-                    " onto a principal up-set"
-                )
-    return phi
+    for lo, hi in dst.spec.covers:
+        if not src.spec.leq(dm[lo], dm[hi]):
+            raise NotMonotone(
+                f"dual map inverts {dst.spec.names[lo]} <= {dst.spec.names[hi]}"
+            )
+    for q in range(dst.spec.n):
+        image = mask_of(dm[r] for r in bits(dst.spec.up[q]))
+        if image != src.spec.up[dm[q]]:
+            raise NotOpen(
+                f"dual map does not carry the up-set of {dst.spec.names[q]}"
+                " onto a principal up-set"
+            )
+    return Morphism(src, dst, dm)
 
 
 def identity_morphism(a: Algebra) -> Morphism:
-    return make_morphism(a, a, tuple(range(a.spec.n)), validate=False)
+    return Morphism(a, a, tuple(range(a.spec.n)))
 
 
 def fiber_min(phi: Morphism, a: Element) -> Element:
-    """Least source element with the same image as a (quotient maps)."""
-    return phi.src.element(a) - phi.kernel().gen
+    """Least source element with the same image as a (quotient maps): a - kernel."""
+    return phi.src.element(a) - phi.kernel()
 
 
 def fiber_max(phi: Morphism, a: Element) -> Element:
-    """Greatest source element with the same image as a (quotient maps)."""
-    return phi.src.element(a) | phi.kernel().gen
+    """Greatest source element with the same image as a (quotient maps): a | kernel."""
+    return phi.src.element(a) | phi.kernel()
 
 
 def check_dL_preserved(phi: Morphism, d: int) -> DimPreservationReport:

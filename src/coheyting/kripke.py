@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import Algebra, Element, Morphism, make_morphism
+from .algebra import Algebra, Element, Morphism
 from .config import DEFAULT_CAPS, Caps
 from .errors import (
     FrameMismatch,
@@ -386,17 +386,18 @@ def projection(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> Morphism:
     """Canonical map from the (n, d+1) free quotient onto the (n, d) one.
 
     The d-layer universal frame is a construction prefix of the d+1-layer
-    one, so the dual map is the index inclusion.
+    one, a downset with the same down masks and colours, so the dual map is
+    the index inclusion of an up-set of the spectrum: monotone and open.
     """
     src = free_quotient(n, d + 1, caps)
     dst = free_quotient(n, d, caps)
     k = dst.algebra.spec.n
     if (
-        src.algebra.spec.names[:k] != dst.algebra.spec.names
+        src.frame.model.frame.down[:k] != dst.frame.model.frame.down
         or src.frame.model.colors[:k] != dst.frame.model.colors
     ):
         raise FrameMismatch("universal frame layers are not nested")
-    return make_morphism(src.algebra, dst.algebra, tuple(range(k)))
+    return Morphism(src.algebra, dst.algebra, tuple(range(k)))
 
 
 def d_equivalent(

@@ -30,7 +30,7 @@ from .errors import (
     NotSqueezed,
     OwnerMismatch,
 )
-from .kripke import free_quotient, projection
+from .kripke import free_quotient
 
 
 def distance(a: Element, b: Element) -> Fraction:
@@ -109,9 +109,10 @@ class Tower:
         return self.lift(self.levels[-1].top())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CoherentFamily:
-    """One component per tower level, each projecting onto the previous."""
+    """One component per tower level, each projecting onto the previous.
+    Families compare by tower identity and components, owned by the levels."""
 
     tower: Tower
     components: tuple[Element, ...]
@@ -129,19 +130,6 @@ class CoherentFamily:
                     f"component {d + 1} does not project onto component {d}"
                 )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CoherentFamily)
-            and other.tower is self.tower
-            and all(
-                a.pts == b.pts
-                for a, b in zip(self.components, other.components)
-            )
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.tower), tuple(c.pts for c in self.components)))
-
     def componentwise_leq(self, other: "CoherentFamily") -> bool:
         _same_tower(self, other)
         return all(a <= b for a, b in zip(self.components, other.components))
@@ -158,28 +146,26 @@ def _same_tower(f: CoherentFamily, g: CoherentFamily) -> None:
 def make_tower(
     source: Union[Algebra, int], depth: int, caps: Caps = DEFAULT_CAPS
 ) -> Tower:
-    """Tower of codimension quotients.
-
-    ``source`` is either a finite algebra (levels are its quotients by the
-    codimension >= d generators) or an int n (levels are the n-generated
-    free quotients).
-    """
+    """Tower of the quotients of ``source`` by its codimension >= d
+    generators: ``source`` is a finite algebra, or an int n for the free
+    algebra ``free_quotient(n, depth).algebra``.  Level ``depth`` is the
+    source itself when its epsilon(depth) is bottom, as for every free
+    source; each level below is cut from the one above, and the cut is the
+    tower map.  Universal frames are construction prefixes, so free levels
+    keep the names and order of the ``free_quotient(n, d)`` spectra."""
     if depth < 0:
         raise FrameMismatch("tower depth must be >= 0")
     if isinstance(source, int):
-        levels = tuple(
-            free_quotient(source, d, caps).algebra for d in range(depth + 1)
-        )
-        maps = tuple(projection(source, d, caps) for d in range(depth))
-    else:
-        # a cut by epsilon(d+1) leaves the up-set of points of corank <= d,
-        # whose coranks it keeps: cut again by its own epsilon(d), it gives
-        # source's quotient by epsilon(d), and the cut is the tower map
-        level, _ = source.quotient_by(source.epsilon(depth))
-        levels, maps = (level,), ()
-        for d in reversed(range(depth)):
-            level, proj = level.quotient_by(level.epsilon(d))
-            levels, maps = (level,) + levels, (proj,) + maps
+        source = free_quotient(source, depth, caps).algebra
+    top = source.epsilon(depth)
+    level = source if top.is_bottom() else source.quotient_by(top)[0]
+    # a cut by epsilon(d+1) leaves the up-set of points of corank <= d,
+    # whose coranks it keeps: cut again by its own epsilon(d), it gives
+    # source's quotient by epsilon(d)
+    levels, maps = (level,), ()
+    for d in reversed(range(depth)):
+        level, proj = level.quotient_by(level.epsilon(d))
+        levels, maps = (level,) + levels, (proj,) + maps
     tower = Tower(levels=levels, maps=maps)
     _audit_tower(tower)
     return tower
@@ -187,9 +173,7 @@ def make_tower(
 
 def _audit_tower(tower: Tower) -> None:
     for d, phi in enumerate(tower.maps):
-        ker = phi.kernel().gen
-        eps = phi.src.epsilon(d)
-        if ker.pts != eps.pts:
+        if phi.kernel() != phi.src.epsilon(d):
             raise CoheytingError(
                 f"tower map {d} kernel differs from the codim >= {d} generator"
             )

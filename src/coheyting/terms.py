@@ -38,11 +38,19 @@ class Term:
     """A term as its postfix code: a string pushes that variable, and an
     opcode pushes 0 or 1 or combines the top two values.  ``==`` and
     ``hash`` are those of the tuple; ``op``, ``name`` and ``args`` are a
-    read-only tree view, derived from the code on each call."""
+    read-only tree view derived from the code per call, the signature flags once."""
 
     code: tuple[int | str, ...]
-    has_diff: bool = field(default=False, compare=False)
-    has_impl: bool = field(default=False, compare=False)
+    has_diff: bool = field(init=False, compare=False)
+    has_impl: bool = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        has_diff, has_impl = _DIFF in self.code, _IMPL in self.code
+        if has_diff and has_impl:
+            raise SignatureMismatch("a term may use difference or implication, not both")
+        # not via __dict__, which would give every term a dict object of its own
+        object.__setattr__(self, "has_diff", has_diff)
+        object.__setattr__(self, "has_impl", has_impl)
 
     def variables(self) -> frozenset[str]:
         return frozenset(c for c in self.code if type(c) is str)
@@ -68,7 +76,7 @@ class Term:
         while owed:
             i -= 1
             owed += 1 if code[i] in _BINARY else -1
-        return _from_code(code[:i]), _from_code(code[i:-1])
+        return Term(code[:i]), Term(code[i:-1])
 
     @property
     def signature(self) -> str:
@@ -82,14 +90,6 @@ class Term:
         return print_term(self)
 
 
-def _from_code(code: tuple[int | str, ...]) -> Term:
-    """The term of a postfix code, with its signature flags."""
-    has_diff, has_impl = _DIFF in code, _IMPL in code
-    if has_diff and has_impl:
-        raise SignatureMismatch("a term may use difference or implication, not both")
-    return Term(code, has_diff, has_impl)
-
-
 ZERO = Term((_ZERO,))
 ONE = Term((_ONE,))
 
@@ -99,19 +99,19 @@ def Var(name: str) -> Term:
 
 
 def Join(a: Term, b: Term) -> Term:
-    return _from_code(a.code + b.code + (_JOIN,))
+    return Term(a.code + b.code + (_JOIN,))
 
 
 def Meet(a: Term, b: Term) -> Term:
-    return _from_code(a.code + b.code + (_MEET,))
+    return Term(a.code + b.code + (_MEET,))
 
 
 def Diff(a: Term, b: Term) -> Term:
-    return _from_code(a.code + b.code + (_DIFF,))
+    return Term(a.code + b.code + (_DIFF,))
 
 
 def Impl(a: Term, b: Term) -> Term:
-    return _from_code(a.code + b.code + (_IMPL,))
+    return Term(a.code + b.code + (_IMPL,))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def _term(toks: list[tuple[str, str, int]], i: int) -> tuple[Term, int]:
                 break
             code += [_IMPL] * imps
             if not outer:
-                return _from_code(tuple(code)), i
+                return Term(tuple(code)), i
             if kind != ")":
                 raise TermSyntaxError(f"expected ')', found {text!r}", pos)
             i += 1
@@ -264,7 +264,7 @@ def dualize(t: Term) -> Term:
             todo += (node[2], node[1], node[0])
         else:
             code.append(node)
-    return Term(tuple(code), t.has_impl, t.has_diff)
+    return Term(tuple(code))
 
 
 def run_program(code: Sequence[int | str], values: Mapping[str, PointSet],

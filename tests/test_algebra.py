@@ -37,7 +37,8 @@ from coheyting.errors import (
     SizeCap,
 )
 from coheyting.fixtures import load_fixture
-from coheyting.metric import ball
+from coheyting.kripke import projection
+from coheyting.metric import ball, make_tower
 from coheyting.posets import build_poset, enumerate_posets
 
 
@@ -222,9 +223,9 @@ def test_minimal_primes_and_omega():
     # at finite scale the intersection of all of them is {bottom}
     _, proj = v3.quotient_by(v3.epsilon(1))
     kernel = proj.kernel()
-    assert kernel.gen == v3.epsilon(1)
-    assert v3.bottom() in kernel
-    assert top not in kernel
+    assert kernel == v3.epsilon(1)
+    assert v3.bottom() <= kernel
+    assert not top <= kernel
     assert v3.epsilon(v3.spec.height() + 1) == v3.bottom()
 
 
@@ -250,8 +251,8 @@ def test_quotient_fibers_have_extrema():
         lo, hi = fiber_min(proj, a), fiber_max(proj, a)
         assert lo in fiber and hi in fiber
         assert all(lo <= x <= hi for x in fiber)
-        assert lo == a - v3.element(proj.kernel().gen)
-        assert hi == a | v3.element(proj.kernel().gen)
+        assert lo == a - v3.element(proj.kernel())
+        assert hi == a | v3.element(proj.kernel())
 
 
 def test_kernel_of_epsilon_quotient_is_epsilon(pool):
@@ -259,7 +260,7 @@ def test_kernel_of_epsilon_quotient_is_epsilon(pool):
         for d in range(algebra.spec.height() + 2):
             eps = algebra.epsilon(d)
             _, proj = algebra.quotient_by(eps)
-            assert proj.kernel().gen == eps
+            assert proj.kernel() == eps
             report = check_dL_preserved(proj, d)
             assert report.contained and report.equal
             assert report.ok
@@ -269,7 +270,7 @@ def test_kernel_is_computed_once():
     v3 = algebra_of("v3")
     _, proj = v3.quotient_by(v3.epsilon(1))
     first, second = proj.kernel(), proj.kernel()
-    assert first.gen == second.gen == v3.epsilon(1)
+    assert first == second == v3.epsilon(1)
     assert first is second
 
 
@@ -359,6 +360,33 @@ def test_identity_and_composition():
     assert q2.size() == 1
     with pytest.raises(OwnerMismatch):
         proj1.compose(proj2)
+
+
+def _passes_make_morphism(phi):
+    return make_morphism(phi.src, phi.dst, phi.dualmap).dualmap == phi.dualmap
+
+
+def test_library_morphisms_pass_make_morphism():
+    # the library builds its quotient, projection, composite, identity and
+    # tower maps as up-set inclusions, unchecked: each one passes the
+    # checks of make_morphism unchanged
+    for poset in enumerate_posets(5):
+        algebra = Algebra(poset)
+        for d in range(poset.height() + 2):
+            _, proj = algebra.quotient_by(algebra.epsilon(d))
+            assert _passes_make_morphism(proj)
+    for n, top in ((1, 3), (2, 1), (3, 0)):
+        for d in range(top + 1):
+            assert _passes_make_morphism(projection(n, d))
+    c3 = Algebra(build_poset(["p0", "p1", "p2"], [("p0", "p1"), ("p1", "p2")]))
+    q2, proj2 = c3.quotient_by(c3.epsilon(2))
+    _, proj1 = q2.quotient_by(q2.epsilon(1))
+    both = proj1.compose(proj2)
+    assert both.dst.spec.names == ("p2",) and _passes_make_morphism(both)
+    assert _passes_make_morphism(identity_morphism(c3))
+    towers = [make_tower(n, depth) for n, depth in ((0, 3), (1, 4), (2, 2), (3, 1))]
+    for tower in towers + [make_tower(algebra_of("v3"), 3)]:
+        assert all(_passes_make_morphism(phi) for phi in tower.maps)
 
 
 def test_subalgebra_generated():

@@ -12,6 +12,7 @@ import pytest
 
 from coheyting.algebra import Algebra
 from coheyting.errors import (
+    CoheytingError,
     FrameMismatch,
     IncoherentFamily,
     LimitsDiffer,
@@ -21,7 +22,7 @@ from coheyting.errors import (
     OwnerMismatch,
 )
 from coheyting.fixtures import load_fixture
-from coheyting.kripke import free_quotient
+from coheyting.kripke import free_quotient, projection
 from coheyting.metric import (
     CoherentFamily,
     ball,
@@ -138,6 +139,58 @@ def test_finite_tower_shape():
     )
     with pytest.raises(FrameMismatch):
         make_tower(v3, -1)
+
+
+@pytest.mark.parametrize("n, depth", [(0, 3), (1, 4), (2, 2), (3, 1)])
+def test_free_tower_is_cut_from_its_top_algebra(n, depth):
+    # universal frames are construction prefixes: the levels cut from
+    # F(n, depth) are the free quotients F(n, d) point for point, and the
+    # cuts are the projections between them
+    tower = make_tower(n, depth)
+    assert tower.levels[-1] is free_quotient(n, depth).algebra
+    for d, level in enumerate(tower.levels):
+        spec = free_quotient(n, d).algebra.spec
+        assert (level.spec.names, level.spec.covers, level.spec.down) == (
+            spec.names, spec.covers, spec.down
+        )
+    assert [phi.dualmap for phi in tower.maps] == [
+        projection(n, d).dualmap for d in range(depth)
+    ]
+    assert [level.size() for level in tower.levels] == precompactness_census(n, depth)
+
+
+def test_finite_tower_top_is_the_source():
+    # v3 has height 1: epsilon(3) is bottom, so level 3 is v3 itself
+    poset, _ = load_fixture("v3")
+    v3 = Algebra(poset)
+    tower = make_tower(v3, 3)
+    assert tower.levels[-1] is v3
+    assert [level.size() for level in tower.levels] == [1, 4, 5, 5]
+    for a in v3.elements():
+        assert tower.lift(a).components[-1] is a
+
+
+_EPSILON, _QUOTIENT_BY = Algebra.epsilon, Algebra.quotient_by
+
+
+@pytest.mark.parametrize(
+    "attr, mutant, depth, error",
+    [
+        ("quotient_by", lambda self, e: _QUOTIENT_BY(self, self.bottom()), 2,
+         "tower map 0 kernel differs from the codim >= 0 generator"),
+        ("epsilon", lambda self, d: self.bottom() if d == 1 else _EPSILON(self, d), 1,
+         "tower level 1 has dimension >= 1"),
+    ],
+)
+def test_tower_audit_negative_controls(monkeypatch, attr, mutant, depth, error):
+    # a cut that removes nothing leaves a kernel of bottom; a top epsilon
+    # of bottom keeps v3, of dimension 1, as level 1
+    poset, _ = load_fixture("v3")
+    make_tower(Algebra(poset), depth)
+    monkeypatch.setattr(Algebra, attr, mutant)
+    with pytest.raises(CoheytingError) as info:
+        make_tower(Algebra(poset), depth)
+    assert str(info.value) == error
 
 
 def test_free_tower_levels_and_lift(free_tower):

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from coheyting import suites
-from coheyting.algebra import Algebra, Element, fiber_max, fiber_min, make_morphism
+from coheyting.algebra import Algebra, Element, Morphism, fiber_max, fiber_min
 from coheyting.fixtures import load_fixture
 from coheyting.posets import bits, build_poset, enumerate_posets, mask_of, poset_to_text
 from coheyting.suites import (
@@ -178,7 +178,7 @@ def _drop_first_kept_point(quotient_by):
         quotient, proj = quotient_by(self, e)
         kept = proj.dualmap[1:]
         smaller = Algebra(self.spec.induced(mask_of(kept)))
-        return quotient, make_morphism(self, smaller, kept, validate=False)
+        return quotient, Morphism(self, smaller, kept)
     return broken
 
 
@@ -188,7 +188,7 @@ def _keep_last_eps_point(quotient_by):
         quotient, proj = quotient_by(self, e)
         kept = sorted({*proj.dualmap, max(bits(e.pts))})
         finer = Algebra(self.spec.induced(mask_of(kept)))
-        return quotient, make_morphism(self, finer, kept, validate=False)
+        return quotient, Morphism(self, finer, tuple(kept))
     return broken
 
 
@@ -302,7 +302,7 @@ def _quotient_mutants(seed):
             if kept is None:
                 return quotient, proj
             sub = Algebra(self.spec.induced(mask_of(kept)))
-            return quotient, make_morphism(self, sub, sorted(kept), validate=False)
+            return quotient, Morphism(self, sub, tuple(sorted(kept)))
         return broken
 
     def drop_kept(rng, e, kept):
@@ -318,7 +318,7 @@ def _quotient_mutants(seed):
         quotient, proj = quotient_by(self, e)
         rng = random.Random(seed)
         dualmap = [rng.randrange(self.spec.n) for _ in proj.dualmap]
-        return quotient, make_morphism(self, quotient, dualmap, validate=False)
+        return quotient, Morphism(self, quotient, tuple(dualmap))
 
     return [
         ("unmutated", epsilon, quotient_by),
@@ -362,6 +362,65 @@ def test_quotient_checker_matches_quadratic_reference(monkeypatch):
     assert verdicts["random mask, quotient by its largest downset", (
         "meet irreducibles above epsilon(d) biject with quotient's"
     )] > 150
+
+
+def _not_open(self, e):
+    """The true quotient, but its first kept point is sent to p0, the least
+    point of v3: still monotone, no longer open."""
+    quotient, proj = _QUOTIENT_BY(self, e)
+    return quotient, Morphism(self, quotient, (0,) + proj.dualmap[1:])
+
+
+def _constant_dualmap(self, e):
+    """No cut, and every point is sent to the last one."""
+    return self, Morphism(self, self, (self.spec.n - 1,) * self.spec.n)
+
+
+def _into_chain(self, e):
+    """An injective dual map from the chain q0 < q1 onto p1 and p2 of v3."""
+    chain = Algebra(build_poset(["q0", "q1"], [("q0", "q1")]))
+    return chain, Morphism(self, chain, (1, 2))
+
+
+def _to_top(self, a):
+    return self.dst.top()
+
+
+def _cut_nothing(self, e):
+    return _QUOTIENT_BY(self, self.bottom())
+
+
+@pytest.mark.parametrize(
+    "suite, target, attr, mutant, masks, extra, law",
+    [
+        ("dim-quotient", Morphism, "apply", _to_top, {}, {"d": "1"},
+         "image of epsilon(d) lands in target epsilon(d)"),
+        ("dim-quotient", Algebra, "quotient_by", _constant_dualmap, {}, {"d": "1"},
+         "quotient map carries epsilon(d) onto target epsilon(d)"),
+        ("dim-quotient", Algebra, "quotient_by", _cut_nothing, {}, {"d": "1"},
+         "dim of quotient by epsilon(d) below d"),
+        ("eval-morphism", Algebra, "quotient_by", _not_open, {"u_x": 0b111, "u_y": 0b001},
+         {"d": "1", "term": "x \\ y"}, "quotient maps commute with term evaluation"),
+        ("morphism-metrics", Algebra, "quotient_by", _not_open, {"a": 0, "b": 0b001},
+         {"d": "1"}, "quotient maps are nonexpansive"),
+        ("morphism-metrics", Morphism, "apply", _to_top, {"a": 0b111, "b": 0b111},
+         {"d": "1"}, "quotient maps send epsilon(k) into epsilon(k)"),
+        ("morphism-metrics", Algebra, "quotient_by", _into_chain, {"a": 0b111, "b": 0b111},
+         {"d": "1"}, "point-surjective quotients carry epsilon(k) onto epsilon(k)"),
+    ],
+)
+def test_morphism_checker_negative_controls(
+    monkeypatch, suite, target, attr, mutant, masks, extra, law
+):
+    # the library builds quotient maps unchecked, so these laws are what
+    # catch a wrong one: each fires under its mutant on v3 at d = 1
+    poset, _ = load_fixture("v3")
+    algebra = Algebra(poset)
+    e = {name: algebra.element(m) for name, m in masks.items()}
+    check = CHECKERS[suite]
+    assert check(algebra, e, extra) is None
+    monkeypatch.setattr(target, attr, mutant)
+    assert check(algebra, e, extra) == law
 
 
 def _cubic_irreducibles(algebra, elems):

@@ -22,6 +22,8 @@ from coheyting.errors import (
     UnboundVariable,
 )
 from coheyting.fixtures import load_fixture
+from coheyting.kripke import make_model, truth_set
+from coheyting.posets import build_poset
 from coheyting.suites import random_term
 from coheyting.terms import (
     Diff,
@@ -29,6 +31,7 @@ from coheyting.terms import (
     Join,
     Meet,
     ONE,
+    Term,
     Var,
     ZERO,
     dualize,
@@ -248,3 +251,17 @@ def test_tree_view_of_leaves_and_operators():
     t = parse_term("(a -> b) & c")
     assert (t.op, t.name, t.args) == ("meet", None, (parse_term("a -> b"), Var("c")))
     assert t.args[0].has_impl and not t.args[1].has_impl
+
+
+def test_term_flags_come_from_its_code():
+    # a Term built from a bare code carries its signature, so the guards
+    # on it hold; a mixed code is refused
+    diff = Term(parse_term("x \\ y").code)
+    assert (diff.has_diff, diff.has_impl, diff.signature) == (True, False, "difference")
+    assert Term(parse_term("x -> y").code).signature == "implication"
+    assert dualize(diff).signature == "implication"
+    model = make_model(build_poset(["a"]), ("x", "y"), [0])
+    with pytest.raises(SignatureMismatch):
+        truth_set(model, diff)
+    with pytest.raises(SignatureMismatch):
+        Term(("x", "y", -5, "z", -6))
