@@ -36,6 +36,7 @@ from .posets import (
     PointSet,
     Poset,
     _from_down,
+    _from_masks,
     _refine,
     antichain_stream,
     bits,
@@ -320,13 +321,14 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
         if not new_layer:
             break
         # grow the up masks by the newest layer only: a transpose of the
-        # whole lower frame per layer would cost O(layers * n**2)
+        # whole lower frame per layer would cost O(layers * n**2); the frame
+        # takes them as they are, with no final transpose
         for idx in new_layer:
             up.append(1 << idx)
             for w in bits(down[idx] ^ 1 << idx):
                 up[w] |= 1 << idx
         layers.append(tuple(new_layer))
-    frame = _from_down([f"u{i}" for i in range(len(colors))], down)
+    frame = _from_masks([f"u{i}" for i in range(len(colors))], down, up)
     model = make_model(frame, vars, colors)
     return UniversalFrame(n=n, d=d, model=model, layers=tuple(layers))
 

@@ -341,11 +341,16 @@ def transpose(down: Sequence[int]) -> list[int]:
 
 
 def _from_down(names: Sequence[str], down: Sequence[int]) -> Poset:
-    """Build a Poset from reflexive down-closure masks."""
-    n = len(names)
-    up = transpose(down)
+    """Build a Poset from reflexive down-closure masks: their transpose
+    gives the up masks, and ``_from_masks`` the covers."""
+    return _from_masks(names, down, transpose(down))
+
+
+def _from_masks(names: Sequence[str], down: Sequence[int], up: Sequence[int]) -> Poset:
+    """Build a Poset from reflexive down- and up-closure masks, ``up`` the
+    transpose of ``down``; only the covers are computed, by climbing."""
     covers = []
-    for j in range(n):
+    for j in range(len(names)):
         rest = down[j] & ~(1 << j)
         while rest:
             # climb to a maximal point of rest, a lower cover of j (one
@@ -512,7 +517,7 @@ def parse_point_list(text: str, poset: Poset) -> PointSet:
 
 def _label_key(label) -> tuple:
     if isinstance(label, (frozenset, set)):
-        return ("set", tuple(sorted(str(v) for v in label)))
+        return ("set", tuple(sorted(map(str, label))))
     if isinstance(label, tuple):
         return ("tuple",) + tuple(_label_key(v) for v in label)
     if label is None:
@@ -567,7 +572,11 @@ def canonical_form(
     points, a list of cells; the code is the minimum encoding over all
     discrete partitions explored.  The cells start as the points of each
     label, labels in sorted order.  ``_refine`` splits them by the sorted
-    cell offsets strictly below and strictly above each point.
+    cell offsets strictly below and strictly above each point.  Without
+    labels, the cells start as the points of each (number strictly below,
+    number strictly above), in sorted order: what the first round makes of
+    the one cell of every point, whose offsets are all 0, since a tuple of
+    zeros sorts by its length.
     Individualizing a point of the first cell with more than one point
     moves it to the front of the whole order as a cell of its own, the
     rest of its cell staying where the cell was.  A partition of
@@ -578,6 +587,8 @@ def canonical_form(
     are pruned: swapping two twins is an automorphism fixing every other
     point, so individualizing either gives the same leaf codes, and only
     the first twin of each class in the target cell is explored.  The
+    twin classes are found at the first individualization, so a search
+    that refinement alone takes to a leaf never builds them.  The
     minimum, and with it the code, is byte-identical to that of the
     unpruned search.  Offsets order the cells as their ranks do, so the
     splits and the codes are those of a search on colour lists that
@@ -602,24 +613,32 @@ def canonical_form(
         keys = [_label_key(label) for label in labels]
     if n == 0:
         return repr((0, (), ()))
-    strict_down = [poset.down[i] & ~(1 << i) for i in range(n)]
-    strict_up = [poset.up[i] & ~(1 << i) for i in range(n)]
-    below = [list(bits(m)) for m in strict_down]
-    above = [list(bits(m)) for m in strict_up]
-    first_twin: dict[tuple, int] = {}
-    twin = [
-        first_twin.setdefault((strict_down[i], strict_up[i], keys[i]), i)
-        for i in range(n)
-    ]
-    by_key: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        by_key.setdefault(key, []).append(i)
+    below: list[list[int]] = []
+    above: list[list[int]] = [[] for _ in range(n)]
+    for j, d in enumerate(poset.down):
+        row = []
+        d ^= 1 << j
+        while d:
+            low = d & -d
+            i = low.bit_length() - 1
+            row.append(i)
+            above[i].append(j)
+            d ^= low
+        below.append(row)
+    root: dict[tuple, list[int]] = {}
+    if labels is None:
+        for i in range(n):
+            root.setdefault((len(below[i]), len(above[i])), []).append(i)
+    else:
+        for i, key in enumerate(keys):
+            root.setdefault(key, []).append(i)
 
     def signature(i: int, get: Callable[[int], int]) -> tuple:
         return (tuple(sorted(map(get, below[i]))), tuple(sorted(map(get, above[i]))))
 
     best: list[str | None] = [None]
     budget = [caps.max_canonical_leaves]
+    twin: list[int] = []
 
     def rec(cells: list[list[int]]) -> None:
         cells = _refine(cells, signature)
@@ -634,11 +653,18 @@ def canonical_form(
             for new, (old,) in enumerate(cells):
                 pos[old] = new
             lab = tuple(keys[old] for (old,) in cells)
-            cov = tuple(sorted((pos[a], pos[b]) for a, b in poset.covers))
+            cov = tuple(sorted([(pos[a], pos[b]) for a, b in poset.covers]))
             code = repr((n, lab, cov))
             if best[0] is None or code < best[0]:
                 best[0] = code
             return
+        if not twin:
+            first: dict[tuple, int] = {}
+            down, up = poset.down, poset.up
+            twin.extend(
+                first.setdefault((down[i] ^ 1 << i, up[i] ^ 1 << i, keys[i]), i)
+                for i in range(n)
+            )
         explored = set()
         for i in target:
             if twin[i] in explored:
@@ -647,13 +673,27 @@ def canonical_form(
             rest = [j for j in target if j != i]
             rec([[i], *cells[:c], rest, *cells[c + 1:]])
 
-    rec([by_key[key] for key in sorted(by_key)])
+    rec([root[key] for key in sorted(root)])
     assert best[0] is not None
     return best[0]
 
 
 # ---------------------------------------------------------------------------
 # enumeration up to isomorphism
+
+def _add_top(base: Poset, names: tuple[str, ...], downset: PointSet) -> Poset:
+    """``base`` with one more point k, named last in ``names``, whose strict
+    down-set is the downset ``downset``: its lower covers are the maximal
+    points of ``downset``, and bit k joins the up mask of each point of it."""
+    k, top, up = base.n, 1 << base.n, base.up
+    new_covers = tuple([(i, k) for i in range(k) if up[i] & downset == 1 << i])
+    return Poset(
+        names,
+        tuple(sorted(base.covers + new_covers)),
+        base.down + (downset | top,),
+        tuple([u | top if downset >> i & 1 else u for i, u in enumerate(up)]) + (top,),
+    )
+
 
 @lru_cache(maxsize=None)
 def _iso_classes(size: int, caps: Caps) -> tuple[Poset, ...]:
@@ -675,8 +715,7 @@ def _iso_classes(size: int, caps: Caps) -> tuple[Poset, ...]:
         for downset in base.downsets(caps):
             if any(downset & b and not downset & a for a, b in twins):
                 continue
-            down = list(base.down) + [downset | 1 << k]
-            cand = _from_down(names, down)
+            cand = _add_top(base, names, downset)
             code = canonical_form(cand, caps=caps)
             if code not in reps:
                 reps[code] = cand
@@ -692,7 +731,10 @@ def enumerate_posets(
     size k+1 arises from a size-k poset by attaching a new maximal point
     above one of its downsets, so the sweep is exhaustive; the first
     candidate of each class, over the bases in order and their downsets
-    in ``downsets()`` order, represents it.  Twins a < b of a base (the
+    in ``downsets()`` order, represents it.  Each candidate is built from
+    its base: the masks gain the new point, and its lower covers are the
+    maximal points of its downset, so no closure is transposed and no
+    cover is climbed again.  Twins a < b of a base (the
     same strict down and up masks) are skipped over: a downset holding b
     but not a gives, swapped, an isomorphic candidate from an earlier
     downset of the same base, so it is never first and is not built.

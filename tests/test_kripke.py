@@ -44,7 +44,7 @@ from coheyting.kripke import (
     truth_set,
     universal_frame,
 )
-from coheyting.posets import Poset, bits, build_poset, enumerate_posets
+from coheyting.posets import Poset, _from_down, bits, build_poset, enumerate_posets
 from coheyting.suites import random_term
 from coheyting.terms import dualize, eval_term, parse_term
 
@@ -334,6 +334,14 @@ def test_universal_frame_structure_pinned():
         frame = uf.model.frame
         text = repr((frame.names, frame.covers, uf.model.colors, uf.layers))
         assert hashlib.sha256(text.encode()).hexdigest().startswith(pin)
+
+
+def test_universal_frame_keeps_its_grown_up_masks():
+    # the frame takes the up masks grown layer by layer, not a transpose
+    for n, ds in ((1, range(1, 7)), (2, (1, 2)), (3, (1, 2))):
+        for d in ds:
+            frame = universal_frame(n, d).model.frame
+            assert frame == _from_down(frame.names, frame.down)
 
 
 def test_columns_are_colour_bits():

@@ -632,8 +632,32 @@ def test_enumeration_pinned(monkeypatch):
     reps = list(enumerate_posets(7, Caps(max_enum_points=8)))
     assert len(reps) == 2450 and len(calls) == 5069
     assert sha256_of(repr((p.names, p.covers)) for p in reps).startswith("6af9dbfe7644e4ce")
+    # the closure masks, computed on the build that made each candidate
+    # with _from_down
+    assert sha256_of(repr((p.down, p.up)) for p in reps).startswith("a1fb97f451474c29")
     monkeypatch.undo()
     assert reps == list(enumerate_posets(7))
+
+
+def test_candidates_built_from_their_base():
+    # every downset of every base of at most 6 points, those the twin skip
+    # drops too, against the transpose and cover climb of the new down masks
+    for base in enumerate_posets(6):
+        names = base.names + (f"p{base.n}",)
+        for downset in base.downsets():
+            cand = posets._add_top(base, names, downset)
+            assert cand == _from_down(names, base.down + (downset | 1 << base.n,))
+
+
+def test_unlabelled_root_matches_labelled_path():
+    # without labels the root is the first refinement round, done in one
+    # step; [None] * n runs that round in _refine
+    for p in enumerate_posets(7):
+        assert canonical_form(p) == canonical_form(p, [None] * p.n)
+    rng = random.Random(12)
+    for _ in range(40):
+        p, _labels = symmetric_labelled(rng)
+        assert canonical_form(p) == canonical_form(p, [None] * p.n)
 
 
 def test_canonical_form_label_count_must_match():
