@@ -19,7 +19,6 @@ from .algebra import (
     identity_morphism,
     make_morphism,
 )
-from .config import Caps, DEFAULT_CAPS
 from .errors import (
     CoheytingError,
     CycleDetected,

@@ -16,7 +16,6 @@ from functools import cached_property, total_ordering
 from itertools import repeat
 from typing import Iterable, Sequence, Union
 
-from .config import DEFAULT_CAPS, Caps
 from .errors import (
     EmptyElement,
     InfiniteArithmetic,
@@ -167,19 +166,20 @@ class Algebra:
     def size(self) -> int:
         return self.spec.count_downsets()
 
-    def elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[Element, ...]:
+    def elements(self) -> tuple[Element, ...]:
         """Every element in ``set_key`` order, as one tuple kept for the
         life of the algebra.  Built once, on first use, from
-        ``spec.downsets``, whose cap check every call repeats.
+        ``spec.downsets()``, which raises SizeCap past ``MAX_CLOSURE``
+        downsets; a build that raised keeps nothing.
 
         The build pauses the cyclic garbage collector, because every
         element it makes is kept: for the 265,454 elements of ``F(2,2)`` the
         collector otherwise ran 378 passes during the build and freed 21
         objects.  Its state on entry is restored, also when the build
         raises."""
-        masks = self.spec.downsets(caps)
         found = self.__dict__.get("_elements")
         if found is None:
+            masks = self.spec.downsets()
             enabled = gc.isenabled()
             gc.disable()
             try:
@@ -288,13 +288,11 @@ class Algebra:
         # the dual map includes the up-set keep: monotone and open as built
         return quotient, Morphism(self, quotient, tuple(bits(keep)))
 
-    def subalgebra_generated(
-        self, gens: Sequence[Element], caps: Caps = DEFAULT_CAPS
-    ) -> tuple[Element, ...]:
+    def subalgebra_generated(self, gens: Sequence[Element]) -> tuple[Element, ...]:
         """Closure of gens (plus bounds) under join, meet and difference."""
         spec = self.spec
         seeds = [0, spec.full] + [self.element(g).pts for g in gens]
-        closed = close(seeds, lambda a, b: spec.down_closure(a & ~b), caps)
+        closed = close(seeds, lambda a, b: spec.down_closure(a & ~b))
         return tuple(Element(self, m) for m in closed)
 
 

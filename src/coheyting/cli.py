@@ -9,11 +9,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .algebra import Algebra, Element
-from .config import DEFAULT_CAPS, Caps
 from .errors import (
     CoheytingError,
     FormatError,
@@ -25,6 +23,7 @@ from .errors import (
     UnboundVariable,
 )
 from .kripke import (
+    MAX_FRAME_NODES,
     bisim_reduce,
     d_equivalent,
     enumerate_reduced_models,
@@ -43,10 +42,8 @@ from .suites import SuiteContext, run_suites, suite_names
 from .terms import dualize, eval_term, parse_formula, parse_term, print_term
 
 
-def _caps(args) -> Caps:
-    if args.max_nodes is None:
-        return DEFAULT_CAPS
-    return replace(DEFAULT_CAPS, max_frame_nodes=args.max_nodes)
+def _max_nodes(args) -> int:
+    return MAX_FRAME_NODES if args.max_nodes is None else args.max_nodes
 
 
 def _text(value) -> str:
@@ -228,7 +225,7 @@ def cmd_kripke_reduce(args) -> int:
 
 
 def cmd_kripke_universal(args) -> int:
-    uf = universal_frame(args.n, args.d, _caps(args))
+    uf = universal_frame(args.n, args.d, _max_nodes(args))
     _emit_pair(args, "census", " ".join(str(c) for c in uf.census))
     _emit_pair(args, "points", uf.model.frame.n)
     if args.show:
@@ -240,7 +237,8 @@ def cmd_kripke_models(args) -> int:
     if args.max_points is not None and args.max_points < 1:
         raise FormatError("--max-points must be at least 1")
     count = 0
-    for model in enumerate_reduced_models(args.n, args.d, args.max_points, _caps(args)):
+    models = enumerate_reduced_models(args.n, args.d, args.max_points, _max_nodes(args))
+    for model in models:
         count += 1
         if args.show:
             print(model.to_text())
@@ -253,22 +251,22 @@ def cmd_kripke_models(args) -> int:
 
 
 def cmd_free_size(args) -> int:
-    fq = free_quotient(args.n, args.d, _caps(args))
+    fq = free_quotient(args.n, args.d, _max_nodes(args))
     _emit(args, "size", fq.algebra.size())
     return 0
 
 
 def cmd_free_epsilon(args) -> int:
-    _emit(args, "epsilon", free_epsilon(args.n, args.d, args.e, _caps(args)))
+    _emit(args, "epsilon", free_epsilon(args.n, args.d, args.e, _max_nodes(args)))
     return 0
 
 
 def cmd_free_project(args) -> int:
     if args.d < 1:
         raise FormatError("projection needs d >= 1")
-    phi = projection(args.n, args.d - 1, _caps(args))
-    lower = free_quotient(args.n, args.d - 1, _caps(args))
-    upper = free_quotient(args.n, args.d, _caps(args))
+    phi = projection(args.n, args.d - 1, _max_nodes(args))
+    lower = free_quotient(args.n, args.d - 1, _max_nodes(args))
+    upper = free_quotient(args.n, args.d, _max_nodes(args))
     _emit_pair(args, "from", upper.algebra.size())
     _emit_pair(args, "to", lower.algebra.size())
     ok = all(
@@ -280,7 +278,7 @@ def cmd_free_project(args) -> int:
 
 def cmd_equiv(args) -> int:
     same = d_equivalent(
-        parse_term(args.term1), parse_term(args.term2), args.n, args.d, _caps(args)
+        parse_term(args.term1), parse_term(args.term2), args.n, args.d, _max_nodes(args)
     )
     _emit(args, "equivalent", "equivalent" if same else "distinct")
     return 0 if same else 1
@@ -290,15 +288,10 @@ def cmd_equiv(args) -> int:
 # tower
 
 
-def _tower_from_args(args):
-    caps = _caps(args)
-    return make_tower(args.n, args.depth, caps), caps
-
-
-def _lift_of_term(args, tower, caps, text: str):
+def _lift_of_term(args, tower, text: str):
     # the top level of a free tower is the cached free quotient, so its
     # generators bind the variables x1..xn
-    fq = free_quotient(args.n, args.depth, caps)
+    fq = free_quotient(args.n, args.depth, _max_nodes(args))
     term = parse_term(text)
     gens = {f"x{i + 1}": g for i, g in enumerate(fq.gens)}
     env = {}
@@ -310,22 +303,22 @@ def _lift_of_term(args, tower, caps, text: str):
 
 
 def cmd_tower_census(args) -> int:
-    sizes = precompactness_census(args.n, args.depth, _caps(args))
+    sizes = precompactness_census(args.n, args.depth, _max_nodes(args))
     _emit(args, "census", " ".join(str(s) for s in sizes))
     return 0
 
 
 def cmd_tower_lift(args) -> int:
-    tower, caps = _tower_from_args(args)
-    family = _lift_of_term(args, tower, caps, args.term)
+    tower = make_tower(args.n, args.depth, _max_nodes(args))
+    family = _lift_of_term(args, tower, args.term)
     for d, comp in enumerate(family.components):
         _emit_pair(args, f"level{d}", comp)
     return 0
 
 
 def cmd_tower_limit(args) -> int:
-    tower, caps = _tower_from_args(args)
-    families = [_lift_of_term(args, tower, caps, t) for t in args.terms]
+    tower = make_tower(args.n, args.depth, _max_nodes(args))
+    families = [_lift_of_term(args, tower, t) for t in args.terms]
     try:
         limit = cauchy_limit(families)
     except (NotCauchyAtDepth, NotMonotone, NotSqueezed, LimitsDiffer) as exc:
@@ -344,7 +337,7 @@ def cmd_fmp_search(args) -> int:
     if args.max_points < 1 or args.max_assignments < 1:
         raise FormatError("--max-points and --max-assignments must be at least 1")
     formula = parse_formula(args.formula)
-    witness = fmp_search(formula, args.max_points, args.max_assignments, _caps(args))
+    witness = fmp_search(formula, args.max_points, args.max_assignments)
     if witness is None:
         _emit(args, "witness", f"no witness up to {args.max_points} points")
         return 1

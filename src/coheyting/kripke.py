@@ -24,7 +24,6 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Element, Morphism
-from .config import DEFAULT_CAPS, Caps
 from .errors import (
     FrameMismatch,
     NotMonotone,
@@ -48,6 +47,7 @@ from .posets import (
 from .terms import Term, Var, run_program
 
 log = logging.getLogger(__name__)
+MAX_FRAME_NODES = 20000  # default universal frame size cap
 MAX_GENERATION_CHECK = 600  # generated-subalgebra completeness audit
 
 
@@ -224,9 +224,7 @@ def model_of_algebra(
     return make_model(frame, tuple(var_names), colors)
 
 
-def algebra_of_model(
-    model: KripkeModel, caps: Caps = DEFAULT_CAPS
-) -> tuple[PointSet, ...]:
+def algebra_of_model(model: KripkeModel) -> tuple[PointSet, ...]:
     """Definable truth sets: closure of the variable truth sets under
     union, intersection and implication.  Returned as frame downsets."""
     frame = model.frame
@@ -236,7 +234,7 @@ def algebra_of_model(
     def implies(a: PointSet, b: PointSet) -> PointSet:
         return full & ~frame.up_closure(a & ~b)
 
-    return tuple(close([0, full] + gens, implies, caps))
+    return tuple(close([0, full] + gens, implies))
 
 
 # ---------------------------------------------------------------------------
@@ -254,27 +252,28 @@ class UniversalFrame:
         return tuple(len(layer) for layer in self.layers)
 
 
-def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame:
+def universal_frame(n: int, d: int, max_nodes: int = MAX_FRAME_NODES) -> UniversalFrame:
     """Layered universal frame on n proposition letters and d layers.
 
     One step builds every layer: a point lies over an antichain, its colour
     inside every colour of the antichain.  Layer 1 lies over the empty
     antichain, each later layer over the antichains that meet the one
     below, ordered by (antichain size, antichain indices, color mask).
-    Skipped antichains count toward ``caps.max_antichains`` too.
+    SizeCap, with the census of the layers built, is raised past
+    ``max_nodes`` points (or, at d = 0, variables) and past
+    ``posets.MAX_ANTICHAINS`` antichains of one layer's stream; skipped
+    antichains count toward that limit too.
     """
     if n < 0 or d < 0:
         raise FrameMismatch("need n >= 0 and d >= 0")
     # layer 1 holds 2**n points; n >= bit_length(cap) is 2**n > cap
-    if d >= 1 and n >= caps.max_frame_nodes.bit_length():
-        raise SizeCap(
-            f"universal frame exceeds {caps.max_frame_nodes} nodes", census=()
-        )
+    if d >= 1 and n >= max_nodes.bit_length():
+        raise SizeCap(f"universal frame exceeds {max_nodes} nodes", census=())
     # at d = 0 the frame is empty, but its model still names n variables
-    if n > caps.max_frame_nodes:
+    if n > max_nodes:
         raise SizeCap(
             f"universal frame names {n} variables, over the"
-            f" {caps.max_frame_nodes}-node cap",
+            f" {max_nodes}-node cap",
             census=(),
         )
     vars = tuple(f"x{i + 1}" for i in range(n))
@@ -286,7 +285,7 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
         # the stream reads a frozen copy of the order while the layer grows;
         # only antichains meeting the newest layer, read up to the node cap
         newest = mask_of(layers[-1] if layers else ())
-        found = antichain_stream(tuple(down), tuple(up), caps) if layers else iter((0,))
+        found = antichain_stream(tuple(down), tuple(up)) if layers else iter((0,))
         new_layer = []
         while True:
             try:
@@ -310,9 +309,9 @@ def universal_frame(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> UniversalFrame
                 if c & inter != c:
                     continue
                 idx = len(colors)
-                if idx >= caps.max_frame_nodes:
+                if idx >= max_nodes:
                     raise SizeCap(
-                        f"universal frame exceeds {caps.max_frame_nodes} nodes",
+                        f"universal frame exceeds {max_nodes} nodes",
                         census=tuple(len(l) for l in layers + [tuple(new_layer)]),
                     )
                 colors.append(c)
@@ -342,7 +341,7 @@ class FreeQuotient:
 
     ``complete`` records the generated-subalgebra audit: True when the
     generators were verified to generate everything, None when the algebra
-    was too large to audit under the caps.
+    was too large to audit (over ``MAX_GENERATION_CHECK`` elements).
     """
 
     n: int
@@ -353,21 +352,23 @@ class FreeQuotient:
     complete: bool | None
 
 
-def free_quotient(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> FreeQuotient:
-    """Cached so repeated stages share one algebra object per (n, d, caps)."""
-    return _free_quotient(n, d, caps)
+def free_quotient(n: int, d: int, max_nodes: int = MAX_FRAME_NODES) -> FreeQuotient:
+    """Cached so repeated stages share one algebra object per (n, d,
+    max_nodes): a call with the default and one that passes
+    ``MAX_FRAME_NODES`` get the same object."""
+    return _free_quotient(n, d, max_nodes)
 
 
 @lru_cache(maxsize=None)
-def _free_quotient(n: int, d: int, caps: Caps) -> FreeQuotient:
-    uf = universal_frame(n, d, caps)
+def _free_quotient(n: int, d: int, max_nodes: int) -> FreeQuotient:
+    uf = universal_frame(n, d, max_nodes)
     algebra = Algebra(frame_to_spec(uf.model.frame))
     full = uf.model.frame.full
     gens = [algebra.element(full & ~column) for column in uf.model.columns]
     complete: bool | None = None
     size = algebra.size()
     if size <= MAX_GENERATION_CHECK:
-        generated = algebra.subalgebra_generated(gens, caps)
+        generated = algebra.subalgebra_generated(gens)
         complete = len(generated) == size
         if not complete:
             log.warning(
@@ -379,20 +380,20 @@ def _free_quotient(n: int, d: int, caps: Caps) -> FreeQuotient:
     )
 
 
-def free_epsilon(n: int, d: int, e: int, caps: Caps = DEFAULT_CAPS) -> Element:
+def free_epsilon(n: int, d: int, e: int, max_nodes: int = MAX_FRAME_NODES) -> Element:
     """Codimension >= e generator inside the (n, d) free quotient."""
-    return free_quotient(n, d, caps).algebra.epsilon(e)
+    return free_quotient(n, d, max_nodes).algebra.epsilon(e)
 
 
-def projection(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> Morphism:
+def projection(n: int, d: int, max_nodes: int = MAX_FRAME_NODES) -> Morphism:
     """Canonical map from the (n, d+1) free quotient onto the (n, d) one.
 
     The d-layer universal frame is a construction prefix of the d+1-layer
     one, a downset with the same down masks and colours, so the dual map is
     the index inclusion of an up-set of the spectrum: monotone and open.
     """
-    src = free_quotient(n, d + 1, caps)
-    dst = free_quotient(n, d, caps)
+    src = free_quotient(n, d + 1, max_nodes)
+    dst = free_quotient(n, d, max_nodes)
     k = dst.algebra.spec.n
     if (
         src.frame.model.frame.down[:k] != dst.frame.model.frame.down
@@ -403,7 +404,7 @@ def projection(n: int, d: int, caps: Caps = DEFAULT_CAPS) -> Morphism:
 
 
 def d_equivalent(
-    t1: Term, t2: Term, n: int, d: int, caps: Caps = DEFAULT_CAPS
+    t1: Term, t2: Term, n: int, d: int, max_nodes: int = MAX_FRAME_NODES
 ) -> bool:
     """True when the two implication-signature terms cannot be told apart
     at codimension depth d: their duals agree on the free generators.
@@ -420,14 +421,14 @@ def d_equivalent(
             f"terms use {len(names)} variables but only {n} generators exist"
         )
     # sorted name i stands for generator i, read off colour column i
-    uf = free_quotient(n, d, caps).frame.model
+    uf = free_quotient(n, d, max_nodes).frame.model
     values = dict(zip(names, uf.columns))
     frame = uf.frame
     return run_program(t1.code, values, frame) == run_program(t2.code, values, frame)
 
 
 def enumerate_reduced_models(
-    n: int, d: int, max_points: int | None = None, caps: Caps = DEFAULT_CAPS
+    n: int, d: int, max_points: int | None = None, max_nodes: int = MAX_FRAME_NODES
 ) -> Iterator[KripkeModel]:
     """All reduced models of depth at most d on n letters, up to
     isomorphism: the nonempty downsets of the universal frame, as induced
@@ -439,16 +440,17 @@ def enumerate_reduced_models(
     the point itself.  So isomorphic downsets are equal (N. Bezhanishvili,
     PhD thesis, Amsterdam 2006, ch. 3).
 
-    With ``max_points`` the downsets come from ``Poset.downsets_upto``,
-    which builds and keeps only those of at most ``max_points`` points,
-    and ``caps.max_closure`` bounds how many; without it they come from
-    the full list ``Poset.downsets``, bounded by its own count."""
-    uf = universal_frame(n, d, caps)
+    The universal frame is built under ``max_nodes``.  With
+    ``max_points`` the downsets come from ``Poset.downsets_upto``, which
+    builds and keeps only those of at most ``max_points`` points, and
+    ``posets.MAX_CLOSURE`` bounds how many; without it they come from the
+    full list ``Poset.downsets``, which the same limit bounds."""
+    uf = universal_frame(n, d, max_nodes)
     frame = uf.model.frame
     if max_points is None:
-        found = frame.downsets(caps)
+        found = frame.downsets()
     else:
-        found = frame.downsets_upto(max_points, caps)
+        found = frame.downsets_upto(max_points)
     for ds in found:
         if ds:
             colors = [uf.model.colors[p] for p in bits(ds)]

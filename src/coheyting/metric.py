@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .algebra import Algebra, Element, Infinite, Morphism
-from .config import DEFAULT_CAPS, Caps
 from .errors import (
     CoheytingError,
     FrameMismatch,
@@ -30,7 +29,7 @@ from .errors import (
     NotSqueezed,
     OwnerMismatch,
 )
-from .kripke import free_quotient
+from .kripke import MAX_FRAME_NODES, free_quotient
 
 
 def distance(a: Element, b: Element) -> Fraction:
@@ -41,7 +40,7 @@ def distance(a: Element, b: Element) -> Fraction:
     return Fraction(1, 2 ** c)
 
 
-def ball(x: Element, d: int, caps: Caps = DEFAULT_CAPS) -> tuple[Element, ...]:
+def ball(x: Element, d: int) -> tuple[Element, ...]:
     """Elements within 2^(-d): symmetric difference of codimension >= d.
 
     codim(s) >= d iff every point of s has corank >= d iff s is inside
@@ -54,16 +53,14 @@ def ball(x: Element, d: int, caps: Caps = DEFAULT_CAPS) -> tuple[Element, ...]:
     algebra = x.owner
     off = algebra.spec.full & ~algebra.epsilon(d).pts
     fixed = x.pts & off
-    return tuple(y for y in algebra.elements(caps) if y.pts & off == fixed)
+    return tuple(y for y in algebra.elements() if y.pts & off == fixed)
 
 
-def dense_skeleton(
-    algebra: Algebra, caps: Caps = DEFAULT_CAPS
-) -> tuple[Element, ...]:
+def dense_skeleton(algebra: Algebra) -> tuple[Element, ...]:
     """Subalgebra generated by the irreducibles; the join and meet routes
     must agree, and at finite scale they exhaust the algebra."""
-    via_join = algebra.subalgebra_generated(algebra.join_irreducibles(), caps)
-    via_meet = algebra.subalgebra_generated(algebra.meet_irreducibles(), caps)
+    via_join = algebra.subalgebra_generated(algebra.join_irreducibles())
+    via_meet = algebra.subalgebra_generated(algebra.meet_irreducibles())
     if via_join != via_meet:
         raise CoheytingError(
             "join- and meet-irreducible generation disagree"
@@ -144,11 +141,11 @@ def _same_tower(f: CoherentFamily, g: CoherentFamily) -> None:
 
 
 def make_tower(
-    source: Union[Algebra, int], depth: int, caps: Caps = DEFAULT_CAPS
+    source: Union[Algebra, int], depth: int, max_nodes: int = MAX_FRAME_NODES
 ) -> Tower:
     """Tower of the quotients of ``source`` by its codimension >= d
     generators: ``source`` is a finite algebra, or an int n for the free
-    algebra ``free_quotient(n, depth).algebra``.  Level ``depth`` is the
+    algebra ``free_quotient(n, depth, max_nodes).algebra``.  Level ``depth`` is the
     source itself when its epsilon(depth) is bottom, as for every free
     source; each level below is cut from the one above, and the cut is the
     tower map.  Universal frames are construction prefixes, so free levels
@@ -156,7 +153,7 @@ def make_tower(
     if depth < 0:
         raise FrameMismatch("tower depth must be >= 0")
     if isinstance(source, int):
-        source = free_quotient(source, depth, caps).algebra
+        source = free_quotient(source, depth, max_nodes).algebra
     top = source.epsilon(depth)
     level = source if top.is_bottom() else source.quotient_by(top)[0]
     # a cut by epsilon(d+1) leaves the up-set of points of corank <= d,
@@ -305,11 +302,11 @@ def monotone_limit(seq: Sequence[CoherentFamily]) -> CoherentFamily:
 
 
 def precompactness_census(
-    n: int, depth: int, caps: Caps = DEFAULT_CAPS
+    n: int, depth: int, max_nodes: int = MAX_FRAME_NODES
 ) -> list[int]:
     """Sizes of the free quotient levels 0..depth: each level is a finite
     algebra, so every ball of the truncated completion meets finitely many
     classes."""
     if depth < 0:
         raise FrameMismatch("tower depth must be >= 0")
-    return [free_quotient(n, d, caps).algebra.size() for d in range(depth + 1)]
+    return [free_quotient(n, d, max_nodes).algebra.size() for d in range(depth + 1)]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .config import DEFAULT_CAPS, Caps
 from .errors import (
     CycleDetected,
     DuplicateName,
@@ -27,6 +26,10 @@ from .errors import (
 
 PointSet = int  # bitmask of point indices
 MAX_CANONICAL_POINTS = 64  # canonical form input size
+MAX_ENUM_POINTS = 7  # isomorphism-class enumeration
+MAX_CLOSURE = 2 ** 20  # downset lists and signature closures
+MAX_ANTICHAINS = 2 ** 20  # antichain streams
+MAX_CANONICAL_LEAVES = 2 ** 20  # canonical form backtracking leaves
 
 
 def bits(mask: PointSet) -> Iterator[int]:
@@ -159,11 +162,11 @@ class Poset:
             down.append(m)
         return _from_down(names, down)
 
-    def antichains(self, caps: Caps = DEFAULT_CAPS) -> list[PointSet]:
+    def antichains(self) -> list[PointSet]:
         """All nonempty antichains, sorted by size then lexicographic indices."""
-        return list(antichain_stream(self.down, self.up, caps))
+        return list(antichain_stream(self.down, self.up))
 
-    def _walk(self, k: int | None, caps: Caps) -> tuple[PointSet, ...]:
+    def _walk(self, k: int | None) -> tuple[PointSet, ...]:
         """The downsets of at most ``k`` points (``None``: every one), sorted
         by (size, indices).  The points are decided from index n-1 down, each
         partial downset kept as its down closure: those that hold the decided
@@ -173,8 +176,8 @@ class Poset:
         the last, and one of more than ``k`` points is dropped at once.  Each
         size of the last ends in reverse ``set_key`` order: a reverse and a
         stable sort by size put it right.  SizeCap is raised as soon as a
-        list holds more than ``caps.max_closure``."""
-        down, up, cap = self.down, self.up, caps.max_closure
+        list holds more than ``MAX_CLOSURE``."""
+        down, up, cap = self.down, self.up, MAX_CLOSURE
         masks, decided = [0], 0
         for i in reversed(range(self.n)):
             d = down[i]
@@ -195,30 +198,27 @@ class Poset:
         masks.sort(key=int.bit_count)
         return tuple(masks)
 
-    def downsets(self, caps: Caps = DEFAULT_CAPS) -> tuple[PointSet, ...]:
+    def downsets(self) -> tuple[PointSet, ...]:
         """Every downset, sorted by (size, indices), as one tuple kept for
-        the life of the poset.  It is built by ``_walk`` on first use under
-        ``caps``; SizeCap is raised when there are more than
-        ``caps.max_closure``, at that call or any later one, and a build
+        the life of the poset.  It is built by ``_walk`` on first use, which
+        raises SizeCap when there are more than ``MAX_CLOSURE``; a build
         that raised keeps nothing."""
         found = self.__dict__.get("_downsets")
         if found is None:
-            found = self.__dict__["_downsets"] = self._walk(None, caps)
-        if len(found) > caps.max_closure:
-            raise SizeCap(f"more than {caps.max_closure} downsets")
+            found = self.__dict__["_downsets"] = self._walk(None)
         return found
 
-    def all_downsets(self, caps: Caps = DEFAULT_CAPS) -> list[PointSet]:
-        """A fresh list of ``downsets(caps)``: the caller may change it."""
-        return list(self.downsets(caps))
+    def all_downsets(self) -> list[PointSet]:
+        """A fresh list of ``downsets()``: the caller may change it."""
+        return list(self.downsets())
 
-    def downsets_upto(self, k: int, caps: Caps = DEFAULT_CAPS) -> tuple[PointSet, ...]:
+    def downsets_upto(self, k: int) -> tuple[PointSet, ...]:
         """The downsets of at most ``k`` points: a prefix of ``downsets()``,
         the same masks in the same order, built by ``_walk`` without the
         rest and kept by no one.  SizeCap is raised once there are more
-        than ``caps.max_closure`` of them, whatever ``downsets()`` would
+        than ``MAX_CLOSURE`` of them, whatever ``downsets()`` would
         count."""
-        return self._walk(k, caps)
+        return self._walk(k)
 
     def count_downsets(self) -> int:
         """Number of downsets, computed without materializing them: the
@@ -259,7 +259,7 @@ class Poset:
 
 
 def antichain_stream(
-    down: Sequence[PointSet], up: Sequence[PointSet], caps: Caps
+    down: Sequence[PointSet], up: Sequence[PointSet]
 ) -> Iterator[PointSet]:
     """Nonempty antichains of the order given by reflexive ``down``/``up``
     closure masks, lazily, in ``set_key`` order.
@@ -270,8 +270,10 @@ def antichain_stream(
     antichains of the current and the next size are held, and each
     rebuilds its extension mask when it is extended.  A caller that stops
     reading stops the work; SizeCap is raised once more than
-    ``caps.max_antichains`` are yielded, which bounds the work too.
+    ``MAX_ANTICHAINS`` are yielded, which bounds the work too.  The
+    limit is read when the stream starts.
     """
+    cap = MAX_ANTICHAINS
     full = (1 << len(down)) - 1
     incomparable = [full & ~(d | u) for d, u in zip(down, up)]
     count, level = 0, [0]
@@ -289,8 +291,8 @@ def antichain_stream(
                 rest ^= low
                 cur = chosen | low
                 count += 1
-                if count > caps.max_antichains:
-                    raise SizeCap(f"more than {caps.max_antichains} antichains")
+                if count > cap:
+                    raise SizeCap(f"more than {cap} antichains")
                 bigger.append(cur)
                 yield cur
         level = bigger
@@ -299,20 +301,20 @@ def antichain_stream(
 def close(
     seeds: Iterable[PointSet],
     diff: Callable[[PointSet, PointSet], PointSet],
-    caps: Caps,
 ) -> list[PointSet]:
     """Closure of ``seeds`` under union, intersection and ``diff`` (taken
     both ways round), sorted by ``set_key``.
 
-    Raises SizeCap once the closure would exceed ``caps.max_closure`` masks.
+    Raises SizeCap once the closure would exceed ``MAX_CLOSURE`` masks.
     """
+    cap = MAX_CLOSURE
     masks: list[PointSet] = []
     seen: set[PointSet] = set()
 
     def add(m: PointSet) -> None:
         if m not in seen:
-            if len(seen) >= caps.max_closure:
-                raise SizeCap(f"closure exceeds {caps.max_closure} elements")
+            if len(seen) >= cap:
+                raise SizeCap(f"closure exceeds {cap} elements")
             seen.add(m)
             masks.append(m)
 
@@ -564,7 +566,6 @@ def _refine(
 def canonical_form(
     poset: Poset,
     labels: Sequence | Mapping[int, object] | None = None,
-    caps: Caps = DEFAULT_CAPS,
 ) -> str:
     """Canonical code: equal exactly for label-preserving isomorphic posets.
 
@@ -598,7 +599,9 @@ def canonical_form(
     instead of one per permutation of its twins.
 
     A label sequence must have one label per point (FrameMismatch
-    otherwise); a mapping gives None to the points it leaves out.
+    otherwise); a mapping gives None to the points it leaves out.  SizeCap
+    is raised on more than ``MAX_CANONICAL_POINTS`` points, and when the
+    search would visit more than ``MAX_CANONICAL_LEAVES`` leaves.
     """
     n = poset.n
     if n > MAX_CANONICAL_POINTS:
@@ -637,7 +640,7 @@ def canonical_form(
         return (tuple(sorted(map(get, below[i]))), tuple(sorted(map(get, above[i]))))
 
     best: list[str | None] = [None]
-    budget = [caps.max_canonical_leaves]
+    budget = [MAX_CANONICAL_LEAVES]
     twin: list[int] = []
 
     def rec(cells: list[list[int]]) -> None:
@@ -696,13 +699,13 @@ def _add_top(base: Poset, names: tuple[str, ...], downset: PointSet) -> Poset:
 
 
 @lru_cache(maxsize=None)
-def _iso_classes(size: int, caps: Caps) -> tuple[Poset, ...]:
+def _iso_classes(size: int) -> tuple[Poset, ...]:
     if size <= 0:
         return ()
     if size == 1:
         return (build_poset(["p0"], []),)
     reps: dict[str, Poset] = {}
-    for base in _iso_classes(size - 1, caps):
+    for base in _iso_classes(size - 1):
         k = base.n
         names = base.names + (f"p{k}",)
         # (a, b) bits of consecutive twins a < b: same strict down and up masks
@@ -712,19 +715,17 @@ def _iso_classes(size: int, caps: Caps) -> tuple[Poset, ...]:
             if key in last:
                 twins.append((1 << last[key], 1 << i))
             last[key] = i
-        for downset in base.downsets(caps):
+        for downset in base.downsets():
             if any(downset & b and not downset & a for a, b in twins):
                 continue
             cand = _add_top(base, names, downset)
-            code = canonical_form(cand, caps=caps)
+            code = canonical_form(cand)
             if code not in reps:
                 reps[code] = cand
     return tuple(reps[c] for c in sorted(reps))
 
 
-def enumerate_posets(
-    max_points: int, caps: Caps = DEFAULT_CAPS
-) -> Iterator[Poset]:
+def enumerate_posets(max_points: int) -> Iterator[Poset]:
     """One representative per isomorphism class, sizes 1..max_points.
 
     Deterministic order: by size, then by canonical code.  Every poset of
@@ -738,11 +739,13 @@ def enumerate_posets(
     same strict down and up masks) are skipped over: a downset holding b
     but not a gives, swapped, an isomorphic candidate from an earlier
     downset of the same base, so it is never first and is not built.
+    The classes of each size are built once and kept for the life of the
+    process.  SizeCap is raised past ``MAX_ENUM_POINTS`` points.
     """
-    if max_points > caps.max_enum_points:
+    if max_points > MAX_ENUM_POINTS:
         raise SizeCap(
-            f"enumeration capped at {caps.max_enum_points} points"
+            f"enumeration capped at {MAX_ENUM_POINTS} points"
             f" (asked for {max_points})"
         )
     for size in range(1, max_points + 1):
-        yield from _iso_classes(size, caps)
+        yield from _iso_classes(size)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, Element
-from .config import DEFAULT_CAPS, Caps
 from .posets import Poset, enumerate_posets, parse_point_list, parse_poset_text, poset_to_text
 from .errors import SignatureMismatch
 from .terms import Formula, eval_formula, first_assignment
@@ -48,7 +47,6 @@ def fmp_search(
     formula: Formula,
     max_points: int,
     max_assignments: int,
-    caps: Caps = DEFAULT_CAPS,
 ) -> Witness | None:
     """First witness in the deterministic enumeration order, or None.
 
@@ -63,8 +61,8 @@ def fmp_search(
         raise SignatureMismatch("implication cannot be evaluated here")
     names = sorted(formula.variables())
     atoms = [(t.code, eq) for t, eq in formula.atoms]
-    for poset in enumerate_posets(max_points, caps):
-        masks = poset.downsets(caps)
+    for poset in enumerate_posets(max_points):
+        masks = poset.downsets()
         combo = first_assignment(atoms, poset, masks, names, max_assignments)
         if combo is not None:
             algebra = Algebra(poset)

@@ -28,12 +28,11 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .algebra import Algebra, Element, check_dL_preserved, fiber_max, fiber_min
-from .config import DEFAULT_CAPS, Caps
 from .fixtures import load_fixture
 from .kripke import (
     KripkeModel,
@@ -117,10 +116,13 @@ class SuiteReport:
 
 @dataclass
 class SuiteContext:
+    """One run's seed, random-case budget and largest enumerated poset.
+    Size limits are not settings here: the enumerations run under the
+    ``posets`` module constants and ``kripke.MAX_FRAME_NODES``."""
+
     seed: int = 0
     budget: int = 300
     max_points: int = 5
-    caps: Caps = field(default_factory=lambda: DEFAULT_CAPS)
 
 
 # A case checker sees the rebuilt algebra, the named downsets, and the extra
@@ -138,16 +140,16 @@ def _checker(name: str):
     return register
 
 
-_POOLS: dict[tuple[int, Caps], list[tuple[Poset, Algebra, tuple[Element, ...]]]] = {}
+_POOLS: dict[int, list[tuple[Poset, Algebra, tuple[Element, ...]]]] = {}
 
 
 def _pool(ctx: SuiteContext) -> list[tuple[Poset, Algebra, tuple[Element, ...]]]:
-    key = (ctx.max_points, ctx.caps)
+    key = ctx.max_points
     if key not in _POOLS:
         entries = []
-        for poset in enumerate_posets(ctx.max_points, ctx.caps):
+        for poset in enumerate_posets(ctx.max_points):
             algebra = Algebra(poset)
-            entries.append((poset, algebra, algebra.elements(ctx.caps)))
+            entries.append((poset, algebra, algebra.elements()))
         _POOLS[key] = entries
     return _POOLS[key]
 
@@ -708,25 +710,25 @@ def _counting_problems(ctx: SuiteContext) -> list[str]:
     problems = []
     for n in range(0, 3):
         for d in range(1, 3):
-            census = universal_frame(n, d, ctx.caps).census
+            census = universal_frame(n, d).census
             if census[0] != 2 ** n:
                 problems.append(f"layer 1 of the ({n},{d}) universal frame has 2^n points")
             for j in range(1, len(census)):
-                prev = universal_frame(n, j, ctx.caps).model.frame
+                prev = universal_frame(n, j).model.frame
                 bound = (2 ** n) * (prev.count_downsets() - 1)
                 if census[j] > bound:
                     problems.append(
                         f"layer {j + 1} of the ({n},{d}) universal frame exceeds 2^n * nu"
                     )
-        for model in enumerate_reduced_models(n, 1, None, ctx.caps):
+        for model in enumerate_reduced_models(n, 1):
             if model.frame.n > 2 ** n:
                 problems.append(
                     f"a height-1 reduced model over {n} letters has more than 2^n points"
                 )
                 break
     for n in range(0, 2):
-        count = sum(1 for _ in enumerate_reduced_models(n, 1, None, ctx.caps))
-        downsets = universal_frame(n, 1, ctx.caps).model.frame.count_downsets() - 1
+        count = sum(1 for _ in enumerate_reduced_models(n, 1))
+        downsets = universal_frame(n, 1).model.frame.count_downsets() - 1
         if count != downsets:
             problems.append(
                 "height-1 reduced model count differs from nonempty universal downsets"
@@ -736,12 +738,12 @@ def _counting_problems(ctx: SuiteContext) -> list[str]:
 
 def _tower_problems(ctx: SuiteContext) -> list[str]:
     problems = []
-    towers = [make_tower(0, 2, ctx.caps), make_tower(1, 3, ctx.caps)]
+    towers = [make_tower(0, 2), make_tower(1, 3)]
     v3, _ = load_fixture("v3")
-    towers.append(make_tower(Algebra(frame_to_spec(v3)), 3, ctx.caps))
+    towers.append(make_tower(Algebra(frame_to_spec(v3)), 3))
     for tower in towers:
         top = tower.levels[-1]
-        for a in top.elements(ctx.caps):
+        for a in top.elements():
             family = tower.lift(a)
             for d in range(len(tower.levels) - 1):
                 mapped = tower.maps[d].apply(family.components[d + 1])
@@ -755,7 +757,7 @@ def _tower_problems(ctx: SuiteContext) -> list[str]:
                     problems.append("epsilon families restrict levelwise to epsilon(d)")
                     break
         for morphism in tower.maps:
-            src_elems = morphism.src.elements(ctx.caps)
+            src_elems = morphism.src.elements()
             limit = min(len(src_elems), 12)
             for a in src_elems[:limit]:
                 for b in src_elems[:limit]:

@@ -26,7 +26,6 @@ from coheyting.algebra import (
     identity_morphism,
     make_morphism,
 )
-from coheyting.config import Caps
 from coheyting.errors import (
     EmptyElement,
     InfiniteArithmetic,
@@ -280,18 +279,15 @@ def test_elements_are_kept_and_capped_on_every_call():
     elems = algebra.elements()
     assert [e.pts for e in elems] == chain.all_downsets()
     assert algebra.elements() is elems
-    with pytest.raises(SizeCap):
-        algebra.elements(Caps(max_closure=len(elems) - 1))
-    assert algebra.elements() is elems
     # a ball hands out the kept elements, not new ones
     assert all(a is b for a, b in zip(ball(elems[2], 0), elems, strict=True))
 
 
-def test_elements_build_that_raised_keeps_nothing():
+def test_elements_build_that_raised_keeps_nothing(limits):
     flat = build_poset(["a", "b", "c"])
     algebra = Algebra(flat)
-    with pytest.raises(SizeCap):
-        algebra.elements(Caps(max_closure=7))
+    with limits(MAX_CLOSURE=7), pytest.raises(SizeCap):
+        algebra.elements()
     assert [e.pts for e in algebra.elements()] == flat.all_downsets()
     assert len(algebra.elements()) == 8
 
@@ -406,12 +402,12 @@ def test_subalgebra_generated():
     assert set(bounds_only) == {c2.bottom(), c2.top()}
 
 
-def test_subalgebra_generated_cap():
+def test_subalgebra_generated_cap(limits):
     v3 = algebra_of("v3")
     gens = v3.join_irreducibles()
     assert len(v3.subalgebra_generated(gens)) == v3.size()
-    with pytest.raises(SizeCap):
-        v3.subalgebra_generated(gens, Caps(max_closure=4))
+    with limits(MAX_CLOSURE=4), pytest.raises(SizeCap):
+        v3.subalgebra_generated(gens)
 
 
 @settings(max_examples=200, deadline=None)

@@ -401,6 +401,28 @@ def test_size_cap_exit_three(capsys):
     assert code == 0 and out == "1\n"
 
 
+FRAME_COMMANDS = [
+    "free size 2 1",
+    "free epsilon 2 1 0",
+    "free project 2 1",
+    "equiv 2 1 x1 x1",
+    "kripke models 2 1",
+    "tower census 2 1",
+    "tower lift 2 1 x1",
+    "tower limit 2 1 x1 x1",
+]
+
+
+@pytest.mark.parametrize("command", FRAME_COMMANDS)
+def test_max_nodes_reaches_every_frame_command(capsys, command):
+    # layer 1 of the (2, 1) frame holds 4 nodes
+    code, out, err = run(capsys, "--max-nodes", "3", *command.split())
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: universal frame exceeds 3 nodes\n"
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and out and err == ""
+
+
 def test_console_script_roundtrip():
     exe = shutil.which("coheyting")
     if exe is None:

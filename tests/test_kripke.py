@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coheyting.algebra import Algebra
-from coheyting.config import Caps, DEFAULT_CAPS
 from coheyting.errors import (
     FrameMismatch,
     NotMonotone,
@@ -267,7 +266,7 @@ def test_universal_frame_is_reduced_and_capped():
     uf = universal_frame(2, 2)
     assert is_reduced(uf.model)
     with pytest.raises(SizeCap) as err:
-        universal_frame(2, 2, Caps(max_frame_nodes=10))
+        universal_frame(2, 2, max_nodes=10)
     assert err.value.census is not None
 
 
@@ -282,28 +281,28 @@ def test_universal_frame_caps_layer_one():
         universal_frame(64, 1)
     assert time.perf_counter() - start < 0.1
     assert err.value.census == ()
-    assert universal_frame(2, 1, Caps(max_frame_nodes=4)).census == (4,)
+    assert universal_frame(2, 1, max_nodes=4).census == (4,)
     with pytest.raises(SizeCap):
-        universal_frame(2, 1, Caps(max_frame_nodes=3))
+        universal_frame(2, 1, max_nodes=3)
 
 
 def test_universal_frame_caps_variables_at_depth_zero():
     # the d = 0 frame is empty, but its model names n variables
-    assert universal_frame(3, 0, Caps(max_frame_nodes=3)).census == ()
+    assert universal_frame(3, 0, max_nodes=3).census == ()
     start = time.perf_counter()
     with pytest.raises(SizeCap) as err:
         universal_frame(10**7, 0)
     assert time.perf_counter() - start < 0.1
     assert err.value.census == ()
     with pytest.raises(SizeCap) as err:
-        free_quotient(4, 0, Caps(max_frame_nodes=3))
+        free_quotient(4, 0, max_nodes=3)
     assert err.value.census == ()
-    assert free_quotient(3, 0, Caps(max_frame_nodes=3)).algebra.size() == 1
+    assert free_quotient(3, 0, max_nodes=3).algebra.size() == 1
 
 
-def test_universal_frame_antichain_cap_reports_census():
-    with pytest.raises(SizeCap) as err:
-        universal_frame(2, 3, Caps(max_antichains=1000))
+def test_universal_frame_antichain_cap_reports_census(limits):
+    with limits(MAX_ANTICHAINS=1000), pytest.raises(SizeCap) as err:
+        universal_frame(2, 3)
     assert err.value.census == (4, 18)
     # under the default caps the node cap fires inside the third layer
     with pytest.raises(SizeCap) as err:
@@ -311,13 +310,14 @@ def test_universal_frame_antichain_cap_reports_census():
     assert err.value.census == (4, 18, 19978)
 
 
-def test_universal_frame_antichain_cap_counts_skipped_antichains():
+def test_universal_frame_antichain_cap_counts_skipped_antichains(limits):
     # only 4 antichains a layer meet the newest one, but the stream yields
     # every antichain of the lower frame, and the cap counts them all
-    with pytest.raises(SizeCap) as err:
-        universal_frame(1, 60, Caps(max_antichains=100))
-    assert err.value.census == (2,) * 26
-    assert universal_frame(1, 26, Caps(max_antichains=100)).census == (2,) * 26
+    with limits(MAX_ANTICHAINS=100):
+        with pytest.raises(SizeCap) as err:
+            universal_frame(1, 60)
+        assert err.value.census == (2,) * 26
+        assert universal_frame(1, 26).census == (2,) * 26
 
 
 def test_universal_frame_structure_pinned():
@@ -365,11 +365,11 @@ def test_truth_set_follows_renamed_variables():
         assert truth_set(model, t) == truth_set(renamed, u)
 
 
-def test_algebra_of_model_closure_cap():
+def test_algebra_of_model_closure_cap(limits):
     model = free_quotient(1, 3).frame.model
     assert len(algebra_of_model(model)) == free_quotient(1, 3).algebra.size()
-    with pytest.raises(SizeCap):
-        algebra_of_model(model, Caps(max_closure=4))
+    with limits(MAX_CLOSURE=4), pytest.raises(SizeCap):
+        algebra_of_model(model)
 
 
 def test_free_sizes_two_routes():
@@ -467,7 +467,7 @@ def test_reduced_models_of_f22_pinned():
 
 
 def test_bounded_reduced_models_walk_only_small_downsets(monkeypatch):
-    def no_full_list(self, caps=DEFAULT_CAPS):
+    def no_full_list(self):
         raise AssertionError("the full downset list was built")
 
     # the unbounded route, cut to the bound, gives the same models in order
@@ -483,14 +483,15 @@ def test_bounded_reduced_models_walk_only_small_downsets(monkeypatch):
         list(enumerate_reduced_models(1, 2))
 
 
-def test_bounded_reduced_models_cap_counts_the_walk():
+def test_bounded_reduced_models_cap_counts_the_walk(limits):
     # 866 downsets of at most 6 points are walked, the empty one included,
     # of 265,454 in all
-    with pytest.raises(SizeCap):
-        list(enumerate_reduced_models(2, 2, 6, Caps(max_closure=800)))
-    assert len(list(enumerate_reduced_models(2, 2, 6, Caps(max_closure=1000)))) == 865
-    with pytest.raises(SizeCap):
-        list(enumerate_reduced_models(2, 2, None, Caps(max_closure=1000)))
+    with limits(MAX_CLOSURE=800), pytest.raises(SizeCap):
+        list(enumerate_reduced_models(2, 2, 6))
+    with limits(MAX_CLOSURE=1000):
+        assert len(list(enumerate_reduced_models(2, 2, 6))) == 865
+        with pytest.raises(SizeCap):
+            list(enumerate_reduced_models(2, 2, None))
 
 
 def test_model_algebra_round_trip():

@@ -22,7 +22,7 @@ from coheyting.errors import (
     OwnerMismatch,
 )
 from coheyting.fixtures import load_fixture
-from coheyting.kripke import free_quotient, projection
+from coheyting.kripke import MAX_FRAME_NODES, free_quotient, projection
 from coheyting.metric import (
     CoherentFamily,
     ball,
@@ -157,6 +157,13 @@ def test_free_tower_is_cut_from_its_top_algebra(n, depth):
         projection(n, d).dualmap for d in range(depth)
     ]
     assert [level.size() for level in tower.levels] == precompactness_census(n, depth)
+
+
+def test_one_cached_free_algebra_per_stage():
+    # tower lift binds the generators of one call and lifts through the
+    # tower of another: both must reach the same cached stage
+    assert free_quotient(2, 2) is free_quotient(2, 2, MAX_FRAME_NODES)
+    assert make_tower(2, 2, MAX_FRAME_NODES).levels[-1] is free_quotient(2, 2).algebra
 
 
 def test_finite_tower_top_is_the_source():

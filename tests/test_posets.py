@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coheyting import posets
-from coheyting.config import DEFAULT_CAPS, Caps
 from coheyting.errors import (
     CycleDetected,
     DuplicateName,
@@ -196,11 +195,11 @@ def test_antichain_count_on_antichain_poset():
     assert len(chain.antichains()) == 3
 
 
-def test_antichain_cap():
+def test_antichain_cap(limits):
     a2, _ = load_fixture("a2")
     assert len(a2.antichains()) == 3
-    with pytest.raises(SizeCap):
-        a2.antichains(caps=Caps(max_antichains=2))
+    with limits(MAX_ANTICHAINS=2), pytest.raises(SizeCap):
+        a2.antichains()
 
 
 def test_wide_antichain_stream_hits_cap_not_recursion_limit():
@@ -263,14 +262,15 @@ def test_downsets_upto_is_a_prefix_of_downsets():
     walk_is_prefix(spec, range(spec.n + 2))
 
 
-def test_downsets_upto_counts_its_own_walk():
+def test_downsets_upto_counts_its_own_walk(limits):
     flat = build_poset(["a", "b", "c", "d"])
     # 1 + 4 + 6 downsets of at most 2 points, of 16 in all
-    assert len(flat.downsets_upto(2, Caps(max_closure=11))) == 11
-    with pytest.raises(SizeCap):
-        flat.downsets_upto(2, Caps(max_closure=10))
-    with pytest.raises(SizeCap):
-        flat.downsets(Caps(max_closure=11))
+    with limits(MAX_CLOSURE=11):
+        assert len(flat.downsets_upto(2)) == 11
+    with limits(MAX_CLOSURE=10), pytest.raises(SizeCap):
+        flat.downsets_upto(2)
+    with limits(MAX_CLOSURE=11), pytest.raises(SizeCap):
+        flat.downsets()
     assert flat.downsets_upto(0) == (0,)
     assert build_poset([]).downsets_upto(3) == (0,)
     # and on every order of up to 5 points and its dual
@@ -279,15 +279,17 @@ def test_downsets_upto_counts_its_own_walk():
             sizes = [m.bit_count() for m in q.downsets()]
             for k in range(q.n + 2):
                 count = sum(1 for size in sizes if size <= k)
-                assert len(q.downsets_upto(k, Caps(max_closure=count))) == count
-                with pytest.raises(SizeCap):
-                    q.downsets_upto(k, Caps(max_closure=count - 1))
+                with limits(MAX_CLOSURE=count):
+                    assert len(q.downsets_upto(k)) == count
+                with limits(MAX_CLOSURE=count - 1), pytest.raises(SizeCap):
+                    q.downsets_upto(k)
     # and on the F(2,2) spectrum, whose points are listed top-down
     spec = free_quotient(2, 2).algebra.spec
     for k, count in ((6, 31180), (10, 199209)):
-        assert len(spec.downsets_upto(k, Caps(max_closure=count))) == count
-        with pytest.raises(SizeCap):
-            spec.downsets_upto(k, Caps(max_closure=count - 1))
+        with limits(MAX_CLOSURE=count):
+            assert len(spec.downsets_upto(k)) == count
+        with limits(MAX_CLOSURE=count - 1), pytest.raises(SizeCap):
+            spec.downsets_upto(k)
 
 
 def reference_downsets(p: Poset) -> list[int]:
@@ -336,17 +338,20 @@ def test_f22_downsets_in_set_key_order(f22_downsets):
     assert free_quotient(2, 2).algebra.spec.count_downsets() == 265454
 
 
-def test_streams_on_tiny_posets_and_caps():
+def test_streams_on_tiny_posets_and_caps(limits):
     empty, one = build_poset([]), build_poset(["a"])
     assert empty.all_downsets() == [0] and empty.antichains() == []
     assert one.all_downsets() == [0, 1] and one.antichains() == [1]
     flat = build_poset(["a", "b", "c", "d"])
-    assert len(flat.all_downsets(Caps(max_closure=16))) == 16
-    with pytest.raises(SizeCap):
-        flat.all_downsets(Caps(max_closure=15))
-    assert len(flat.antichains(Caps(max_antichains=15))) == 15
-    with pytest.raises(SizeCap):
-        flat.antichains(Caps(max_antichains=14))
+    # the smaller limit first: a kept list is not checked again
+    with limits(MAX_CLOSURE=15), pytest.raises(SizeCap):
+        flat.all_downsets()
+    with limits(MAX_CLOSURE=16):
+        assert len(flat.all_downsets()) == 16
+    with limits(MAX_ANTICHAINS=15):
+        assert len(flat.antichains()) == 15
+    with limits(MAX_ANTICHAINS=14), pytest.raises(SizeCap):
+        flat.antichains()
 
 
 def fresh_f14() -> Poset:
@@ -374,10 +379,6 @@ def test_downset_list_is_kept_and_capped_on_every_call():
         full = p.all_downsets()
         assert full == reference_downsets(p)
         assert p.downsets() is p.downsets()
-        with pytest.raises(SizeCap):
-            p.all_downsets(Caps(max_closure=len(full) - 1))
-        with pytest.raises(SizeCap):
-            p.downsets(Caps(max_closure=len(full) - 1))
         # a fresh list each call: changing one leaves the next as it was
         mine = p.all_downsets()
         mine[0] = -1
@@ -386,13 +387,14 @@ def test_downset_list_is_kept_and_capped_on_every_call():
         assert p.all_downsets() == reference_downsets(p)
 
 
-def test_downset_build_that_raised_keeps_nothing():
+def test_downset_build_that_raised_keeps_nothing(limits):
     for p in f14_layouts():
         n = p.count_downsets()
-        with pytest.raises(SizeCap):
-            p.all_downsets(Caps(max_closure=n - 1))
+        with limits(MAX_CLOSURE=n - 1), pytest.raises(SizeCap):
+            p.all_downsets()
         assert "_downsets" not in p.__dict__
-        assert p.all_downsets(Caps(max_closure=n)) == reference_downsets(p)
+        with limits(MAX_CLOSURE=n):
+            assert p.all_downsets() == reference_downsets(p)
 
 
 @st.composite
@@ -430,17 +432,18 @@ def test_antichain_stream_matches_former_route(dual):
     if dual:
         p = p.dual()
     every = reference_antichains(p)
-    assert list(antichain_stream(p.down, p.up, DEFAULT_CAPS)) == every
+    assert list(antichain_stream(p.down, p.up)) == every
 
 
-def test_antichain_stream_reads_only_what_is_asked():
+def test_antichain_stream_reads_only_what_is_asked(limits):
     wide = build_poset([f"p{i}" for i in range(1500)])
     first = [1 << i for i in range(10)]
-    for caps in (DEFAULT_CAPS, Caps(max_antichains=10)):
-        stream = antichain_stream(wide.down, wide.up, caps)
-        assert list(itertools.islice(stream, 10)) == first
-    with pytest.raises(SizeCap):
-        list(itertools.islice(antichain_stream(wide.down, wide.up, Caps(max_antichains=10)), 11))
+    for cap in (posets.MAX_ANTICHAINS, 10):
+        with limits(MAX_ANTICHAINS=cap):
+            stream = antichain_stream(wide.down, wide.up)
+            assert list(itertools.islice(stream, 10)) == first
+    with limits(MAX_ANTICHAINS=10), pytest.raises(SizeCap):
+        list(itertools.islice(antichain_stream(wide.down, wide.up), 11))
 
 
 def test_covers_by_climbing_match_pairwise_rule():
@@ -596,7 +599,7 @@ def symmetric_labelled(rng):
     return build_poset(names, [(names[a], names[b]) for a, b in covers]), labels
 
 
-def test_canonical_codes_pinned_on_searches_of_several_leaves():
+def test_canonical_codes_pinned_on_searches_of_several_leaves(limits):
     # 40 seeded labelled posets of 8-14 points, most of which search more
     # than one leaf (up to 720); the digest was computed on the colour-list
     # search that preceded the ordered partitions
@@ -610,7 +613,8 @@ def test_canonical_codes_pinned_on_searches_of_several_leaves():
         assert canonical_form(poset, mapped) == code
         codes.append(code)
         try:
-            canonical_form(poset, labels, Caps(max_canonical_leaves=1))
+            with limits(MAX_CANONICAL_LEAVES=1):
+                canonical_form(poset, labels)
         except SizeCap:
             several += 1
     assert several >= 25
@@ -619,9 +623,9 @@ def test_canonical_codes_pinned_on_searches_of_several_leaves():
 
 def test_enumeration_pinned(monkeypatch):
     # names and covers of all 2,450 representatives of up to 7 points, and
-    # the canonical_form calls of a cold enumeration (caps used nowhere
-    # else, so the per-caps cache is empty); the digest was computed on
-    # the enumeration without the twin skip, which made 6,377 calls
+    # the canonical_form calls of a cold enumeration (the kept classes are
+    # cleared first); the digest was computed on the enumeration without
+    # the twin skip, which made 6,377 calls
     calls = []
 
     def counting(*args, **kwargs):
@@ -629,13 +633,15 @@ def test_enumeration_pinned(monkeypatch):
         return canonical_form(*args, **kwargs)
 
     monkeypatch.setattr(posets, "canonical_form", counting)
-    reps = list(enumerate_posets(7, Caps(max_enum_points=8)))
+    posets._iso_classes.cache_clear()
+    reps = list(enumerate_posets(7))
     assert len(reps) == 2450 and len(calls) == 5069
     assert sha256_of(repr((p.names, p.covers)) for p in reps).startswith("6af9dbfe7644e4ce")
     # the closure masks, computed on the build that made each candidate
     # with _from_down
     assert sha256_of(repr((p.down, p.up)) for p in reps).startswith("a1fb97f451474c29")
     monkeypatch.undo()
+    posets._iso_classes.cache_clear()
     assert reps == list(enumerate_posets(7))
 
 
@@ -669,14 +675,15 @@ def test_canonical_form_label_count_must_match():
     assert canonical_form(vee, {1: "x", 7: "y"}) == canonical_form(vee, [None, "x", None])
 
 
-def test_canonical_form_point_limit():
-    # a module constant, not a Caps field: no caps lift it
+def test_canonical_form_point_limit(limits):
+    # a limit of its own: no leaf limit lifts it
     assert posets.MAX_CANONICAL_POINTS == 64
     chain = [f"p{i}" for i in range(65)]
     covers = list(zip(chain, chain[1:]))
     assert canonical_form(build_poset(chain[:64], covers[:63]))
-    with pytest.raises(SizeCap, match="canonical form limited to 64 points"):
-        canonical_form(build_poset(chain, covers), caps=Caps(max_canonical_leaves=2 ** 30))
+    with limits(MAX_CANONICAL_LEAVES=2 ** 30):
+        with pytest.raises(SizeCap, match="canonical form limited to 64 points"):
+            canonical_form(build_poset(chain, covers))
 
 
 def relabelled(names, covers, labels, rng):
@@ -687,23 +694,23 @@ def relabelled(names, covers, labels, rng):
     return build_poset(order, covers), [label_of[nm] for nm in order]
 
 
-def test_canonical_form_prunes_twins():
+def test_canonical_form_prunes_twins(monkeypatch):
     # full search visits 10!, 6! and 3!*4! leaves; twin pruning visits one
     names = [f"p{i}" for i in range(10)]
     star = [("p0", f"p{i}") for i in range(1, 7)]
     bipartite = [(f"p{i}", f"p{j}") for i in range(3) for j in range(3, 7)]
-    caps = Caps(max_canonical_leaves=16)
+    monkeypatch.setattr(posets, "MAX_CANONICAL_LEAVES", 16)
     rng = random.Random(3)
     for pts, covers in ((names, []), (names[:7], star), (names[:7], bipartite)):
         for labels in (["a"] * len(pts), ["b"] + ["a"] * (len(pts) - 1)):
-            code = canonical_form(build_poset(pts, covers), labels, caps)
+            code = canonical_form(build_poset(pts, covers), labels)
             for _ in range(3):
                 poset, moved = relabelled(pts, covers, labels, rng)
-                assert canonical_form(poset, moved, caps) == code
+                assert canonical_form(poset, moved) == code
     # labels that tell twins apart still separate codes
     k34 = build_poset(names[:7], bipartite)
     codes = {
-        canonical_form(k34, labels, caps)
+        canonical_form(k34, labels)
         for labels in (
             [None] * 7,
             ["x"] + [None] * 6,
@@ -713,8 +720,8 @@ def test_canonical_form_prunes_twins():
         )
     }
     assert len(codes) == 5
-    assert canonical_form(k34, [None] * 3 + ["x"] + [None] * 3, caps) == (
-        canonical_form(k34, [None] * 6 + ["x"], caps)
+    assert canonical_form(k34, [None] * 3 + ["x"] + [None] * 3) == (
+        canonical_form(k34, [None] * 6 + ["x"])
     )
 
 
