@@ -15,10 +15,7 @@ from .algebra import Algebra, Element
 from .errors import (
     CoheytingError,
     FormatError,
-    LimitsDiffer,
     NotCauchyAtDepth,
-    NotMonotone,
-    NotSqueezed,
     SizeCap,
     UnboundVariable,
 )
@@ -321,7 +318,7 @@ def cmd_tower_limit(args) -> int:
     families = [_lift_of_term(args, tower, t) for t in args.terms]
     try:
         limit = cauchy_limit(families)
-    except (NotCauchyAtDepth, NotMonotone, NotSqueezed, LimitsDiffer) as exc:
+    except NotCauchyAtDepth as exc:
         print(f"no limit: {exc}", file=sys.stderr)
         return 1
     for d, comp in enumerate(limit.components):

@@ -410,11 +410,17 @@ def build_poset(
                 queue.append(w)
     if len(order) != n:
         raise CycleDetected("cover relation contains a cycle")
+    # down masks along the order, up masks against it: each pass reads only
+    # masks it has finished
     down = [1 << i for i in range(n)]
     for v in order:
         for w in edges[v]:
             down[w] |= down[v]
-    return _from_down(names, down)
+    up = [1 << i for i in range(n)]
+    for v in reversed(order):
+        for w in edges[v]:
+            up[v] |= up[w]
+    return _from_masks(names, down, up)
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,17 @@
-"""Randomized and exhaustive law-checking suites with counterexample shrinking.
+"""Law-checking suites with counterexample shrinking.
 
-Each suite checks one family of laws, registered in ``CHECKERS``, over a
-pool of small algebras: one entry per poset isomorphism class up to
-``max_points``, with its algebra and its elements.  A case is always
-reducible to (carrier poset, named downset masks, extra strings), so
-failures carry a text payload that replays without any live objects.
+Each suite checks one family of laws and is declared once, where its
+checker is defined: ``@_suite(name, cases)`` puts the checker into
+``CHECKERS`` and its case stream into ``CASES``, and one runner serves
+them all.  A case is an algebra, whose ``spec`` is the carrier poset,
+with named downset masks and extra strings, so failures carry a text
+payload that replays without any live objects.
 
-Two tables describe the suites, and one runner turns them into cases:
-
-* ``RANDOM_SUITES`` maps a name to ``(seed offset, draw, degree)``.  Each of
-  ``budget`` cases draws from ``random.Random(seed + offset)`` in a fixed
-  order: the pool index; then either one element per letter of the draw
-  (masks ``a``, ``b``, ...) or, for a draw ``(kind, k, prefixes)``, a
-  ``random_term`` of that kind over ``x1..xk`` followed by one element per
-  variable (sorted) and per prefix (masks ``u_x1``, ``v_x1``, ...); and
-  last, when ``degree`` is set, ``d = randrange(height + 2)``.
-* ``EXHAUSTIVE_SUITES`` maps a name to ``(largest, degrees)``.  Every pool
-  entry with at most ``largest`` elements (all when None) is one case, or
-  one case per degree ``d`` in ``degrees(height)`` when that is given.
-
-``counting-bounds`` and ``tower-coherence`` check global statements with
-no per-case carrier; each is one case.
+Three helpers make the case streams.  ``_random`` draws ``budget`` cases
+from the pool, in the order its docstring states; ``_exhaustive`` walks
+the pool; ``_once`` yields one case on the empty poset, for laws with no
+per-case carrier.  The pool holds one entry per poset isomorphism class
+up to ``max_points``, with its algebra and its elements.
 """
 
 from __future__ import annotations
@@ -30,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .algebra import Algebra, Element, check_dL_preserved, fiber_max, fiber_min
 from .fixtures import load_fixture
@@ -50,6 +41,7 @@ from .metric import distance, make_tower
 from .posets import (
     Poset,
     bits,
+    build_poset,
     enumerate_posets,
     mask_of,
     parse_point_list,
@@ -128,13 +120,18 @@ class SuiteContext:
 # A case checker sees the rebuilt algebra, the named downsets, and the extra
 # payload; it returns the name of the first violated law, or None.
 Checker = Callable[[Algebra, "dict[str, Element]", "dict[str, str]"], "str | None"]
+# A case is the algebra, the named downset masks and the extra payload.
+Case = tuple[Algebra, dict[str, int], dict[str, str]]
+Cases = Callable[[SuiteContext], Iterator[Case]]
 
 CHECKERS: dict[str, Checker] = {}
+CASES: dict[str, Cases] = {}
 
 
-def _checker(name: str):
+def _suite(name: str, cases: Cases):
     def register(fn: Checker) -> Checker:
         CHECKERS[name] = fn
+        CASES[name] = cases
         return fn
 
     return register
@@ -154,18 +151,91 @@ def _pool(ctx: SuiteContext) -> list[tuple[Poset, Algebra, tuple[Element, ...]]]
     return _POOLS[key]
 
 
+def _random(offset: int, draw: str | tuple[str, int, str], degree: bool = False) -> Cases:
+    """``budget`` cases drawn from ``random.Random(seed + offset)``.
+
+    Each case draws, in this order: the pool index; then either one
+    element per letter of ``draw`` (masks ``a``, ``b``, ...) or, for a
+    draw ``(kind, k, prefixes)``, a ``random_term`` of that kind over
+    ``x1..xk`` followed by one element per variable (sorted) and per
+    prefix (masks ``u_x1``, ``v_x1``, ...); and last, when ``degree`` is
+    set, ``d = randrange(height + 2)``.
+    """
+
+    def cases(ctx: SuiteContext) -> Iterator[Case]:
+        rng = random.Random(ctx.seed + offset)
+        pool = _pool(ctx)
+        for _ in range(ctx.budget):
+            poset, algebra, elems = pool[rng.randrange(len(pool))]
+            extra: dict[str, str] = {}
+            if isinstance(draw, str):
+                masks = {k: elems[rng.randrange(len(elems))].pts for k in draw}
+            else:
+                kind, k, prefixes = draw
+                term = random_term(rng, [f"x{i + 1}" for i in range(k)], 3, kind)
+                masks = {
+                    f"{prefix}_{n}": elems[rng.randrange(len(elems))].pts
+                    for n in sorted(term.variables())
+                    for prefix in prefixes
+                }
+                extra["term"] = print_term(term)
+            if degree:
+                extra["d"] = str(rng.randrange(poset.height() + 2))
+            yield algebra, masks, extra
+
+    return cases
+
+
+def _exhaustive(
+    largest: int | None = None, degrees: Callable[[int], Iterable[int]] | None = None
+) -> Cases:
+    """One case per pool entry with at most ``largest`` elements (all when
+    None), or one per degree ``d`` in ``degrees(height)`` when given."""
+
+    def cases(ctx: SuiteContext) -> Iterator[Case]:
+        for poset, algebra, elems in _pool(ctx):
+            if largest is not None and len(elems) > largest:
+                continue
+            if degrees is None:
+                yield algebra, {}, {}
+            else:
+                for d in degrees(poset.height()):
+                    yield algebra, {}, {"d": str(d)}
+
+    return cases
+
+
+def _every_degree(height: int) -> range:
+    return range(height + 2)
+
+
+def _slice_degrees(height: int) -> list[int]:
+    near = {max(0, height - 1), height, min(height + 1, 3)}
+    return [d for d in sorted(near) if d <= 3]
+
+
+def _once(ctx: SuiteContext) -> Iterator[Case]:
+    """One case on the empty poset, for a law with no per-case carrier."""
+    yield Algebra(build_poset(())), {}, {}
+
+
+def _check(
+    name: str, algebra: Algebra, masks: dict[str, int], extra: dict[str, str]
+) -> str | None:
+    """Build the named elements from their masks and run the suite's checker."""
+    elems = {k: algebra.element(v) for k, v in masks.items()}
+    return CHECKERS[name](algebra, elems, extra)
+
+
 def _shrink(
     name: str, poset: Poset, masks: dict[str, int], extra: dict[str, str]
 ) -> tuple[Poset, dict[str, int]]:
     """Greedy minimization: take the first candidate that still fails,
     dropping maximal carrier points before peeling masks, until none does."""
-    checker = CHECKERS[name]
 
     def still_fails(p: Poset, ms: dict[str, int]) -> bool:
-        algebra = Algebra(p)
         try:
-            elems = {k: algebra.element(v) for k, v in ms.items()}
-            return checker(algebra, elems, extra) is not None
+            return _check(name, Algebra(p), ms, extra) is not None
         except Exception:
             # A shrink step that breaks a precondition is not a counterexample.
             return False
@@ -205,29 +275,11 @@ def _fail(
     )
 
 
-def _run_case(
-    name: str,
-    poset: Poset,
-    algebra: Algebra,
-    masks: dict[str, int],
-    extra: dict[str, str],
-    failures: list[Failure],
-) -> None:
-    elems = {k: algebra.element(v) for k, v in masks.items()}
-    law = CHECKERS[name](algebra, elems, extra)
-    if law is not None:
-        failures.append(_fail(name, law, poset, masks, extra))
-
-
 def replay_failure(failure: Failure) -> bool:
     """Rebuild a failure from its payload; True when it still fails."""
     poset, _ = parse_poset_text(failure.poset_text)
-    algebra = Algebra(poset)
-    elems = {
-        k: algebra.element(parse_point_list(v, poset))
-        for k, v in failure.masks.items()
-    }
-    return CHECKERS[failure.suite](algebra, elems, failure.extra) is not None
+    masks = {k: parse_point_list(v, poset) for k, v in failure.masks.items()}
+    return _check(failure.suite, Algebra(poset), masks, failure.extra) is not None
 
 
 def _model_from_masks(
@@ -247,7 +299,7 @@ def _model_from_masks(
 # Difference identities
 
 
-@_checker("s2-identities")
+@_suite("s2-identities", _random(0, "abc"))
 def _check_s2(algebra, e, extra):
     a, b, c = e["a"], e["b"], e["c"]
     if a != (a - b) | (a & b):
@@ -267,7 +319,7 @@ def _check_s2(algebra, e, extra):
     return None
 
 
-@_checker("delta-triangle")
+@_suite("delta-triangle", _random(1, "abc"))
 def _check_delta(algebra, e, extra):
     a, b, c = e["a"], e["b"], e["c"]
     if not (a ^ c) <= (a ^ b) | (b ^ c):
@@ -279,7 +331,7 @@ def _check_delta(algebra, e, extra):
     return None
 
 
-@_checker("ultrametric")
+@_suite("ultrametric", _random(2, "abc"))
 def _check_ultra(algebra, e, extra):
     a, b, c = e["a"], e["b"], e["c"]
     if distance(a, c) > max(distance(a, b), distance(b, c)):
@@ -291,7 +343,7 @@ def _check_ultra(algebra, e, extra):
     return None
 
 
-@_checker("codim-join")
+@_suite("codim-join", _random(3, "ab"))
 def _check_codim_join(algebra, e, extra):
     a, b = e["a"], e["b"]
     if algebra.codim(a | b) != min(algebra.codim(a), algebra.codim(b)):
@@ -384,7 +436,7 @@ def prime_routes(algebra: Algebra, elems) -> tuple[Callable, Callable]:
     return codim_of, dim_of
 
 
-@_checker("dim-rank")
+@_suite("dim-rank", _random(4, "a"))
 def _check_dim_rank(algebra, e, extra):
     a = e["a"]
     if a.is_bottom():
@@ -403,7 +455,7 @@ def _check_dim_rank(algebra, e, extra):
     return None
 
 
-@_checker("mf-identity")
+@_suite("mf-identity", _random(5, "ab"))
 def _check_mf(algebra, e, extra):
     a, b = e["a"], e["b"]
     diff = a - b
@@ -414,7 +466,7 @@ def _check_mf(algebra, e, extra):
     return None
 
 
-@_checker("epsilon-chain")
+@_suite("epsilon-chain", _exhaustive())
 def _check_eps(algebra, e, extra):
     height = algebra.spec.height()
     prev = algebra.top()
@@ -431,7 +483,7 @@ def _check_eps(algebra, e, extra):
     return None
 
 
-@_checker("join-irr-strong")
+@_suite("join-irr-strong", _exhaustive())
 def _check_jis(algebra, e, extra):
     for x in algebra.join_irreducibles():
         for y in algebra.elements():
@@ -456,7 +508,7 @@ def _irreducible_sets(algebra: Algebra, elems) -> tuple[set, set]:
     return join_irr, {x for x in elems if x.pts != top and x.pts not in meets}
 
 
-@_checker("irr-supports")
+@_suite("irr-supports", _exhaustive(40))
 def _check_supports(algebra, e, extra):
     elems = algebra.elements()
     jirr = algebra.join_irreducibles()
@@ -503,7 +555,7 @@ def _check_supports(algebra, e, extra):
 # Quotients and fibers
 
 
-@_checker("quotient-fini")
+@_suite("quotient-fini", _exhaustive(40, _every_degree))
 def _check_quotient(algebra, e, extra):
     d = int(extra["d"])
     eps = algebra.epsilon(d)
@@ -549,7 +601,7 @@ def _check_quotient(algebra, e, extra):
     return None
 
 
-@_checker("dim-quotient")
+@_suite("dim-quotient", _exhaustive(degrees=_every_degree))
 def _check_dim_quotient(algebra, e, extra):
     d = int(extra["d"])
     quotient, proj = algebra.quotient_by(algebra.epsilon(d))
@@ -588,7 +640,7 @@ def random_term(rng: random.Random, names: list[str], depth: int, kind: str) -> 
     )
 
 
-@_checker("slice")
+@_suite("slice", _exhaustive(8, _slice_degrees))
 def _check_slice(algebra, e, extra):
     d = int(extra["d"])
     t, spec = slice_term(d + 1), algebra.spec
@@ -599,7 +651,7 @@ def _check_slice(algebra, e, extra):
     return None
 
 
-@_checker("term-lipschitz")
+@_suite("term-lipschitz", _random(6, ("diff", 3, "uv")))
 def _check_lipschitz(algebra, e, extra):
     term = parse_term(extra["term"])
     names = sorted(term.variables())
@@ -614,7 +666,7 @@ def _check_lipschitz(algebra, e, extra):
     return None
 
 
-@_checker("eval-morphism")
+@_suite("eval-morphism", _random(7, ("diff", 2, "u"), degree=True))
 def _check_eval_morphism(algebra, e, extra):
     d = int(extra["d"])
     term = parse_term(extra["term"])
@@ -629,7 +681,7 @@ def _check_eval_morphism(algebra, e, extra):
     return None
 
 
-@_checker("morphism-metrics")
+@_suite("morphism-metrics", _random(8, "ab", degree=True))
 def _check_morphism_metrics(algebra, e, extra):
     d = int(extra["d"])
     a, b = e["a"], e["b"]
@@ -649,7 +701,7 @@ def _check_morphism_metrics(algebra, e, extra):
 # Semantics over frames
 
 
-@_checker("persistence")
+@_suite("persistence", _random(9, ("impl", 2, "v")))
 def _check_persistence(algebra, e, extra):
     term = parse_term(extra["term"])
     names = sorted(term.variables())
@@ -665,7 +717,7 @@ def _check_persistence(algebra, e, extra):
     return None
 
 
-@_checker("duality-roundtrip")
+@_suite("duality-roundtrip", _random(10, ("diff", 2, "g")))
 def _check_duality(algebra, e, extra):
     term = parse_term(extra["term"])
     names = sorted(term.variables())
@@ -681,7 +733,7 @@ def _check_duality(algebra, e, extra):
     return None
 
 
-@_checker("bisim-truth")
+@_suite("bisim-truth", _random(11, ("impl", 2, "v")))
 def _check_bisim(algebra, e, extra):
     term = parse_term(extra["term"])
     names = sorted(term.variables())
@@ -703,177 +755,74 @@ def _check_bisim(algebra, e, extra):
 
 
 # ---------------------------------------------------------------------------
-# Global suites without a per-case carrier
+# Global laws without a per-case carrier
 
 
-def _counting_problems(ctx: SuiteContext) -> list[str]:
-    problems = []
+@_suite("counting-bounds", _once)
+def _check_counting(algebra, e, extra):
     for n in range(0, 3):
         for d in range(1, 3):
             census = universal_frame(n, d).census
             if census[0] != 2 ** n:
-                problems.append(f"layer 1 of the ({n},{d}) universal frame has 2^n points")
+                return f"layer 1 of the ({n},{d}) universal frame has 2^n points"
             for j in range(1, len(census)):
                 prev = universal_frame(n, j).model.frame
                 bound = (2 ** n) * (prev.count_downsets() - 1)
                 if census[j] > bound:
-                    problems.append(
-                        f"layer {j + 1} of the ({n},{d}) universal frame exceeds 2^n * nu"
-                    )
-        for model in enumerate_reduced_models(n, 1):
-            if model.frame.n > 2 ** n:
-                problems.append(
-                    f"a height-1 reduced model over {n} letters has more than 2^n points"
-                )
-                break
+                    return f"layer {j + 1} of the ({n},{d}) universal frame exceeds 2^n * nu"
+        if any(model.frame.n > 2 ** n for model in enumerate_reduced_models(n, 1)):
+            return f"a height-1 reduced model over {n} letters has more than 2^n points"
     for n in range(0, 2):
         count = sum(1 for _ in enumerate_reduced_models(n, 1))
         downsets = universal_frame(n, 1).model.frame.count_downsets() - 1
         if count != downsets:
-            problems.append(
-                "height-1 reduced model count differs from nonempty universal downsets"
-            )
-    return problems
+            return "height-1 reduced model count differs from nonempty universal downsets"
+    return None
 
 
-def _tower_problems(ctx: SuiteContext) -> list[str]:
-    problems = []
+@_suite("tower-coherence", _once)
+def _check_towers(algebra, e, extra):
     towers = [make_tower(0, 2), make_tower(1, 3)]
     v3, _ = load_fixture("v3")
     towers.append(make_tower(Algebra(frame_to_spec(v3)), 3))
     for tower in towers:
-        top = tower.levels[-1]
-        for a in top.elements():
+        for a in tower.levels[-1].elements():
             family = tower.lift(a)
             for d in range(len(tower.levels) - 1):
                 mapped = tower.maps[d].apply(family.components[d + 1])
                 if mapped != family.components[d]:
-                    problems.append("lifted families are coherent under the tower maps")
-                    break
+                    return "lifted families are coherent under the tower maps"
         for d in range(tower.depth + 1):
             eps_fam = tower.epsilon_family(d)
             for k, level in enumerate(tower.levels):
                 if eps_fam.components[k] != level.epsilon(d):
-                    problems.append("epsilon families restrict levelwise to epsilon(d)")
-                    break
+                    return "epsilon families restrict levelwise to epsilon(d)"
         for morphism in tower.maps:
-            src_elems = morphism.src.elements()
-            limit = min(len(src_elems), 12)
-            for a in src_elems[:limit]:
-                for b in src_elems[:limit]:
+            src_elems = morphism.src.elements()[:12]
+            for a in src_elems:
+                for b in src_elems:
                     if distance(morphism.apply(a), morphism.apply(b)) > distance(a, b):
-                        problems.append("tower maps are nonexpansive")
-                        break
-    return problems
-
-
-GLOBAL_SUITES: dict[str, Callable[[SuiteContext], list[str]]] = {
-    "counting-bounds": _counting_problems,
-    "tower-coherence": _tower_problems,
-}
-
-# name -> (seed offset, draw, degree); see the module docstring
-RANDOM_SUITES: dict[str, tuple[int, str | tuple[str, int, str], bool]] = {
-    "s2-identities": (0, "abc", False),
-    "delta-triangle": (1, "abc", False),
-    "ultrametric": (2, "abc", False),
-    "codim-join": (3, "ab", False),
-    "dim-rank": (4, "a", False),
-    "mf-identity": (5, "ab", False),
-    "term-lipschitz": (6, ("diff", 3, "uv"), False),
-    "eval-morphism": (7, ("diff", 2, "u"), True),
-    "morphism-metrics": (8, "ab", True),
-    "persistence": (9, ("impl", 2, "v"), False),
-    "duality-roundtrip": (10, ("diff", 2, "g"), False),
-    "bisim-truth": (11, ("impl", 2, "v"), False),
-}
-
-
-def _every_degree(height: int) -> range:
-    return range(height + 2)
-
-
-def _slice_degrees(height: int) -> list[int]:
-    near = {max(0, height - 1), height, min(height + 1, 3)}
-    return [d for d in sorted(near) if d <= 3]
-
-
-# name -> (largest algebra checked or None, degrees per carrier height or None)
-EXHAUSTIVE_SUITES: dict[str, tuple[int | None, Callable | None]] = {
-    "epsilon-chain": (None, None),
-    "join-irr-strong": (None, None),
-    "irr-supports": (40, None),
-    "quotient-fini": (40, _every_degree),
-    "dim-quotient": (None, _every_degree),
-    "slice": (8, _slice_degrees),
-}
-
-
-def _random_cases(name: str, ctx: SuiteContext, failures: list[Failure]) -> int:
-    offset, draw, degree = RANDOM_SUITES[name]
-    rng = random.Random(ctx.seed + offset)
-    pool = _pool(ctx)
-    for _ in range(ctx.budget):
-        poset, algebra, elems = pool[rng.randrange(len(pool))]
-        extra: dict[str, str] = {}
-        if isinstance(draw, str):
-            masks = {k: elems[rng.randrange(len(elems))].pts for k in draw}
-        else:
-            kind, k, prefixes = draw
-            term = random_term(rng, [f"x{i + 1}" for i in range(k)], 3, kind)
-            masks = {
-                f"{prefix}_{n}": elems[rng.randrange(len(elems))].pts
-                for n in sorted(term.variables())
-                for prefix in prefixes
-            }
-            extra["term"] = print_term(term)
-        if degree:
-            extra["d"] = str(rng.randrange(poset.height() + 2))
-        _run_case(name, poset, algebra, masks, extra, failures)
-    return ctx.budget
-
-
-def _exhaustive_cases(name: str, ctx: SuiteContext, failures: list[Failure]) -> int:
-    largest, degrees = EXHAUSTIVE_SUITES[name]
-    cases = 0
-    for poset, algebra, elems in _pool(ctx):
-        if largest is not None and len(elems) > largest:
-            continue
-        if degrees is None:
-            runs = [{}]
-        else:
-            runs = [{"d": str(d)} for d in degrees(poset.height())]
-        for extra in runs:
-            cases += 1
-            _run_case(name, poset, algebra, {}, extra, failures)
-    return cases
+                        return "tower maps are nonexpansive"
+    return None
 
 
 def suite_names() -> list[str]:
-    return sorted([*RANDOM_SUITES, *EXHAUSTIVE_SUITES, *GLOBAL_SUITES])
+    return sorted(CASES)
 
 
 def run_suites(
     names: list[str] | None = None, ctx: SuiteContext | None = None
 ) -> list[SuiteReport]:
     ctx = ctx or SuiteContext()
-    chosen = names or suite_names()
     reports = []
-    for name in chosen:
+    for name in names or suite_names():
         start = time.perf_counter()
-        failures: list[Failure] = []
-        if name in RANDOM_SUITES:
-            cases = _random_cases(name, ctx, failures)
-        elif name in EXHAUSTIVE_SUITES:
-            cases = _exhaustive_cases(name, ctx, failures)
-        elif name in GLOBAL_SUITES:
-            cases = 1
-            failures = [
-                Failure(suite=name, law=p, poset_text="", masks={}, extra={})
-                for p in GLOBAL_SUITES[name](ctx)
-            ]
-        else:
-            raise KeyError(f"unknown suite: {name}")
+        cases, failures = 0, []
+        for algebra, masks, extra in CASES[name](ctx):
+            cases += 1
+            law = _check(name, algebra, masks, extra)
+            if law is not None:
+                failures.append(_fail(name, law, algebra.spec, masks, extra))
         reports.append(SuiteReport(
             suite=name,
             cases=cases,

@@ -5,6 +5,7 @@ partial orders are brute-forced as transitive antisymmetric relations and
 isomorphism classes are counted via minimum-over-permutations codes.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -139,6 +140,27 @@ def test_build_poset_rejects_duplicates_and_cycles():
         build_poset(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(FormatError):
         build_poset(["a"], [("a", "zzz")])
+
+
+def test_build_poset_up_masks_match_transpose():
+    # build_poset takes its up masks from a second pass over the Kahn order;
+    # _from_down transposes the down masks.  Each poset of up to 6 points is
+    # rebuilt from its covers, from all its strict pairs in a shuffled order,
+    # and under reversed point names, which makes the indices run downward.
+    rng = random.Random(25)
+    fields = [f.name for f in dataclasses.fields(Poset)]
+    for p in enumerate_posets(6):
+        covers = [(p.names[a], p.names[b]) for a, b in p.covers]
+        strict = [(p.names[a], p.names[b])
+                  for b in range(p.n) for a in bits(p.down[b]) if a != b]
+        rng.shuffle(strict)
+        for q in (build_poset(p.names, covers), build_poset(p.names, strict)):
+            assert q.down == p.down
+            want = _from_down(p.names, p.down)
+            assert [getattr(q, f) for f in fields] == [getattr(want, f) for f in fields]
+        q = build_poset(p.names[::-1], covers)
+        want = _from_down(q.names, q.down)
+        assert [getattr(q, f) for f in fields] == [getattr(want, f) for f in fields]
 
 
 def test_closure_and_rank_on_three_chain():

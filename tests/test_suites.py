@@ -6,19 +6,24 @@ the text payload alone.
 """
 
 import collections
+import dataclasses
 import functools
 import hashlib
 import itertools
 import operator
 import random
+import types
+from fractions import Fraction
 
 import pytest
 
 from coheyting import suites
 from coheyting.algebra import Algebra, Element, Morphism, fiber_max, fiber_min
 from coheyting.fixtures import load_fixture
+from coheyting.metric import Tower
 from coheyting.posets import bits, build_poset, enumerate_posets, mask_of, poset_to_text
 from coheyting.suites import (
+    CASES,
     CHECKERS,
     Failure,
     SuiteContext,
@@ -34,6 +39,7 @@ QUICK = SuiteContext(seed=7, budget=40, max_points=4)
 def test_suite_names_inventory():
     names = suite_names()
     assert len(names) == 20
+    assert sorted(CHECKERS) == sorted(CASES) == names
     assert names == sorted(names)
     for expected in (
         "s2-identities",
@@ -60,6 +66,7 @@ def test_each_suite_passes(name):
 QUICK_STREAMS = {
     "bisim-truth": (40, "8de1cfca5a39dae3"),
     "codim-join": (40, "1d0ea9a815b41ba7"),
+    "counting-bounds": (1, "a355232debd28c54"),
     "delta-triangle": (40, "b0882ae2e00a20b0"),
     "dim-quotient": (77, "92143562af490ed9"),
     "dim-rank": (40, "0859f97ddaa688bd"),
@@ -75,6 +82,7 @@ QUICK_STREAMS = {
     "s2-identities": (40, "7d4e3016238559ff"),
     "slice": (47, "4d1eb5a3a3760b68"),
     "term-lipschitz": (40, "e4396ac9c6122e29"),
+    "tower-coherence": (1, "a355232debd28c54"),
     "ultrametric": (40, "115be08234d561a2"),
 }
 
@@ -484,3 +492,75 @@ def test_failure_describe_format():
     assert "points: p0" in text
     assert "x = {p0}" in text
     assert "note: hand built" in text
+
+
+_UNIVERSAL_FRAME, _REDUCED_MODELS = suites.universal_frame, suites.enumerate_reduced_models
+_MAKE_TOWER = suites.make_tower
+
+
+def _layers_changed(change):
+    """Universal frames whose layers are rewritten by ``change``."""
+    def broken(n, d, *args):
+        frame = _UNIVERSAL_FRAME(n, d, *args)
+        return dataclasses.replace(frame, layers=change(frame.layers))
+    return broken
+
+
+def _models_one_deeper(n, d, *args):
+    return _REDUCED_MODELS(n, d + 1, *args)
+
+
+def _models_twice(n, d, *args):
+    return (m for m in _REDUCED_MODELS(n, d, *args) for _ in range(2))
+
+
+def _lift_to_tops(self, a):
+    """Every component below the top is its level's top."""
+    return types.SimpleNamespace(
+        components=(*(level.top() for level in self.levels[:-1]), a)
+    )
+
+
+def _maps_onto_point_zero(source, depth, *args):
+    """The true levels, but every tower map sends each point to point 0."""
+    tower = _MAKE_TOWER(source, depth, *args)
+    maps = tuple(Morphism(m.src, m.dst, (0,) * m.dst.spec.n) for m in tower.maps)
+    return Tower(levels=tower.levels, maps=maps)
+
+
+def _distance_by_size(a, b):
+    """Shrinks with the carrier, so images in a smaller level move apart."""
+    return Fraction(0) if a == b else Fraction(1, 2 ** a.owner.spec.n)
+
+
+@pytest.mark.parametrize(
+    "suite, target, attr, mutant, law",
+    [
+        ("counting-bounds", suites, "universal_frame",
+         _layers_changed(lambda layers: (layers[0][1:], *layers[1:])),
+         "layer 1 of the (0,1) universal frame has 2^n points"),
+        ("counting-bounds", suites, "universal_frame",
+         _layers_changed(lambda layers: (layers[0], *(l * 4 for l in layers[1:]))),
+         "layer 2 of the (1,2) universal frame exceeds 2^n * nu"),
+        ("counting-bounds", suites, "enumerate_reduced_models", _models_one_deeper,
+         "a height-1 reduced model over 1 letters has more than 2^n points"),
+        ("counting-bounds", suites, "enumerate_reduced_models", _models_twice,
+         "height-1 reduced model count differs from nonempty universal downsets"),
+        ("tower-coherence", Tower, "lift", _lift_to_tops,
+         "lifted families are coherent under the tower maps"),
+        ("tower-coherence", suites, "make_tower", _maps_onto_point_zero,
+         "epsilon families restrict levelwise to epsilon(d)"),
+        ("tower-coherence", suites, "distance", _distance_by_size,
+         "tower maps are nonexpansive"),
+    ],
+)
+def test_carrier_less_suite_negative_controls(monkeypatch, suite, target, attr, mutant, law):
+    # each law fires under its mutant as one failure on the empty poset,
+    # which replays while the mutant is in place and passes once it is gone
+    monkeypatch.setattr(target, attr, mutant)
+    (report,) = run_suites([suite], QUICK)
+    (failure,) = report.failures
+    assert (failure.law, failure.poset_text, failure.masks) == (law, "points: \n", {})
+    assert replay_failure(failure)
+    monkeypatch.undo()
+    assert not replay_failure(failure)
