@@ -47,6 +47,17 @@ def mask_of(indices: Iterable[int]) -> PointSet:
     return out
 
 
+def _extremal(closure: Sequence[int], s: PointSet) -> PointSet:
+    """The points p of ``s`` whose ``closure[p]`` meets ``s`` in p alone."""
+    out, rest = 0, s
+    while rest:
+        low = rest & -rest
+        if closure[low.bit_length() - 1] & s == low:
+            out |= low
+        rest ^= low
+    return out
+
+
 _FLIP = str.maketrans("01", "10")
 
 
@@ -111,10 +122,10 @@ class Poset:
 
     def maximal_points(self, s: PointSet) -> PointSet:
         # p in s with nothing of s strictly above it
-        return mask_of(i for i in bits(s) if self.up[i] & s == 1 << i)
+        return _extremal(self.up, s)
 
     def minimal_points(self, s: PointSet) -> PointSet:
-        return mask_of(i for i in bits(s) if self.down[i] & s == 1 << i)
+        return _extremal(self.down, s)
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -590,6 +601,14 @@ def canonical_form(
     singletons is a leaf, and its code lists the labels and the covers in
     the partition's order.
 
+    The search is depth first, over an explicit stack of partitions.  A
+    partition's children, one per explored point of its target cell in
+    the cell's order, are pushed in reverse, so each is refined and
+    searched to the end before the next: the leaves come in the order of
+    a recursive search.  The leaf budget is checked once per leaf, so a
+    search completes under ``MAX_CANONICAL_LEAVES`` exactly when it visits
+    at most that many leaves.
+
     Twins (points with the same strict down-set, strict up-set and label)
     are pruned: swapping two twins is an automorphism fixing every other
     point, so individualizing either gives the same leaf codes, and only
@@ -645,46 +664,46 @@ def canonical_form(
     def signature(i: int, get: Callable[[int], int]) -> tuple:
         return (tuple(sorted(map(get, below[i]))), tuple(sorted(map(get, above[i]))))
 
-    best: list[str | None] = [None]
-    budget = [MAX_CANONICAL_LEAVES]
+    covers = poset.covers
+    best: str | None = None
+    budget = MAX_CANONICAL_LEAVES
     twin: list[int] = []
-
-    def rec(cells: list[list[int]]) -> None:
-        cells = _refine(cells, signature)
+    stack = [[root[key] for key in sorted(root)]]
+    while stack:
+        cells = _refine(stack.pop(), signature)
         for c, target in enumerate(cells):
             if len(target) > 1:
                 break
         else:
-            budget[0] -= 1
-            if budget[0] < 0:
+            budget -= 1
+            if budget < 0:
                 raise SizeCap("canonical form backtracking budget exhausted")
             pos = [0] * n
             for new, (old,) in enumerate(cells):
                 pos[old] = new
-            lab = tuple(keys[old] for (old,) in cells)
-            cov = tuple(sorted([(pos[a], pos[b]) for a, b in poset.covers]))
-            code = repr((n, lab, cov))
-            if best[0] is None or code < best[0]:
-                best[0] = code
-            return
+            cov = tuple(sorted([(pos[a], pos[b]) for a, b in covers]))
+            code = repr((n, tuple([keys[old] for (old,) in cells]), cov))
+            if best is None or code < best:
+                best = code
+            continue
         if not twin:
             first: dict[tuple, int] = {}
             down, up = poset.down, poset.up
-            twin.extend(
+            twin = [
                 first.setdefault((down[i] ^ 1 << i, up[i] ^ 1 << i, keys[i]), i)
                 for i in range(n)
-            )
+            ]
         explored = set()
+        children = []
         for i in target:
             if twin[i] in explored:
                 continue
             explored.add(twin[i])
             rest = [j for j in target if j != i]
-            rec([[i], *cells[:c], rest, *cells[c + 1:]])
-
-    rec([root[key] for key in sorted(root)])
-    assert best[0] is not None
-    return best[0]
+            children.append([[i], *cells[:c], rest, *cells[c + 1:]])
+        stack += reversed(children)
+    assert best is not None
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -643,6 +643,41 @@ def test_canonical_codes_pinned_on_searches_of_several_leaves(limits):
     assert sha256_of(codes).startswith("bb5dfebfff5a4fb6")
 
 
+def test_canonical_form_leaf_counts_pinned(limits):
+    # the smallest MAX_CANONICAL_LEAVES under which each search completes,
+    # found by doubling and then bisection, is the number of leaves it
+    # visits: the budget is checked once per leaf, and a faster search must
+    # visit the same leaves
+    def leaves(poset, labels=None):
+        def completes(limit):
+            try:
+                with limits(MAX_CANONICAL_LEAVES=limit):
+                    canonical_form(poset, labels)
+            except SizeCap:
+                return False
+            return True
+
+        hi = 1
+        while not completes(hi):
+            hi *= 2
+        lo = hi // 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if completes(mid):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    bare = [leaves(p) for p in enumerate_posets(7) if p.n == 7]
+    assert (len(bare), sum(bare), max(bare)) == (2045, 2280, 6)
+    assert sha256_of([repr(bare)]).startswith("c9cd802e791b89b3")
+    rng = random.Random(12)
+    labelled = [leaves(*symmetric_labelled(rng)) for _ in range(40)]
+    assert (sum(labelled), max(labelled)) == (3531, 720)
+    assert sha256_of([repr(labelled)]).startswith("6cea98d205cc52e3")
+
+
 def test_enumeration_pinned(monkeypatch):
     # names and covers of all 2,450 representatives of up to 7 points, and
     # the canonical_form calls of a cold enumeration (the kept classes are
@@ -794,6 +829,20 @@ def test_down_closure_is_smallest_downset(mask, data):
     for other in poset.all_downsets():
         if other & mask == mask:
             assert closed & other == closed
+
+
+def test_extremal_points_match_definition():
+    # p of s is maximal when no other point of s lies above it, and minimal
+    # when none lies below it; every subset of every poset of up to 5 points
+    for p in enumerate_posets(5):
+        for s in range(p.full + 1):
+            pts = list(bits(s))
+            assert p.maximal_points(s) == mask_of(
+                i for i in pts if not any(j != i and p.leq(i, j) for j in pts)
+            )
+            assert p.minimal_points(s) == mask_of(
+                i for i in pts if not any(j != i and p.leq(j, i) for j in pts)
+            )
 
 
 def test_mask_helpers():
