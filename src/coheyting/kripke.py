@@ -262,7 +262,10 @@ def universal_frame(n: int, d: int, max_nodes: int = MAX_FRAME_NODES) -> Univers
     SizeCap, with the census of the layers built, is raised past
     ``max_nodes`` points (or, at d = 0, variables) and past
     ``posets.MAX_ANTICHAINS`` antichains of one layer's stream; skipped
-    antichains count toward that limit too.
+    antichains count toward that limit too.  A layer is collected as each
+    point's colour and its mask over the lower frame; the node-wide down
+    and up masks are built only once the whole layer fits, so a capped
+    build holds only small ints.
     """
     if n < 0 or d < 0:
         raise FrameMismatch("need n >= 0 and d >= 0")
@@ -286,7 +289,11 @@ def universal_frame(n: int, d: int, max_nodes: int = MAX_FRAME_NODES) -> Univers
         # only antichains meeting the newest layer, read up to the node cap
         newest = mask_of(layers[-1] if layers else ())
         found = antichain_stream(tuple(down), tuple(up)) if layers else iter((0,))
-        new_layer = []
+        # the layer as two plain int lists, colour and a mask over the lower
+        # frame: nothing node-wide is built until the whole layer fits, and
+        # ints, unlike tuples, are not tracked by the garbage collector
+        new_colors: list[int] = []
+        new_below: list[int] = []
         while True:
             try:
                 antichain = next(found, None)
@@ -308,23 +315,24 @@ def universal_frame(n: int, d: int, max_nodes: int = MAX_FRAME_NODES) -> Univers
             for c in range(inter if single else inter + 1):
                 if c & inter != c:
                     continue
-                idx = len(colors)
-                if idx >= max_nodes:
+                if len(colors) + len(new_colors) >= max_nodes:
                     raise SizeCap(
                         f"universal frame exceeds {max_nodes} nodes",
-                        census=tuple(len(l) for l in layers + [tuple(new_layer)]),
+                        census=tuple(len(l) for l in layers) + (len(new_colors),),
                     )
-                colors.append(c)
-                down.append(below | 1 << idx)
-                new_layer.append(idx)
-        if not new_layer:
+                new_colors.append(c)
+                new_below.append(below)
+        if not new_colors:
             break
         # grow the up masks by the newest layer only: a transpose of the
         # whole lower frame per layer would cost O(layers * n**2); the frame
         # takes them as they are, with no final transpose
-        for idx in new_layer:
+        new_layer = range(len(colors), len(colors) + len(new_colors))
+        colors += new_colors
+        for idx, below in zip(new_layer, new_below):
+            down.append(below | 1 << idx)
             up.append(1 << idx)
-            for w in bits(down[idx] ^ 1 << idx):
+            for w in bits(below):
                 up[w] |= 1 << idx
         layers.append(tuple(new_layer))
     frame = _from_masks([f"u{i}" for i in range(len(colors))], down, up)

@@ -161,17 +161,35 @@ class Poset:
         )
 
     def induced(self, keep: PointSet) -> "Poset":
-        """Subposet on the points of ``keep``, renumbered, names preserved."""
+        """Subposet on the points of ``keep``, renumbered in index order,
+        names preserved.  Each down and up mask is compressed run by run
+        over the maximal runs of ones in ``keep``: the run of ``length``
+        points from ``low`` moves down to ``new``, the number of kept points
+        below it."""
+        runs = []
+        rest, new = keep, 0
+        while rest:
+            low = (rest & -rest).bit_length() - 1
+            # rest >> low is odd: xor with its successor sets its low ones
+            # and the zero above them
+            length = ((rest >> low) ^ (rest >> low) + 1).bit_length() - 1
+            ones = (1 << length) - 1
+            runs.append((low, ones, new))
+            new += length
+            rest &= ~(ones << low)
+
+        def compress(m: int) -> int:
+            out = 0
+            for low, ones, new in runs:
+                out |= (m >> low & ones) << new
+            return out
+
         kept = list(bits(keep))
-        pos = {old: new for new, old in enumerate(kept)}
-        names = tuple(self.names[i] for i in kept)
-        down = []
-        for old in kept:
-            m = 0
-            for j in bits(self.down[old] & keep):
-                m |= 1 << pos[j]
-            down.append(m)
-        return _from_down(names, down)
+        return _from_masks(
+            [self.names[i] for i in kept],
+            [compress(self.down[i]) for i in kept],
+            [compress(self.up[i]) for i in kept],
+        )
 
     def antichains(self) -> list[PointSet]:
         """All nonempty antichains, sorted by size then lexicographic indices."""

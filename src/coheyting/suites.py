@@ -588,10 +588,10 @@ def _check_quotient(algebra, e, extra):
         if image_at.setdefault(key, image) != image or key_at.setdefault(image, key) != key:
             return "pi(a) = pi(b) iff a ^ b <= epsilon(d)"
     qj = set(quotient.join_irreducibles())
-    lifted = {proj.apply(j) for j in algebra.join_irreducibles() if not j <= eps}
+    survivors = [j for j in algebra.join_irreducibles() if not j <= eps]
+    lifted = {proj.apply(j) for j in survivors}
     if qj != lifted:
         return "join irreducibles not below epsilon(d) biject with quotient's"
-    survivors = [j for j in algebra.join_irreducibles() if not j <= eps]
     if len(survivors) != len(lifted):
         return "projection is injective on surviving join irreducibles"
     qm = set(quotient.meet_irreducibles())

@@ -10,6 +10,7 @@ operation-closure route.
 import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -308,6 +309,37 @@ def test_universal_frame_antichain_cap_reports_census(limits):
     with pytest.raises(SizeCap) as err:
         universal_frame(2, 3)
     assert err.value.census == (4, 18, 19978)
+
+
+def test_universal_frame_node_cap_sweep():
+    # pinned on the build that made each node's down mask as it went: the
+    # cap fires on the first node past it, with the same partial census
+    sweep = {
+        (2, 3, 22): (4, 18, 0),
+        (2, 3, 23): (4, 18, 1),
+        (2, 3, 100): (4, 18, 78),
+        (1, 10, 4): (2, 2, 0),
+        (1, 10, 5): (2, 2, 1),
+    }
+    for (n, d, cap), census in sweep.items():
+        with pytest.raises(SizeCap) as err:
+            universal_frame(n, d, max_nodes=cap)
+        assert err.value.census == census
+        assert str(err.value) == f"universal frame exceeds {cap} nodes"
+
+
+def test_capped_universal_frame_holds_only_small_ints():
+    # a layer's node-wide down masks are built once the whole layer fits, so
+    # the capped (2, 3) build holds one lower-frame mask per node; it peaked
+    # at ~27.7 MiB when each node's down mask was built as it was found
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCap):
+            universal_frame(2, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_universal_frame_antichain_cap_counts_skipped_antichains(limits):
