@@ -11,6 +11,7 @@ maps between spectra) and the irreducible-element machinery on top of it.
 from __future__ import annotations
 
 import gc
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from itertools import repeat
@@ -172,18 +173,32 @@ class Algebra:
         ``spec.downsets()``, which raises SizeCap past ``MAX_CLOSURE``
         downsets; a build that raised keeps nothing.
 
+        The elements are made in three C-level passes, with no Python
+        frame per element: ``object.__new__`` for all of them, then the
+        ``owner`` and ``pts`` slot setters that ``Element.__init__`` calls.
+
         The build pauses the cyclic garbage collector, because every
         element it makes is kept: for the 265,454 elements of ``F(2,2)`` the
         collector otherwise ran 378 passes during the build and freed 21
-        objects.  Its state on entry is restored, also when the build
-        raises."""
+        objects.  When nothing is frozen (``gc.get_freeze_count() == 0``),
+        ``gc.freeze(); gc.unfreeze()`` then moves every tracked object,
+        the new tuple among them, into the oldest generation, so no young
+        pass walks the kept elements; with a caller's objects frozen it is
+        skipped, since ``unfreeze`` would thaw them.  This moves only the
+        collector's schedule: no answer depends on it.  The collector's
+        state on entry is restored, also when the build raises."""
         found = self.__dict__.get("_elements")
         if found is None:
             masks = self.spec.downsets()
             enabled = gc.isenabled()
             gc.disable()
             try:
-                found = tuple(map(Element, repeat(self), masks))
+                found = tuple(map(object.__new__, repeat(Element, len(masks))))
+                deque(map(_set_owner, found, repeat(self)), 0)
+                deque(map(_set_pts, found, masks), 0)
+                if gc.get_freeze_count() == 0:
+                    gc.freeze()
+                    gc.unfreeze()
             finally:
                 if enabled:
                     gc.enable()

@@ -53,7 +53,8 @@ class Term:
         object.__setattr__(self, "has_impl", has_impl)
 
     def variables(self) -> frozenset[str]:
-        return frozenset(c for c in self.code if type(c) is str)
+        # every non-variable entry of the code is an opcode of _OPS
+        return frozenset(self.code).difference(_OPS)
 
     @property
     def op(self) -> str:
@@ -281,7 +282,7 @@ def run_program(code: Sequence[int | str], values: Mapping[str, PointSet],
     ``d_equivalent``).  Join and meet are one ``|`` or ``&``; difference
     and implication close ``a & ~b`` one point column at a time, or with
     ``down_closure``/``up_closure`` for a single block."""
-    n = order.n
+    n, full = order.n, order.full * rep
     stack: list[PointSet] = []
     push, pop = stack.append, stack.pop
     for c in code:
@@ -305,9 +306,9 @@ def run_program(code: Sequence[int | str], values: Mapping[str, PointSet],
                     col = s >> p & rep
                     out |= col * closed[p]
                     s ^= col << p
-            stack[-1] = out if c == _DIFF else order.full * rep & ~out
+            stack[-1] = out if c == _DIFF else full & ~out
         else:
-            push(0 if c == _ZERO else order.full * rep)
+            push(0 if c == _ZERO else full)
     return stack[-1]
 
 

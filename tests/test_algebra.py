@@ -297,14 +297,16 @@ def test_elements_build_with_the_collector_paused(monkeypatch):
     # for it and left as the caller had it, even when the build raises
     made = []
     fail_at = None
+    set_pts = algebra_module._set_pts
 
-    def recording(owner, pts):
+    def recording(element, pts):
         made.append(gc.isenabled())
         if len(made) == fail_at:
             raise RuntimeError("constructor failed")
-        return Element(owner, pts)
+        set_pts(element, pts)
 
-    monkeypatch.setattr(algebra_module, "Element", recording)
+    # the bulk build sets each element's pts through this slot setter
+    monkeypatch.setattr(algebra_module, "_set_pts", recording)
     was_enabled = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -329,6 +331,30 @@ def test_elements_build_with_the_collector_paused(monkeypatch):
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def test_kept_elements_start_in_the_oldest_generation():
+    # the build promotes its tuple past the young generations, so no
+    # gen-0 or gen-1 pass walks the kept elements
+    assert gc.get_freeze_count() == 0
+    elems = Algebra(build_poset([f"p{i}" for i in range(10)])).elements()
+    assert len(elems) == 1024
+    kept = {id(elems), *map(id, elems)}
+    assert kept <= {id(o) for o in gc.get_objects(generation=2)}
+    assert kept.isdisjoint(id(o) for o in gc.get_objects(generation=0))
+
+
+def test_elements_build_thaws_no_frozen_object():
+    # unfreeze would thaw a caller's frozen objects, so the promotion is
+    # skipped while any are frozen
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        assert len(Algebra(build_poset(["a", "b", "c"])).elements()) == 8
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_morphism_validation_errors():

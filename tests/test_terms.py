@@ -214,6 +214,19 @@ def test_print_parse_round_trip(seed, kind):
     assert parse_term(print_term(t)) == t
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["diff", "impl", "lattice"]))
+def test_variables_are_the_strings_of_the_code(seed, kind):
+    rng = random.Random(seed)
+    t = random_term(rng, ("a", "b", "c"), depth=4, kind=kind)
+    assert t.variables() == frozenset(c for c in t.code if type(c) is str)
+
+
+def test_constant_terms_have_no_variables():
+    for src in ("0", "1", "0 | 1 & 0", "1 \\ 0 \\ 1", "(0 -> 1) -> 0"):
+        assert parse_term(src).variables() == frozenset()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_dualize_is_involution_on_random_terms(seed):
