@@ -368,8 +368,15 @@ def free_quotient(n: int, d: int, max_nodes: int = MAX_FRAME_NODES) -> FreeQuoti
 
 
 @lru_cache(maxsize=None)
+def _universal_frame(n: int, d: int, max_nodes: int) -> UniversalFrame:
+    """The frame that ``free_quotient`` and ``d_equivalent`` share, one per
+    ``(n, d, max_nodes)`` for the life of the process."""
+    return universal_frame(n, d, max_nodes)
+
+
+@lru_cache(maxsize=None)
 def _free_quotient(n: int, d: int, max_nodes: int) -> FreeQuotient:
-    uf = universal_frame(n, d, max_nodes)
+    uf = _universal_frame(n, d, max_nodes)
     algebra = Algebra(frame_to_spec(uf.model.frame))
     full = uf.model.frame.full
     gens = [algebra.element(full & ~column) for column in uf.model.columns]
@@ -418,7 +425,9 @@ def d_equivalent(
     at codimension depth d: their duals agree on the free generators.
 
     The dual of a term at the generators is the complement of its truth set
-    on the universal frame, so the truth sets are compared instead."""
+    on the universal frame, so the truth sets are compared instead, on the
+    frame ``free_quotient`` reads, kept once per ``(n, d, max_nodes)``;
+    no algebra is built."""
     if n < 0 or d < 0:
         raise FrameMismatch("need n >= 0 and d >= 0")
     if t1.has_diff or t2.has_diff:
@@ -429,7 +438,7 @@ def d_equivalent(
             f"terms use {len(names)} variables but only {n} generators exist"
         )
     # sorted name i stands for generator i, read off colour column i
-    uf = free_quotient(n, d, max_nodes).frame.model
+    uf = _universal_frame(n, d, max_nodes).model
     values = dict(zip(names, uf.columns))
     frame = uf.frame
     return run_program(t1.code, values, frame) == run_program(t2.code, values, frame)

@@ -10,7 +10,8 @@ A term is stored as its postfix code alone, emitted by the parser as it
 reads.  The printer, ``dualize`` and the one evaluator, ``run_program``,
 walk that tuple once, so no reader recurses and term depth needs no
 recursion limit.  The evaluator takes one assignment, or many packed
-into one int for the assignment sweep.
+into one int for the assignment sweep, which runs over a stream of
+orders, each block of the int over its own.
 
 Formulas are conjunctions of atoms ``term = 0`` and ``term != 0`` joined
 by ``&&``.
@@ -19,7 +20,7 @@ by ``&&``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import Algebra, Element
 from .errors import SignatureMismatch, TermSyntaxError, UnboundVariable
@@ -268,21 +269,45 @@ def dualize(t: Term) -> Term:
     return Term(tuple(code))
 
 
+class Blocks(NamedTuple):
+    """Orders side by side, one ``n``-bit block each: ``rep`` has bit 0 of
+    every block set, ``full`` holds each block's own full mask, and
+    ``down[p]`` and ``up[p]`` the points strictly below and above p in
+    each block's own order (none where it has no point p).  ``up`` is
+    None in the chunks of an assignment sweep, which has no implication."""
+
+    n: int
+    rep: int
+    full: int
+    down: Sequence[int]
+    up: Sequence[int] | None
+
+
 def run_program(code: Sequence[int | str], values: Mapping[str, PointSet],
-                order: Poset, rep: int = 1) -> PointSet:
+                order: Poset | Blocks, rep: int = 1) -> PointSet:
     """Value of the postfix code of a term (``Term.code``) over point masks
     of ``order``, with each variable bound to ``values[name]``; a variable
     missing from ``values`` raises ``UnboundVariable``.  Difference is
     ``down(a & ~b)``; implication is forcing on a frame, the points with
     nothing of ``a & ~b`` below them.
 
-    A value packs one point mask per assignment: block j is bits ``j*n``
-    to ``j*n + n - 1``, and ``rep`` has bit 0 of each block set, so the
-    default ``rep = 1`` is a plain mask (``eval_term``, ``truth_set``,
-    ``d_equivalent``).  Join and meet are one ``|`` or ``&``; difference
-    and implication close ``a & ~b`` one point column at a time, or with
-    ``down_closure``/``up_closure`` for a single block."""
-    n, full = order.n, order.full * rep
+    Over a ``Poset`` and the default ``rep = 1`` a value is a plain mask
+    (``eval_term``, ``truth_set``, ``d_equivalent``), closed with
+    ``down_closure``/``up_closure``.  Over ``Blocks`` a value packs one
+    mask per block, each over its block's own order; a ``Poset`` with
+    ``rep`` > 1 is taken as ``rep``'s blocks all over that order.  Join
+    and meet are one ``|`` or ``&``; difference and implication close ``s
+    = a & ~b`` one point column at a time from ``out = s``: ``out |= (s
+    >> p & rep) * ones & column[p]``, with ``ones`` one block of 1 bits
+    and ``column`` the blocks' ``down`` or ``up``."""
+    if rep != 1:
+        order = Blocks(order.n, rep, order.full * rep,
+                       [(d ^ 1 << p) * rep for p, d in enumerate(order.down)],
+                       [(u ^ 1 << p) * rep for p, u in enumerate(order.up)])
+    packed = type(order) is Blocks
+    if packed:
+        rep, ones = order.rep, (1 << order.n) - 1
+    full = order.full
     stack: list[PointSet] = []
     push, pop = stack.append, stack.pop
     for c in code:
@@ -297,24 +322,37 @@ def run_program(code: Sequence[int | str], values: Mapping[str, PointSet],
         elif c == _DIFF or c == _IMPL:
             b = pop()
             s = stack[-1] & ~b
-            if rep == 1:
-                out = order.down_closure(s) if c == _DIFF else order.up_closure(s)
+            if packed:
+                out = s
+                for p, column in enumerate(order.down if c == _DIFF else order.up):
+                    if column:
+                        out |= (s >> p & rep) * ones & column
             else:
-                closed, out = order.down if c == _DIFF else order.up, 0
-                while s:
-                    p = ((s & -s).bit_length() - 1) % n
-                    col = s >> p & rep
-                    out |= col * closed[p]
-                    s ^= col << p
+                out = order.down_closure(s) if c == _DIFF else order.up_closure(s)
             stack[-1] = out if c == _DIFF else full & ~out
         else:
             push(0 if c == _ZERO else full)
     return stack[-1]
 
 
-# Assignments per chunk of ``first_assignment``: every packed value has at
+# Assignments per chunk of an assignment sweep: every packed value has at
 # most this many blocks, whatever the limit, so memory stays bounded.
 SWEEP_CHUNK = 4096
+
+Case = tuple[Poset, Sequence[PointSet]]
+
+
+class Chunk(NamedTuple):
+    """``width`` consecutive blocks of an assignment sweep: the packed value
+    of each variable in turn over ``blocks``, and the ``runs`` ``(case,
+    first assignment, blocks)`` it is made of.  The sweep goes on at
+    assignment ``stop[1]`` of case ``stop[0]``."""
+
+    columns: tuple[int, ...]
+    blocks: Blocks
+    runs: tuple[tuple[Case, int, int], ...]
+    width: int
+    stop: tuple[int, int]
 
 
 def _packed(masks: Sequence[PointSet], w: int, rep: int, block: int, offset: int,
@@ -345,6 +383,96 @@ def _packed(masks: Sequence[PointSet], w: int, rep: int, block: int, offset: int
     return out & ((1 << width * w) - 1)
 
 
+def pack_sweep(
+    cases: Iterable[Case],
+    nvars: int,
+    limit: int | None,
+    w: int,
+    width: int,
+    start: tuple[int, int] = (0, 0),
+) -> Iterator[Chunk]:
+    """The assignment sweep over ``cases`` as packed chunks, built as they
+    are read.  A case ``(order, masks)`` gives the first ``limit`` (all
+    when None) tuples of ``itertools.product(masks, repeat=nvars)``, one
+    ``w``-bit block each, ``w`` at least the largest ``order.n`` and 1;
+    the cases follow one another, so a chunk may straddle several.  The
+    sweep starts at assignment ``start[1]`` of the first case read, which
+    is case ``start[0]``.  Chunk widths go ``width``, then double up to
+    ``SWEEP_CHUNK``."""
+    cases = iter(cases)
+    i, k = start
+
+    def count(case: Case) -> int:
+        total = len(case[1]) ** nvars
+        return total if limit is None else min(total, limit)
+
+    case = next(cases, None)
+    total = 0 if case is None else count(case)
+    while case is not None:
+        width = min(width, SWEEP_CHUNK)
+        rep = ((1 << width * w) - 1) // ((1 << w) - 1)
+        columns, full, down, runs, at = [0] * nvars, 0, [0] * w, [], 0
+        while at < width:
+            if k >= total:  # the case is done: the next one is read only now
+                case = next(cases, None)
+                if case is None:
+                    break
+                i, k, total = i + 1, 0, count(case)
+                continue
+            order, masks = case
+            r = min(total - k, width - at)
+            run, shift = rep >> (width - r) * w, at * w
+            for v in range(nvars):
+                block = len(masks) ** (nvars - 1 - v)
+                columns[v] |= _packed(masks, w, run, block, k, r) << shift
+            full |= order.full * run << shift
+            for p, d in enumerate(order.down):
+                down[p] |= (d ^ 1 << p) * run << shift
+            runs.append((case, k, r))
+            at, k = at + r, k + r
+        if at:
+            blocks = Blocks(w, rep >> (width - at) * w, full, down, None)
+            yield Chunk(tuple(columns), blocks, tuple(runs), at, (i, k))
+        width *= 2
+
+
+def first_satisfying(
+    atoms: Sequence[tuple[Sequence[int | str], bool]],
+    chunks: Iterable[Chunk],
+    names: Sequence[str],
+) -> tuple[Case, tuple[PointSet, ...]] | None:
+    """The first case and assignment of ``names`` in the sweep ``chunks``
+    under which every atom ``(code, eq)`` holds: the ``Term.code`` of a
+    difference-signature term is 0 exactly when ``eq``.  None when there
+    is none.  Each chunk goes through ``run_program`` once per atom; an
+    atom's blocks are OR-folded onto their bit 0, and the first satisfying
+    assignment is the lowest bit left."""
+    if any(_IMPL in code for code, _ in atoms):
+        raise SignatureMismatch("implication cannot be evaluated here")
+    nvars = len(names)
+    for chunk in chunks:
+        blocks = chunk.blocks
+        values, sat = dict(zip(names, chunk.columns)), blocks.rep
+        for code, eq in atoms:
+            value = hit = run_program(code, values, blocks)
+            for p in range(1, blocks.n):
+                hit |= value >> p
+            sat &= ~hit if eq else hit
+            if not sat:
+                break
+        if sat:
+            j = ((sat & -sat).bit_length() - 1) // blocks.n
+            for case, k, r in chunk.runs:
+                if j < r:
+                    masks = case[1]
+                    m = len(masks)
+                    return case, tuple(
+                        masks[(k + j) // m ** (nvars - 1 - v) % m] for v in range(nvars)
+                    )
+                j -= r
+    return None
+
+
 def first_assignment(
     atoms: Sequence[tuple[Sequence[int | str], bool]],
     order: Poset,
@@ -354,38 +482,15 @@ def first_assignment(
 ) -> tuple[PointSet, ...] | None:
     """First assignment of ``itertools.product(masks, repeat=len(names))``
     to ``names``, among its first ``limit`` (all when None), under which
-    every atom ``(code, eq)`` holds: the ``Term.code`` of a
-    difference-signature term over ``order`` is 0 exactly when ``eq``.
-    None when no such assignment.
-
-    The assignments go through ``run_program`` ``SWEEP_CHUNK`` at a time,
-    packed: block j of a value is assignment j of the chunk, ``w =
-    max(n, 1)`` bits wide so that a 0-point order still has one bit per
-    block.  An atom's blocks are OR-folded onto their bit 0, and the first
-    satisfying assignment is the lowest bit left.  It serves
-    ``fmp_search`` and the slice checker."""
-    if any(_IMPL in code for code, _ in atoms):
-        raise SignatureMismatch("implication cannot be evaluated here")
-    m, nvars, n = len(masks), len(names), order.n
-    w = max(n, 1)
-    blocks = [m ** (nvars - 1 - i) for i in range(nvars)]
-    count = m ** nvars if limit is None else min(m ** nvars, limit)
-    for offset in range(0, count, SWEEP_CHUNK):
-        width = min(SWEEP_CHUNK, count - offset)
-        rep = ((1 << width * w) - 1) // ((1 << w) - 1)
-        values = {v: _packed(masks, w, rep, b, offset, width) for v, b in zip(names, blocks)}
-        sat = rep
-        for code, eq in atoms:
-            value, hit = run_program(code, values, order, rep), 0
-            for p in range(n):
-                hit |= value >> p
-            sat &= ~hit if eq else hit
-            if not sat:
-                break
-        if sat:
-            k = offset + ((sat & -sat).bit_length() - 1) // w
-            return tuple(masks[k // b % m] for b in blocks)
-    return None
+    every atom holds over ``order``; None when no such assignment.  The
+    one-case sweep of ``first_satisfying``, with ``w = max(n, 1)`` bits a
+    block so that a 0-point order still has one bit per block, in chunks
+    of ``SWEEP_CHUNK`` from the first: on the slice checks of the ``laws``
+    benchmark that is faster than starting small.  It serves the slice
+    checker."""
+    chunks = pack_sweep([(order, masks)], len(names), limit, max(order.n, 1), SWEEP_CHUNK)
+    found = first_satisfying(atoms, chunks, names)
+    return None if found is None else found[1]
 
 
 def eval_term(t: Term, algebra: Algebra, env: Mapping[str, Element]) -> Element:

@@ -12,6 +12,7 @@ quantifies over the points below, so it shares no code with
 
 import itertools
 import random
+import re
 import time
 import tracemalloc
 
@@ -19,12 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coheyting import kripke
+from coheyting import search as search_module
 from coheyting import terms as terms_module
 from coheyting.algebra import Algebra
 from coheyting.cli import main
-from coheyting.errors import SignatureMismatch
+from coheyting.errors import SignatureMismatch, SizeCap
 from coheyting.kripke import d_equivalent, make_model, truth_set, universal_frame
-from coheyting.posets import build_poset, enumerate_posets, poset_to_text
+from coheyting.posets import MAX_CLOSURE, build_poset, enumerate_posets, poset_to_text
 from coheyting.search import fmp_search
 from coheyting.suites import CHECKERS
 from coheyting.terms import (
@@ -40,6 +43,8 @@ from coheyting.terms import (
     dualize,
     eval_term,
     first_assignment,
+    first_satisfying,
+    pack_sweep,
     parse_formula,
     parse_term,
     print_term,
@@ -149,6 +154,31 @@ def test_d_equivalent_matches_reference_truth_sets(data, nd):
         for i, nm in enumerate(used)
     }
     assert d_equivalent(t1, t2, n, d) == (ref.eval(t1, env) == ref.eval(t2, env))
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 1), (2, 2), (3, 1)])
+def test_d_equivalent_matches_truth_sets_on_the_universal_model(n, d):
+    # d_equivalent binds the sorted variables to the generators in order:
+    # the model keeps the first len(used) colour bits under those names
+    rng = random.Random(n * 10 + d)
+    model = universal_frame(n, d).model
+    names = [f"x{i + 1}" for i in range(n)]
+    for _ in range(60):
+        t1, t2 = (random_term(rng, names, 3, Impl) for _ in range(2))
+        used = sorted(t1.variables() | t2.variables())
+        low = (1 << len(used)) - 1
+        renamed = make_model(model.frame, used, [c & low for c in model.colors])
+        same = truth_set(renamed, t1) == truth_set(renamed, t2)
+        assert d_equivalent(t1, t2, n, d) == same, (print_term(t1), print_term(t2))
+
+
+def test_d_equivalent_builds_no_free_quotient():
+    # a node cap no other test uses, so the stage is cold either way
+    t1, t2 = parse_term("x1 -> x2"), parse_term("(x3 -> x1) -> x2")
+    before = kripke._free_quotient.cache_info()
+    assert not d_equivalent(t1, t2, 3, 1, max_nodes=19_997)
+    after = kripke._free_quotient.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 # perfbench/workloads.py NON_LAWS with x, y; the witnesses are the ones
@@ -261,6 +291,68 @@ def test_first_assignment_matches_reference(sweep_cases, width, monkeypatch):
     assert len(sweep_cases) == 24 * 12 and 0 < found < len(sweep_cases)
 
 
+@pytest.fixture(scope="module")
+def multi_cases():
+    """Every poset of at most 4 points as one sequence of cases, the empty
+    order among them, with pinned formulas whose witnesses lie in later
+    cases or nowhere, and seeded ones of 1-3 atoms over 0-3 variables.
+    Each formula comes with the index of the first satisfying assignment
+    of each case under the reference, or None."""
+    cases = [(p, p.all_downsets()) for p in enumerate_posets(4)]
+    empty = build_poset([])
+    cases.insert(3, (empty, empty.all_downsets()))
+    refs = [Reference(order) for order, _ in cases]
+    pinned = ["1 = 0", "1 != 0", "x \\ x != 0", f"{slice_term(3)} != 0"]
+    pinned += [src for src, _, _ in NON_LAW_WITNESSES[:3]]
+    atom_lists = [list(parse_formula(src).atoms) for src in pinned]
+    rng = random.Random(2024)
+    for nvars in range(4):
+        for _ in range(3):
+            atom_lists.append([
+                (random_term(rng, NAMES[:nvars], 3), rng.random() < 0.5)
+                for _ in range(rng.randint(1, 3))
+            ])
+    formulas = []
+    for atoms in atom_lists:
+        names = sorted(Formula(tuple(atoms)).variables())
+        firsts = []
+        for ref, (_, masks) in zip(refs, cases):
+            first = None
+            for k, combo in enumerate(itertools.product(masks, repeat=len(names))):
+                env = dict(zip(names, combo))
+                if all((ref.eval(t, env) == 0) == eq for t, eq in atoms):
+                    first = k
+                    break
+            firsts.append(first)
+        formulas.append(([(t.code, eq) for t, eq in atoms], names, firsts))
+    return cases, formulas
+
+
+@pytest.mark.parametrize("width", [5, 64, SWEEP_CHUNK])
+def test_multi_case_sweep_matches_reference(multi_cases, width, monkeypatch):
+    # one stream of 4-bit blocks over all the cases: chunks straddle cases,
+    # and the first satisfying one is found as the reference finds it,
+    # case by case in itertools.product order
+    monkeypatch.setattr(terms_module, "SWEEP_CHUNK", width)
+    cases, formulas = multi_cases
+    found_in = set()
+    for atoms, names, firsts in formulas:
+        for limit in (1, 2, width + 1, 300, None):
+            expect = None
+            for case, k in zip(cases, firsts):
+                if k is not None and (limit is None or k < limit):
+                    masks = case[1]
+                    expect = (case, tuple(itertools.product(masks, repeat=len(names)))[k])
+                    found_in.add(cases.index(case))
+                    break
+            chunks = pack_sweep(cases, len(names), limit, 4, 1)
+            got = first_satisfying(atoms, chunks, names)
+            assert got == expect, (atoms, names, limit)
+            assert got is None or got[0] is expect[0]
+    # witnesses lie past the first case, and some formulas have none
+    assert max(found_in) > 3 and any(all(k is None for k in f[2]) for f in formulas)
+
+
 def test_first_assignment_rejects_implication():
     chain = build_poset(["p0", "p1"], [("p0", "p1")])
     code = parse_term("x -> 0").code
@@ -333,6 +425,100 @@ def test_sweep_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+
+
+# the s2 laws of the search benchmark over a, b, c: negated, each is
+# searched under a plain renaming and under every substitution of one
+# variable by a binary term in it and another variable
+S2_LAWS = [
+    ("a", "(a \\ b) | (a & b)", "="),
+    ("(a | b) \\ c", "(a \\ c) | (b \\ c)", "="),
+    ("a \\ (b | c)", "(a \\ b) \\ c", "="),
+    ("a \\ (a \\ b)", "(a & b) \\ (a \\ b)", "="),
+    ("a \\ ((a \\ b) & b)", "a", "="),
+    ("a \\ (a \\ b)", "b", "<="),
+]
+
+
+def s2_law_instances():
+    out = []
+    for lhs, rhs, rel in S2_LAWS:
+        used = sorted(set(re.findall(r"\b[abc]\b", lhs + rhs)))
+        names = dict(zip(used, ("x", "y", "z")))
+        substitutions = [names]
+        for target in used:
+            for op in ("|", "&", "\\"):
+                for partner in used:
+                    if partner != target:
+                        subst = dict(names)
+                        subst[target] = f"({names[target]} {op} {names[partner]})"
+                        substitutions.append(subst)
+        for subst in substitutions:
+            left, right = (
+                re.sub(r"\b[abc]\b", lambda m: subst[m.group()], text)
+                for text in (lhs, rhs)
+            )
+            if rel == "<=":
+                out.append(f"({left}) \\ ({right}) != 0")
+            else:
+                out.append(f"(({left}) \\ ({right})) | (({right}) \\ ({left})) != 0")
+    return out
+
+
+def per_poset_search(formula, max_points, limit):
+    """The former route: one ``first_assignment`` sweep per poset."""
+    names = sorted(formula.variables())
+    atoms = [(t.code, eq) for t, eq in formula.atoms]
+    for poset in enumerate_posets(max_points):
+        combo = first_assignment(atoms, poset, poset.downsets(), names, limit)
+        if combo is not None:
+            return poset, dict(zip(names, combo))
+    return None
+
+
+@pytest.mark.parametrize("max_points", [4, 5])
+def test_fmp_search_matches_a_per_poset_loop(max_points):
+    laws = s2_law_instances()
+    assert len(laws) == 66
+    non_laws = [src for src, _, _ in NON_LAW_WITNESSES]
+    for src in laws + non_laws:
+        formula = parse_formula(src)
+        witness = fmp_search(formula, max_points, 300)
+        expect = per_poset_search(formula, max_points, 300)
+        assert (witness is None) == (src in laws) == (expect is None), src
+        if witness is not None:
+            assert witness.poset is expect[0], src
+            assert {n: e.pts for n, e in witness.assignment.items()} == expect[1]
+            assert witness.replayed
+
+
+def test_plan_memo_is_bounded(monkeypatch):
+    # 182,120 assignments of 3 + 5 + 1 packed blocks each: past the bound
+    # of the kept plans, which keep a prefix of them and nothing more
+    plans = search_module._Plans()
+    monkeypatch.setattr(search_module, "_PLANS", plans)
+    formula = parse_formula(S2_LAW)
+    list(enumerate_posets(5))
+    assert fmp_search(formula, 5, 10**12) is None
+    kept = plans.blocks
+    assert MAX_CLOSURE - SWEEP_CHUNK * 9 < kept <= MAX_CLOSURE and not plans.complete
+    tracemalloc.start()
+    try:
+        assert fmp_search(formula, 5, 10**12) is None
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plans.blocks == kept
+    assert retained < 32 * 1024, retained
+    assert peak < 2 * 2**20, peak
+
+
+def test_fmp_search_past_the_enumeration_cap_does_no_work(monkeypatch):
+    plans = search_module._Plans()
+    monkeypatch.setattr(search_module, "_PLANS", plans)
+    with pytest.raises(SizeCap):
+        fmp_search(parse_formula("x \\ x != 0"), 8, 300)
+    assert plans.plans == {} and plans.blocks == 0
 
 
 DEPTH = 3000
