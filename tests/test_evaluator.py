@@ -300,7 +300,8 @@ def multi_cases():
     of each case under the reference, or None."""
     cases = [(p, p.all_downsets()) for p in enumerate_posets(4)]
     empty = build_poset([])
-    cases.insert(3, (empty, empty.all_downsets()))
+    # the second case of the third chunk of 0-variable sweeps from width 1
+    cases.insert(4, (empty, empty.all_downsets()))
     refs = [Reference(order) for order, _ in cases]
     pinned = ["1 = 0", "1 != 0", "x \\ x != 0", f"{slice_term(3)} != 0"]
     pinned += [src for src, _, _ in NON_LAW_WITNESSES[:3]]
@@ -487,7 +488,7 @@ def test_fmp_search_matches_a_per_poset_loop(max_points):
         expect = per_poset_search(formula, max_points, 300)
         assert (witness is None) == (src in laws) == (expect is None), src
         if witness is not None:
-            assert witness.poset is expect[0], src
+            assert witness.poset == expect[0], src
             assert {n: e.pts for n, e in witness.assignment.items()} == expect[1]
             assert witness.replayed
 
@@ -511,6 +512,49 @@ def test_plan_memo_is_bounded(monkeypatch):
     assert plans.blocks == kept
     assert retained < 32 * 1024, retained
     assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("bound, kept", [(0, 0), (4096, 1), (30_000, 3), (80_000, 4), (111_824, 6)])
+def test_kept_chunks_are_a_prefix_of_the_sweep(bound, kept, monkeypatch):
+    # the sweep (4 points, 3 variables, no limit) has chunks of 512, 1,024,
+    # 2,048, 4,096, 4,096 and 2,202 assignments, 8 packed blocks each; at
+    # 80,000 the fifth is dropped, and the last, which would fit, is too
+    formula = parse_formula(S2_LAW)
+    full = search_module._Plans()
+    monkeypatch.setattr(search_module, "_PLANS", full)
+    assert fmp_search(formula, 4, 10**12) is None
+    plans = search_module._Plans()
+    monkeypatch.setattr(search_module, "_PLANS", plans)
+    monkeypatch.setattr(search_module, "MAX_CLOSURE", bound)
+    for _ in range(2):
+        assert fmp_search(formula, 4, 10**12) is None
+    chunks = plans.plans.get((4, 3, 10**12), [])
+    assert [(c.width, c.stop) for c in chunks] == [
+        (c.width, c.stop) for c in full.plans[(4, 3, 10**12)][:kept]
+    ]
+    assert plans.blocks == sum(c.width for c in chunks) * 8 <= bound
+    assert plans.complete == ({(4, 3, 10**12)} if kept == 6 else set())
+
+
+def test_a_plan_goes_on_where_an_early_witness_stopped(monkeypatch):
+    # a witness in the first chunk of (5 points, 3 variables, 300) keeps
+    # that chunk alone; a refutation then packs the rest from its end, and
+    # the plan is the one a refutation on its own builds
+    formula = parse_formula(S2_LAW)
+    full = search_module._Plans()
+    monkeypatch.setattr(search_module, "_PLANS", full)
+    assert fmp_search(formula, 5, 300) is None
+    plans = search_module._Plans()
+    monkeypatch.setattr(search_module, "_PLANS", plans)
+    early = fmp_search(parse_formula("(x \\ y) & (y \\ z) != 0"), 5, 300)
+    assert early is not None and len(plans.plans[(5, 3, 300)]) == 1
+    assert fmp_search(formula, 5, 300) is None
+
+    def layout(chunks):
+        return [(c.width, c.stop, [(case[0], k, r) for case, k, r in c.runs]) for c in chunks]
+
+    assert layout(plans.plans[(5, 3, 300)]) == layout(full.plans[(5, 3, 300)])
+    assert plans.complete == full.complete == {(5, 3, 300)}
 
 
 def test_fmp_search_past_the_enumeration_cap_does_no_work(monkeypatch):
