@@ -56,8 +56,10 @@ class _Plans:
     """The kept chunks of ``fmp_search``'s sweeps, a plan per
     ``(max_points, variables, max_assignments)``: a prefix of the sweep
     over every poset of up to ``max_points`` points, which depends on no
-    formula.  A chunk of ``width`` blocks holds ``width * (variables +
-    max_points + 1)`` blocks of packed values; at most
+    formula.  The limit is clipped to ``2 ** (max_points * variables)``,
+    the most assignments any of those posets has, so the limits past it
+    share one plan.  A chunk of ``width`` blocks holds ``width *
+    (variables + max_points + 1)`` blocks of packed values; at most
     ``posets.MAX_CLOSURE`` of them are kept across all plans, and a chunk
     past that is built, swept and dropped."""
 
@@ -69,6 +71,7 @@ class _Plans:
     def sweep(self, max_points: int, nvars: int, limit: int) -> Iterator[Chunk]:
         """The plan's chunks in order: the kept ones, then the rest packed
         as the sweep reads them, each kept while the bound allows."""
+        limit = min(limit, 2 ** (max_points * nvars))
         key = (max_points, nvars, limit)
         kept = self.plans.get(key, [])
         yield from kept

@@ -6,12 +6,14 @@ Grammar: ``|`` join, ``&`` meet, ``\\`` difference, ``->`` implication;
 or implication but never both; the two signatures are dual to each other
 under the involution that swaps 0 with 1 and join with meet.
 
-A term is stored as its postfix code alone, emitted by the parser as it
-reads.  The printer, ``dualize`` and the one evaluator, ``run_program``,
-walk that tuple once, so no reader recurses and term depth needs no
-recursion limit.  The evaluator takes one assignment, or many packed
-into one int for the assignment sweep, which runs over a stream of
-orders, each block of the int over its own.
+The source is split into token texts by one compiled pattern, and the
+parser reads those texts alone; a token's position is found only when an
+error is raised.  A term is stored as its postfix code alone, emitted by
+the parser as it reads.  The printer, ``dualize`` and the one evaluator,
+``run_program``, walk that tuple once, so no reader recurses and term
+depth needs no recursion limit.  The evaluator takes one assignment, or
+many packed into one int for the assignment sweep, which runs over a
+stream of orders, each block of the int over its own.
 
 Formulas are conjunctions of atoms ``term = 0`` and ``term != 0`` joined
 by ``&&``.
@@ -19,7 +21,9 @@ by ``&&``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import Algebra, Element
@@ -119,45 +123,41 @@ def Impl(a: Term, b: Term) -> Term:
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
-_SIMPLE = {"|", "&", "\\", "(", ")", "=", "0", "1"}
+# A token is an operator, a run of word characters (``str.isalnum`` or
+# "_"), or any other character that is not whitespace (``str.isspace``).
+# The operators are tried first, so no other token equals one of them.
+_TOKEN = re.compile(r"&&|->|!=|[|&\\()=01]|\w+|\S")
+_OPERATORS = frozenset(("&&", "->", "!=", "|", "&", "\\", "(", ")", "=", "0", "1"))
+_CONSTANTS = {"0": _ZERO, "1": _ONE}
+_NOT_ATOMS = _OPERATORS.difference(_CONSTANTS).union(("",))
 
 
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """Tokens: (kind, text, position)."""
-    toks = []
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if src.startswith("&&", i):
-            toks.append(("&&", "&&", i))
-            i += 2
-        elif src.startswith("->", i):
-            toks.append(("->", "->", i))
-            i += 2
-        elif src.startswith("!=", i):
-            toks.append(("!=", "!=", i))
-            i += 2
-        elif c in _SIMPLE:
-            toks.append((c, c, i))
-            i += 1
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(("ident", src[i:j], i))
-            i = j
-        else:
-            raise TermSyntaxError(f"unexpected character {c!r}", i)
-    toks.append(("end", "", n))
+def _tokens(src: str) -> list[str]:
+    """The token texts of ``src`` and the end sentinel ``""``.  Every other
+    token is an identifier, which starts with a letter or "_", checked
+    once per distinct text; the first bad token is looked for only then."""
+    toks = _TOKEN.findall(src)
+    bad = [t for t in set(toks).difference(_OPERATORS)
+           if not (t[0].isalpha() or t[0] == "_")]
+    if bad:
+        m = next(m for m in _TOKEN.finditer(src) if m.group() in bad)
+        raise TermSyntaxError(f"unexpected character {m.group()[0]!r}", m.start())
+    toks.append("")
     return toks
 
 
-def _term(toks: list[tuple[str, str, int]], i: int) -> tuple[Term, int]:
-    """Parse one term from token ``i``; return it and the next index.
+def _error(src: str, k: int, message: str) -> TermSyntaxError:
+    """``message`` at the start of token ``k`` of ``src``, ``len(src)`` for
+    the sentinel: positions are found only once an error is raised."""
+    m = next(islice(_TOKEN.finditer(src), k, None), None)
+    return TermSyntaxError(message, len(src) if m is None else m.start())
+
+
+def _term(src: str, toks: list[str], i: int) -> tuple[Term, int]:
+    """Parse one term from token text ``i`` of ``toks``, the token texts of
+    ``src``; return it and the next index.  The texts are compared with the
+    operators, which no identifier equals, and ``src`` is read again only
+    to find an error's position.
 
     ``term := join ('\\' join)* | join '->' term``, ``join := meet ('|'
     meet)*``, ``meet := atom ('&' atom)*``, ``atom := 0 | 1 | ident | '('
@@ -169,53 +169,52 @@ def _term(toks: list[tuple[str, str, int]], i: int) -> tuple[Term, int]:
     outer = []  # (imps, diff, join, meet) of each open parenthesis
     imps, diff, join, meet = 0, False, False, False
     while True:
-        kind, text, pos = toks[i]
+        text = toks[i]
         i += 1
-        if kind == "(":
+        if text == "(":
             outer.append((imps, diff, join, meet))
             imps, diff, join, meet = 0, False, False, False
             continue
-        if kind not in ("ident", "0", "1"):
-            raise TermSyntaxError(f"unexpected token {text or 'end of input'!r}", pos)
-        code.append(text if kind == "ident" else _ZERO if kind == "0" else _ONE)
+        if text in _NOT_ATOMS:
+            raise _error(src, i - 1, f"unexpected token {text or 'end of input'!r}")
+        code.append(_CONSTANTS.get(text, text))
         while True:  # close what the finished atom completes until an operator follows
             if meet:
                 code.append(_MEET)
-            kind, text, pos = toks[i]
-            meet = kind == "&"
+            text = toks[i]
+            meet = text == "&"
             if meet:
                 break
             if join:
                 code.append(_JOIN)
-            join = kind == "|"
+            join = text == "|"
             if join:
                 break
             if diff:
                 code.append(_DIFF)
-                if kind == "\\":
+                if text == "\\":
                     break
-            elif kind == "\\":
+            elif text == "\\":
                 diff = True
                 break
-            elif kind == "->":
+            elif text == "->":
                 imps += 1
                 break
             code += [_IMPL] * imps
             if not outer:
                 return Term(tuple(code)), i
-            if kind != ")":
-                raise TermSyntaxError(f"expected ')', found {text!r}", pos)
+            if text != ")":
+                raise _error(src, i, f"expected ')', found {text!r}")
             i += 1
             imps, diff, join, meet = outer.pop()
         i += 1
 
 
 def parse_term(src: str) -> Term:
-    toks = _tokenize(src)
-    t, i = _term(toks, 0)
-    kind, text, pos = toks[i]
-    if kind != "end":
-        raise TermSyntaxError(f"trailing input {text!r}", pos)
+    toks = _tokens(src)
+    t, i = _term(src, toks, 0)
+    if toks[i]:
+        raise _error(src, i, f"trailing input {toks[i]!r}")
     return t
 
 
@@ -532,29 +531,22 @@ class Formula:
 
 
 def parse_formula(src: str) -> Formula:
-    toks = _tokenize(src)
+    toks = _tokens(src)
     i = 0
     atoms = []
     while True:
-        t, i = _term(toks, i)
-        kind, text, pos = toks[i]
-        if kind == "=":
-            eq = True
-        elif kind == "!=":
-            eq = False
-        else:
-            raise TermSyntaxError(f"expected '=' or '!=', found {text!r}", pos)
-        kind, text, pos = toks[i + 1]
-        if kind != "0":
-            raise TermSyntaxError(f"atoms compare against 0, found {text!r}", pos)
-        atoms.append((t, eq))
-        kind, text, pos = toks[i + 2]
+        t, i = _term(src, toks, i)
+        if toks[i] not in ("=", "!="):
+            raise _error(src, i, f"expected '=' or '!=', found {toks[i]!r}")
+        if toks[i + 1] != "0":
+            raise _error(src, i + 1, f"atoms compare against 0, found {toks[i + 1]!r}")
+        atoms.append((t, toks[i] == "="))
         i += 3
-        if kind == "&&":
+        if toks[i - 1] == "&&":
             continue
-        if kind == "end":
+        if not toks[i - 1]:
             break
-        raise TermSyntaxError(f"trailing input {text!r}", pos)
+        raise _error(src, i - 1, f"trailing input {toks[i - 1]!r}")
     return Formula(tuple(atoms))
 
 

@@ -528,12 +528,13 @@ def test_kept_chunks_are_a_prefix_of_the_sweep(bound, kept, monkeypatch):
     monkeypatch.setattr(search_module, "MAX_CLOSURE", bound)
     for _ in range(2):
         assert fmp_search(formula, 4, 10**12) is None
-    chunks = plans.plans.get((4, 3, 10**12), [])
+    key = (4, 3, 2**12)  # the limit clipped to 4 points' most assignments
+    chunks = plans.plans.get(key, [])
     assert [(c.width, c.stop) for c in chunks] == [
-        (c.width, c.stop) for c in full.plans[(4, 3, 10**12)][:kept]
+        (c.width, c.stop) for c in full.plans[key][:kept]
     ]
     assert plans.blocks == sum(c.width for c in chunks) * 8 <= bound
-    assert plans.complete == ({(4, 3, 10**12)} if kept == 6 else set())
+    assert plans.complete == ({key} if kept == 6 else set())
 
 
 def test_a_plan_goes_on_where_an_early_witness_stopped(monkeypatch):
@@ -555,6 +556,21 @@ def test_a_plan_goes_on_where_an_early_witness_stopped(monkeypatch):
 
     assert layout(plans.plans[(5, 3, 300)]) == layout(full.plans[(5, 3, 300)])
     assert plans.complete == full.complete == {(5, 3, 300)}
+
+
+def test_limits_past_every_poset_share_one_plan(monkeypatch):
+    # x \ x != 0 has no witness; at 4 points its one variable has at most
+    # 2**4 values, so every limit from 16 up sweeps the same 172 assignments
+    plans = search_module._Plans()
+    monkeypatch.setattr(search_module, "_PLANS", plans)
+    formula = parse_formula("x \\ x != 0")
+    for limit in (4096, 10**6, 10**12):
+        assert fmp_search(formula, 4, limit) is None
+        assert plans.blocks == 1032 and list(plans.plans) == [(4, 1, 16)]
+    assert plans.complete == {(4, 1, 16)}
+    witness = parse_formula("x != 0 && x \\ y = 0")
+    found = [fmp_search(witness, 4, limit).describe() for limit in (256, 4096, 10**12)]
+    assert found[0] == found[1] == found[2] and list(plans.plans)[1:] == [(4, 2, 256)]
 
 
 def test_fmp_search_past_the_enumeration_cap_does_no_work(monkeypatch):

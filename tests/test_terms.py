@@ -3,7 +3,9 @@
 Precedence and associativity are pinned by exact parse shapes and by
 printed strings; the printer is checked to be a right inverse of the
 parser on randomly generated terms.  The outcome of every short token
-string, a printed term or an error with its position, is pinned by digest.
+string, a printed term or an error with its position, is pinned by digest,
+and the parsers are compared with a character-at-a-time reference on
+random sources and on one long source.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ from coheyting.kripke import make_model, truth_set
 from coheyting.posets import build_poset
 from coheyting.suites import random_term
 from coheyting.terms import (
+    Formula,
     Diff,
     Impl,
     Join,
@@ -42,6 +45,7 @@ from coheyting.terms import (
     print_term,
     slice_term,
 )
+from coheyting.terms import _DIFF, _IMPL, _JOIN, _MEET, _ONE, _ZERO
 
 
 def test_precedence_layers():
@@ -278,3 +282,202 @@ def test_term_flags_come_from_its_code():
         truth_set(model, diff)
     with pytest.raises(SignatureMismatch):
         Term(("x", "y", -5, "z", -6))
+
+
+# ---------------------------------------------------------------------------
+# the parser as it was before the compiled token pattern: one character at a
+# time, each token with its kind and position; kept as the reference
+
+
+def _ref_tokenize(src):
+    toks = []
+    i = 0
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        if src.startswith("&&", i):
+            toks.append(("&&", "&&", i))
+            i += 2
+        elif src.startswith("->", i):
+            toks.append(("->", "->", i))
+            i += 2
+        elif src.startswith("!=", i):
+            toks.append(("!=", "!=", i))
+            i += 2
+        elif c in {"|", "&", "\\", "(", ")", "=", "0", "1"}:
+            toks.append((c, c, i))
+            i += 1
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            toks.append(("ident", src[i:j], i))
+            i = j
+        else:
+            raise TermSyntaxError(f"unexpected character {c!r}", i)
+    toks.append(("end", "", n))
+    return toks
+
+
+def _ref_term(toks, i):
+    code = []
+    outer = []
+    imps, diff, join, meet = 0, False, False, False
+    while True:
+        kind, text, pos = toks[i]
+        i += 1
+        if kind == "(":
+            outer.append((imps, diff, join, meet))
+            imps, diff, join, meet = 0, False, False, False
+            continue
+        if kind not in ("ident", "0", "1"):
+            raise TermSyntaxError(f"unexpected token {text or 'end of input'!r}", pos)
+        code.append(text if kind == "ident" else _ZERO if kind == "0" else _ONE)
+        while True:
+            if meet:
+                code.append(_MEET)
+            kind, text, pos = toks[i]
+            meet = kind == "&"
+            if meet:
+                break
+            if join:
+                code.append(_JOIN)
+            join = kind == "|"
+            if join:
+                break
+            if diff:
+                code.append(_DIFF)
+                if kind == "\\":
+                    break
+            elif kind == "\\":
+                diff = True
+                break
+            elif kind == "->":
+                imps += 1
+                break
+            code += [_IMPL] * imps
+            if not outer:
+                return Term(tuple(code)), i
+            if kind != ")":
+                raise TermSyntaxError(f"expected ')', found {text!r}", pos)
+            i += 1
+            imps, diff, join, meet = outer.pop()
+        i += 1
+
+
+def ref_parse_term(src):
+    toks = _ref_tokenize(src)
+    t, i = _ref_term(toks, 0)
+    kind, text, pos = toks[i]
+    if kind != "end":
+        raise TermSyntaxError(f"trailing input {text!r}", pos)
+    return t
+
+
+def ref_parse_formula(src):
+    toks = _ref_tokenize(src)
+    i = 0
+    atoms = []
+    while True:
+        t, i = _ref_term(toks, i)
+        kind, text, pos = toks[i]
+        if kind == "=":
+            eq = True
+        elif kind == "!=":
+            eq = False
+        else:
+            raise TermSyntaxError(f"expected '=' or '!=', found {text!r}", pos)
+        kind, text, pos = toks[i + 1]
+        if kind != "0":
+            raise TermSyntaxError(f"atoms compare against 0, found {text!r}", pos)
+        atoms.append((t, eq))
+        kind, text, pos = toks[i + 2]
+        i += 3
+        if kind == "&&":
+            continue
+        if kind == "end":
+            break
+        raise TermSyntaxError(f"trailing input {text!r}", pos)
+    return Formula(tuple(atoms))
+
+
+def _full_outcome(parse, src):
+    """The code or atoms parsed, or the error class, message and position."""
+    try:
+        out = parse(src)
+    except CoheytingError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+    return out.code if isinstance(out, Term) else tuple((t.code, eq) for t, eq in out.atoms)
+
+
+# every operator, a lone "-", "!" and ">", the digits and "_", letters and
+# non-decimal numerics beyond ASCII, Unicode spaces and a stray "$"
+PIECES = (
+    "&&", "->", "!=", "|", "&", "\\", "(", ")", "=", "-", "!", ">",
+    *"0123456789", "_", "a", "b", "x1", "é", "Ω", "ǅ", "²", "½", "٣",
+    " ", "\t", "\n", "\xa0", " ", "$",
+)
+
+
+def _random_source(rng):
+    if rng.random() < 0.5:
+        return "".join(rng.choice(PIECES) for _ in range(rng.randrange(12)))
+    # a printed term or formula with a few pieces inserted, dropped or swapped
+    terms = [print_term(random_term(rng, ["a", "b", "é1", "_Ω"], 3, kind))
+             for kind in rng.sample(["diff", "impl", "lattice"], 2)]
+    src = rng.choice([terms[0], f"{terms[0]} = 0 && {terms[1]} != 0"])
+    for _ in range(rng.randrange(3)):
+        k = rng.randrange(len(src) + 1)
+        src = src[:k] + rng.choice(["", rng.choice(PIECES)]) + src[k + rng.randrange(2):]
+    return src
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parsers_match_the_character_loop_reference(seed):
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(5000):
+        src = _random_source(rng)
+        for parse, ref in ((parse_term, ref_parse_term), (parse_formula, ref_parse_formula)):
+            got = _full_outcome(parse, src)
+            assert got == _full_outcome(ref, src), src
+            kinds.add(got[0] if type(got[0]) is str and got[0].endswith("Error") else "ok")
+    assert kinds >= {"ok", "TermSyntaxError"}
+
+
+def _long_source():
+    # about 100,000 characters of multi-character identifiers and runs of
+    # whitespace, and the code it parses to
+    parts, code = [], []
+    for i in range(2400):
+        parts.append(f"(alpha_{i}  |\t\tbeta{i} \\\n gamma{i})")
+        code += [f"alpha_{i}", f"beta{i}", _JOIN, f"gamma{i}", _DIFF] + [_MEET] * (i > 0)
+    return parts, tuple(code)
+
+
+def test_long_sources_report_faults_at_the_reference_positions():
+    parts, code = _long_source()
+    src = " &   ".join(parts)
+    assert len(src) > 95_000
+    assert parse_term(src).code == code
+    formula = " && ".join(f"{p} = 0" for p in parts[-50:])
+    assert len(parse_formula(formula).atoms) == 50
+    end = src.rindex("gamma")
+    cut = src.rindex("&")
+    bad = [
+        (parse_term, src[:end] + "$" + src[end:], end, "unexpected character '$'"),
+        (parse_term, src[:end] + "²" + src[end:], end, "unexpected character '²'"),
+        (parse_term, src[:cut] + ")" + src[cut:], cut, "trailing input ')'"),
+    ]
+    gap = formula.rindex("= 0 &&")
+    bad.append((parse_formula, formula[:gap] + formula[gap + 3:], gap + 1,
+                "expected '=' or '!=', found '&&'"))
+    for parse, faulty, pos, message in bad:
+        with pytest.raises(TermSyntaxError) as err:
+            parse(faulty)
+        assert (err.value.position, str(err.value)) == (pos, f"{message} (at position {pos})")
+        ref = ref_parse_term if parse is parse_term else ref_parse_formula
+        assert _full_outcome(parse, faulty) == _full_outcome(ref, faulty)
