@@ -133,9 +133,10 @@ _NOT_ATOMS = _OPERATORS.difference(_CONSTANTS).union(("",))
 
 
 def _tokens(src: str) -> list[str]:
-    """The token texts of ``src`` and the end sentinel ``""``.  Every other
-    token is an identifier, which starts with a letter or "_", checked
-    once per distinct text; the first bad token is looked for only then."""
+    """The token texts of ``src`` and the end sentinel ``""``.  A token that
+    is no operator must be an identifier, which starts with a letter or
+    "_": that is checked once per distinct text, and the first bad token
+    is looked for only when there is one."""
     toks = _TOKEN.findall(src)
     bad = [t for t in set(toks).difference(_OPERATORS)
            if not (t[0].isalpha() or t[0] == "_")]
