@@ -554,12 +554,31 @@ def parse_point_list(text: str, poset: Poset) -> PointSet:
 
 def _label_key(label) -> tuple:
     if isinstance(label, (frozenset, set)):
-        return ("set", tuple(sorted(map(str, label))))
+        # a set of str keeps its two-part key; other members add a third
+        # part, their own sorted keys, so frozenset({1}) and frozenset({"1"})
+        # stay apart
+        others = [v for v in label if not isinstance(v, str)]
+        if not others:
+            return ("set", tuple(sorted(map(str, label))))
+        names = sorted([v for v in label if isinstance(v, str)])
+        return ("set", tuple(names), tuple(sorted(map(_label_key, others))))
     if isinstance(label, tuple):
         return ("tuple",) + tuple(_label_key(v) for v in label)
     if label is None:
         return ("none",)
     return ("atom", type(label).__name__, repr(label))
+
+
+# the texts leaf codes are joined from, kept for later calls: the repr of
+# each label key (cached by the key, never by the label: 1, True and 1.0
+# are one cache key but have three label keys), and for each size n the
+# cover texts "(a, b)" at a * n + b
+_key_text = lru_cache(maxsize=64)(repr)
+
+
+@lru_cache(maxsize=8)
+def _cover_texts(n: int) -> tuple[str, ...]:
+    return tuple([f"({v // n}, {v % n})" for v in range(n * n)])
 
 
 def _refine(
@@ -616,8 +635,11 @@ def canonical_form(
     Individualizing a point of the first cell with more than one point
     moves it to the front of the whole order as a cell of its own, the
     rest of its cell staying where the cell was.  A partition of
-    singletons is a leaf, and its code lists the labels and the covers in
-    the partition's order.
+    singletons is a leaf.  Its code is the text of ``repr((n, labels,
+    covers))``, the label keys and the sorted covers as position pairs in
+    the partition's order; it is joined from the ``repr`` of each label
+    key, kept across calls by the key, and a kept text of each pair, taken
+    in the order of the ints ``a * n + b``.
 
     The search is depth first, over an explicit stack of partitions.  A
     partition's children, one per explored point of its target cell in
@@ -631,15 +653,28 @@ def canonical_form(
     are pruned: swapping two twins is an automorphism fixing every other
     point, so individualizing either gives the same leaf codes, and only
     the first twin of each class in the target cell is explored.  The
-    twin classes are found at the first individualization, so a search
-    that refinement alone takes to a leaf never builds them.  The
-    minimum, and with it the code, is byte-identical to that of the
-    unpruned search.  Offsets order the cells as their ranks do, so the
-    splits and the codes are those of a search on colour lists that
-    re-ranks every point by (colour, sorted colours below, sorted colours
-    above) each round, with an individualized point coloured -1.
-    An antichain, a star or a complete bipartite order explores one leaf
-    instead of one per permutation of its twins.
+    twin classes are found at the first partition with a cell of more
+    than one point, so a search that refinement alone takes to a leaf
+    never builds them.  The minimum, and with it the code, is
+    byte-identical to that of the unpruned search.  Offsets order the
+    cells as their ranks do, so the splits and the codes are those of a
+    search on colour lists that re-ranks every point by (colour, sorted
+    colours below, sorted colours above) each round, with an
+    individualized point coloured -1.
+
+    When every cell of more than one point is a twin class, the search
+    below the partition is one path to one leaf, and that leaf is
+    finished at once, charged as one leaf to the budget: the first point
+    of the first open cell goes to the front, again and again, with no
+    refinement in between.  This is exact.  Twins are incomparable, and
+    every other point lies above all of a twin class or none of it.  On a
+    stable partition the points of a cell lie above equally many points
+    of each other cell, so all of a cell or none of it lies above a given
+    twin class, and likewise below; each individualized partition is
+    stable as it is, which is what ``_refine`` would return, and its
+    target is a twin class again, of which the search explores only the
+    first twin.  An antichain, a star or a complete bipartite order is
+    finished so in one leaf, after one refinement.
 
     A label sequence must have one label per point (FrameMismatch
     otherwise); a mapping gives None to the points it leaves out.  SizeCap
@@ -682,6 +717,8 @@ def canonical_form(
     def signature(i: int, get: Callable[[int], int]) -> tuple:
         return (tuple(sorted(map(get, below[i]))), tuple(sorted(map(get, above[i]))))
 
+    texts = list(map(_key_text, keys))
+    pair_texts = _cover_texts(n)
     covers = poset.covers
     best: str | None = None
     budget = MAX_CANONICAL_LEAVES
@@ -693,33 +730,44 @@ def canonical_form(
             if len(target) > 1:
                 break
         else:
-            budget -= 1
-            if budget < 0:
-                raise SizeCap("canonical form backtracking budget exhausted")
-            pos = [0] * n
-            for new, (old,) in enumerate(cells):
-                pos[old] = new
-            cov = tuple(sorted([(pos[a], pos[b]) for a, b in covers]))
-            code = repr((n, tuple([keys[old] for (old,) in cells]), cov))
-            if best is None or code < best:
-                best = code
-            continue
-        if not twin:
+            c = n
+        if c < n and not twin:
             first: dict[tuple, int] = {}
             down, up = poset.down, poset.up
             twin = [
                 first.setdefault((down[i] ^ 1 << i, up[i] ^ 1 << i, keys[i]), i)
                 for i in range(n)
             ]
-        explored = set()
-        children = []
-        for i in target:
-            if twin[i] in explored:
-                continue
-            explored.add(twin[i])
-            rest = [j for j in target if j != i]
-            children.append([[i], *cells[:c], rest, *cells[c + 1:]])
-        stack += reversed(children)
+        if c < n and any(twin[i] != twin[cell[0]] for cell in cells[c:] for i in cell):
+            explored = set()
+            children = []
+            for i in target:
+                if twin[i] in explored:
+                    continue
+                explored.add(twin[i])
+                rest = [j for j in target if j != i]
+                children.append([[i], *cells[:c], rest, *cells[c + 1:]])
+            stack += reversed(children)
+            continue
+        budget -= 1
+        if budget < 0:
+            raise SizeCap("canonical form backtracking budget exhausted")
+        # one leaf: every open cell is a twin class; the points of each but
+        # its last go to the front in turn, so the front holds them reversed
+        front = [i for cell in cells[c:] for i in cell[:-1]]
+        order = front[::-1] + [cell[-1] for cell in cells]
+        pos = [0] * n
+        for new, old in enumerate(order):
+            pos[old] = new
+        flat = sorted([pos[a] * n + pos[b] for a, b in covers])
+        label_part = ", ".join([texts[old] for old in order])
+        cover_part = ", ".join([pair_texts[v] for v in flat])
+        code = (
+            f"({n}, ({label_part}{',' if n == 1 else ''}),"
+            f" ({cover_part}{',' if len(flat) == 1 else ''}))"
+        )
+        if best is None or code < best:
+            best = code
     assert best is not None
     return best
 

@@ -8,6 +8,7 @@ operation-closure route.
 """
 
 import hashlib
+import itertools
 import random
 import time
 import tracemalloc
@@ -261,6 +262,38 @@ def test_universal_frame_of_many_layers():
     assert time.perf_counter() - start < 1.0
     assert uf.census == (2,) * 200
     assert uf.model.frame.n == 400
+
+
+@pytest.mark.parametrize(
+    "n, d, census", [(1, 1, (2,)), (2, 1, (4,)), (3, 1, (8,)), (1, 2, (2, 2)), (2, 2, (4, 18))]
+)
+def test_universal_frame_layers_count_rooted_reduced_models(n, d, census):
+    # an oracle outside the frame's construction: layer k holds one point
+    # per rooted reduced model of depth k, up to isomorphism.  Brute force:
+    # every poset of at most m points with one maximal point (the root),
+    # under every persistent colouring, kept when reduced, one model_code
+    # class each, counted by depth height() + 1.  m points suffice:
+    # - depth 1 is the root alone, so m = 1;
+    # - at depth 2 every other point is minimal, and two minimal points of
+    #   one colour have one theory, so a reduced model has at most 2**n of
+    #   them under its root: m = 1 + 2**n.
+    # (3, 2) would need 9 points, past posets.MAX_ENUM_POINTS.
+    m = 1 if d == 1 else 1 + 2**n
+    vars = tuple(f"x{i + 1}" for i in range(n))
+    codes = [set() for _ in range(d)]
+    for frame in enumerate_posets(m):
+        if frame.maximal_points(frame.full).bit_count() != 1:
+            continue
+        depth = frame.height() + 1
+        if depth > d:
+            continue
+        for colors in itertools.product(range(2**n), repeat=frame.n):
+            if any(colors[lo] | colors[hi] != colors[lo] for lo, hi in frame.covers):
+                continue
+            model = make_model(frame, vars, colors)
+            if is_reduced(model):
+                codes[depth - 1].add(model_code(model))
+    assert tuple(map(len, codes)) == census == universal_frame(n, d).census
 
 
 def test_universal_frame_is_reduced_and_capped():

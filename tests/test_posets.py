@@ -605,6 +605,34 @@ def test_canonical_form_respects_labels():
     assert canonical_form(p, labels=["blue", "red"]) == swapped
 
 
+def test_set_labels_keep_member_types_apart():
+    pair = build_poset(["a", "b"], [])
+    # a set of str keeps the key the pinned digests were computed with
+    assert posets._label_key(frozenset({"x2", "x1"})) == ("set", ("x1", "x2"))
+    assert posets._label_key(set()) == ("set", ())
+    # other members add their own keys: equal sets of members that differ
+    # in type, and sets whose members print alike, get different codes
+    kinds = [
+        frozenset({1}), frozenset({"1"}), frozenset({True}), frozenset({1.0}),
+        frozenset({1, "1"}), frozenset({"1", "True"}), frozenset({("a",)}),
+        frozenset({"('a',)"}), frozenset({None}), frozenset({"None"}),
+        frozenset({frozenset({"x"})}), frozenset({"frozenset({'x'})"}),
+    ]
+    codes = {canonical_form(pair, [label, None]) for label in kinds}
+    assert len(codes) == len(kinds)
+    assert posets._label_key(frozenset({1, "b", "a"})) == (
+        "set", ("a", "b"), (("atom", "int", "1"),)
+    )
+    # the key of a set does not depend on the order its members were added
+    for members in (list(range(40)), [frozenset({"x", "y"}), frozenset({"z"}), 3, "w"]):
+        keys = set()
+        for seed in range(5):
+            random.Random(seed).shuffle(members)
+            keys.add(posets._label_key(frozenset(members)))
+            keys.add(posets._label_key(set(reversed(members))))
+        assert len(keys) == 1
+
+
 def test_canonical_codes_pinned():
     # sha256 prefix of every code up to 6 points (405 classes): a faster
     # canonical form must return byte-identical codes
@@ -821,6 +849,160 @@ def test_canonical_form_prunes_twins(monkeypatch):
     assert canonical_form(k34, [None] * 3 + ["x"] + [None] * 3) == (
         canonical_form(k34, [None] * 6 + ["x"])
     )
+
+
+# ---------------------------------------------------------------------------
+# canonical_form as it was before the one-leaf shortcut and the joined leaf
+# texts: every partition is refined, and each leaf code is the repr of a
+# nested tuple; kept as the reference
+
+
+def ref_canonical_form(poset, labels=None):
+    n = poset.n
+    if labels is None:
+        keys = [("none",)] * n
+    elif isinstance(labels, dict):
+        keys = [posets._label_key(labels.get(i)) for i in range(n)]
+    else:
+        keys = [posets._label_key(label) for label in labels]
+    if n == 0:
+        return repr((0, (), ()))
+    below = [[i for i in bits(d) if i != j] for j, d in enumerate(poset.down)]
+    above = [[j for j in bits(u) if j != i] for i, u in enumerate(poset.up)]
+    root = {}
+    for i, key in enumerate(keys):
+        root.setdefault(key, []).append(i)
+
+    def signature(i, get):
+        return (tuple(sorted(map(get, below[i]))), tuple(sorted(map(get, above[i]))))
+
+    first = {}
+    twin = [
+        first.setdefault((poset.down[i] ^ 1 << i, poset.up[i] ^ 1 << i, keys[i]), i)
+        for i in range(n)
+    ]
+    best = None
+    stack = [[root[key] for key in sorted(root)]]
+    while stack:
+        cells = posets._refine(stack.pop(), signature)
+        for c, target in enumerate(cells):
+            if len(target) > 1:
+                break
+        else:
+            pos = [0] * n
+            for new, (old,) in enumerate(cells):
+                pos[old] = new
+            cov = tuple(sorted([(pos[a], pos[b]) for a, b in poset.covers]))
+            code = repr((n, tuple([keys[old] for (old,) in cells]), cov))
+            if best is None or code < best:
+                best = code
+            continue
+        explored = set()
+        children = []
+        for i in target:
+            if twin[i] not in explored:
+                explored.add(twin[i])
+                rest = [j for j in target if j != i]
+                children.append([[i], *cells[:c], rest, *cells[c + 1:]])
+        stack += reversed(children)
+    return best
+
+
+# labels of every kind a code tells apart, 1, True and 1.0 among them
+MIXED_LABELS = (
+    None, 1, True, 1.0, "1", "x", frozenset({"x1"}), frozenset({"x1", "x2"}),
+    frozenset(), ("a", 1), ("a", True), (1,), (),
+)
+
+
+def seeded_poset(k, rng):
+    """k points in a shuffled order, each pair of a seeded order related
+    with probability about 0.1, 0.25 or 0.5."""
+    names = [f"s{i}" for i in range(k)]
+    rate = rng.choice((0.1, 0.25, 0.5))
+    covers = [
+        (names[a], names[b]) for a in range(k) for b in range(a + 1, k) if rng.random() < rate
+    ]
+    rng.shuffle(names)
+    return build_poset(names, covers)
+
+
+def test_codes_match_the_reference():
+    rng = random.Random(31)
+    cases = [(build_poset([], []), None)]
+    for p in enumerate_posets(7):
+        cases.append((p, None))
+        cases.append((p, [rng.choice(MIXED_LABELS) for _ in range(p.n)]))
+    for _ in range(40):
+        cases.append(symmetric_labelled(rng))
+    # two-digit positions
+    for _ in range(200):
+        p = seeded_poset(rng.randint(10, 14), rng)
+        cases.append((p, None))
+        cases.append((p, [rng.choice(MIXED_LABELS[:6]) for _ in range(p.n)]))
+    # one point, and exactly one cover among 2-12 points: one-element tuples
+    for label in MIXED_LABELS:
+        cases.append((build_poset(["a"], []), [label]))
+    for k in range(2, 13):
+        names = [f"c{i}" for i in range(k)]
+        rng.shuffle(names)
+        one = build_poset(names, [("c0", "c1")])
+        cases.append((one, None))
+        cases.append((one, [rng.choice(MIXED_LABELS) for _ in range(k)]))
+    # mappings, which give None to the points they leave out
+    for p in list(enumerate_posets(5))[::3]:
+        labels = {i: rng.choice(MIXED_LABELS) for i in range(p.n) if rng.random() < 0.5}
+        cases.append((p, labels))
+    singles = covers_one = 0
+    for p, labels in cases:
+        assert canonical_form(p, labels) == ref_canonical_form(p, labels), (p, labels)
+        singles += p.n == 1
+        covers_one += len(p.covers) == 1
+    assert singles >= 10 and covers_one >= 20
+
+
+def twin_orders():
+    """An antichain, a star, K(3,4), and an order with two twin classes in
+    different cells (two points below a middle one, three above it)."""
+    names = [f"p{i}" for i in range(10)]
+    return [
+        (names, []),
+        (names[:7], [("p0", f"p{i}") for i in range(1, 7)]),
+        (names[:7], [(f"p{i}", f"p{j}") for i in range(3) for j in range(3, 7)]),
+        (names[:6], [("p0", "p2"), ("p1", "p2"), ("p2", "p3"), ("p2", "p4"), ("p2", "p5")]),
+    ]
+
+
+def test_twin_classes_finish_in_one_leaf(limits, monkeypatch):
+    # refinement stops with every open cell a twin class, so the one leaf
+    # is finished with no further refinement round and no second leaf
+    refined = []
+    refine = posets._refine
+
+    def counting(cells, signature):
+        refined.append(1)
+        return refine(cells, signature)
+
+    rng = random.Random(4)
+    for pts, covers in twin_orders():
+        for labels in ([None] * len(pts), ["b"] + [None] * (len(pts) - 1)):
+            code = ref_canonical_form(build_poset(pts, covers), labels)
+            for _ in range(4):
+                poset, moved = relabelled(pts, covers, labels, rng)
+                monkeypatch.setattr(posets, "_refine", counting)
+                refined.clear()
+                with limits(MAX_CANONICAL_LEAVES=1):
+                    assert canonical_form(poset, moved) == code
+                assert len(refined) == 1
+                monkeypatch.setattr(posets, "_refine", refine)
+    # two 2-chains: refinement stops at cells that are no twin classes, so
+    # both points of the lower cell are explored, each its own leaf
+    chains = build_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    with limits(MAX_CANONICAL_LEAVES=1):
+        with pytest.raises(SizeCap):
+            canonical_form(chains)
+    with limits(MAX_CANONICAL_LEAVES=2):
+        assert canonical_form(chains) == ref_canonical_form(chains)
 
 
 def test_canonical_form_agrees_with_networkx():
