@@ -569,10 +569,8 @@ def _label_key(label) -> tuple:
     return ("atom", type(label).__name__, repr(label))
 
 
-# the texts leaf codes are joined from, kept for later calls: the repr of
-# each label key (cached by the key, never by the label: 1, True and 1.0
-# are one cache key but have three label keys), and for each size n the
-# cover texts "(a, b)" at a * n + b
+# leaf code texts kept for later calls; label key reprs are cached by the
+# key, never by the label: 1, True and 1.0 are one cache key, three keys
 _key_text = lru_cache(maxsize=64)(repr)
 
 
@@ -635,11 +633,9 @@ def canonical_form(
     Individualizing a point of the first cell with more than one point
     moves it to the front of the whole order as a cell of its own, the
     rest of its cell staying where the cell was.  A partition of
-    singletons is a leaf.  Its code is the text of ``repr((n, labels,
-    covers))``, the label keys and the sorted covers as position pairs in
-    the partition's order; it is joined from the ``repr`` of each label
-    key, kept across calls by the key, and a kept text of each pair, taken
-    in the order of the ints ``a * n + b``.
+    singletons is a leaf.  Its code is the text of ``repr((n, label keys,
+    covers))``, the covers as sorted position pairs, joined from kept
+    texts of each label key and of each pair (sorted as ``a * n + b``).
 
     The search is depth first, over an explicit stack of partitions.  A
     partition's children, one per explored point of its target cell in
@@ -662,19 +658,16 @@ def canonical_form(
     colours below, sorted colours above) each round, with an
     individualized point coloured -1.
 
-    When every cell of more than one point is a twin class, the search
-    below the partition is one path to one leaf, and that leaf is
-    finished at once, charged as one leaf to the budget: the first point
-    of the first open cell goes to the front, again and again, with no
-    refinement in between.  This is exact.  Twins are incomparable, and
-    every other point lies above all of a twin class or none of it.  On a
-    stable partition the points of a cell lie above equally many points
-    of each other cell, so all of a cell or none of it lies above a given
-    twin class, and likewise below; each individualized partition is
-    stable as it is, which is what ``_refine`` would return, and its
-    target is a twin class again, of which the search explores only the
-    first twin.  An antichain, a star or a complete bipartite order is
-    finished so in one leaf, after one refinement.
+    When every cell of more than one point is a twin class, the one leaf
+    below is finished at once, charged once to the budget: the first
+    point of the first open cell goes to the front, again and again, with
+    no refinement between.  This is exact.  Twins are incomparable, and
+    every other point lies above (below) all of a twin class or none of
+    it; on a stable partition the points of a cell lie above (below)
+    equally many points of each cell, so each individualized partition is
+    stable as it is, and its target a twin class, of which only the first
+    twin is explored.  An antichain, a star or a complete bipartite order
+    is finished so after one refinement.
 
     A label sequence must have one label per point (FrameMismatch
     otherwise); a mapping gives None to the points it leaves out.  SizeCap
