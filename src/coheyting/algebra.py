@@ -25,7 +25,7 @@ from .errors import (
     NotOpen,
     OwnerMismatch,
 )
-from .posets import PointSet, Poset, bits, close, mask_of, set_key
+from .posets import PointSet, Poset, _compress, _runs, bits, close, mask_of, set_key
 
 
 @total_ordering
@@ -70,6 +70,16 @@ MINUS_INFINITY = Infinite(-1)
 Codim = Union[int, Infinite]
 
 
+def _layers(levels: Sequence[int]) -> tuple[PointSet, ...]:
+    """``out[k]``: the points of level >= k, for k = 0 .. max(levels) + 1."""
+    out = [0] * (max(levels, default=-1) + 2)
+    for i, level in enumerate(levels):
+        out[level] |= 1 << i
+    for k in range(len(out) - 2, -1, -1):
+        out[k] |= out[k + 1]
+    return tuple(out)
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Element:
     """A downset of the owner's spectrum, stored as a point bitmask."""
@@ -109,8 +119,12 @@ class Element:
         return Element(self.owner, spec.down_closure(self.pts & ~other.pts))
 
     def __xor__(self, other: "Element") -> "Element":
-        """Symmetric difference (self - other) | (other - self)."""
-        return (self - other) | (other - self)
+        """Symmetric difference (self - other) | (other - self), as the one
+        closure of ``self.pts ^ other.pts``: down closure distributes over
+        union, and the two set differences make up the xor."""
+        self._check(other)
+        spec = self.owner.spec
+        return Element(self.owner, spec.down_closure(self.pts ^ other.pts))
 
     def is_bottom(self) -> bool:
         return self.pts == 0
@@ -149,7 +163,10 @@ class Algebra:
         else:
             mask = 0
             for p in pts:
-                mask |= 1 << (p if isinstance(p, int) else self.spec.index(p))
+                i = p if isinstance(p, int) else self.spec.index(p)
+                if i < 0:
+                    raise NotADownset("point mask out of range")
+                mask |= 1 << i
         if mask < 0 or mask > self.spec.full:
             raise NotADownset("point mask out of range")
         if not self.spec.is_downset(mask):
@@ -215,28 +232,45 @@ class Algebra:
 
     # -- dimension and codimension --------------------------------------------
 
+    @cached_property
+    def _corank_layers(self) -> tuple[PointSet, ...]:
+        return _layers(self.spec.coranks)
+
+    @cached_property
+    def _rank_layers(self) -> tuple[PointSet, ...]:
+        return _layers(self.spec.ranks)
+
     def codim(self, a: Element) -> Codim:
-        """Least corank of a point of a; +inf for bottom."""
+        """Least corank of a point of a; +inf for bottom.  The first k with a
+        point of a outside the corank >= k + 1 layer (built once per algebra)."""
         a = self.element(a)
         if a.pts == 0:
             return PLUS_INFINITY
-        return min(self.spec.coranks[i] for i in bits(a.pts))
+        layers, k = self._corank_layers, 0
+        while a.pts & ~layers[k + 1] == 0:
+            k += 1
+        return k
 
     def dim_elt(self, a: Element) -> Codim:
-        """Greatest rank of a point of a; -inf for bottom."""
+        """Greatest rank of a point of a; -inf for bottom.  The last k such
+        that a meets the rank >= k layer (built once per algebra)."""
         a = self.element(a)
         if a.pts == 0:
             return MINUS_INFINITY
-        return max(self.spec.ranks[i] for i in bits(a.pts))
+        layers = self._rank_layers
+        k = len(layers) - 2
+        while a.pts & layers[k] == 0:
+            k -= 1
+        return k
 
     def dim_algebra(self) -> Codim:
         return self.dim_elt(self.top())
 
     def epsilon(self, d: int) -> Element:
-        """Generator of the ideal of elements of codimension >= d."""
-        return Element(
-            self, mask_of(i for i in range(self.spec.n) if self.spec.coranks[i] >= d)
-        )
+        """Generator of the ideal of elements of codimension >= d: the
+        corank >= d layer, so top for d <= 0 and bottom past every corank."""
+        layers = self._corank_layers
+        return Element(self, layers[min(max(d, 0), len(layers) - 1)])
 
     # -- spectrum-level views --------------------------------------------------
 
@@ -251,13 +285,15 @@ class Algebra:
         return self.spec.maximal_points(a.pts)
 
     def join_irreducibles(self) -> tuple[Element, ...]:
-        out = [Element(self, self.spec.down[p]) for p in range(self.spec.n)]
-        return tuple(sorted(out, key=Element.sort_key))
+        masks = sorted(self.spec.down, key=set_key)
+        # from a list: a tuple grown from a generator is shrunk to size and
+        # then freed onto that size's free list, which it fills to its cap
+        return tuple([Element(self, m) for m in masks])
 
     def meet_irreducibles(self) -> tuple[Element, ...]:
         full = self.spec.full
-        out = [Element(self, full & ~self.spec.up[p]) for p in range(self.spec.n)]
-        return tuple(sorted(out, key=Element.sort_key))
+        masks = sorted([full & ~u for u in self.spec.up], key=set_key)
+        return tuple([Element(self, m) for m in masks])
 
     def jsupp(self, a: Element) -> tuple[Element, ...]:
         """Maximal join irreducibles below a; joins back to a."""
@@ -326,12 +362,15 @@ class Morphism:
     dualmap: tuple[int, ...]
 
     def apply(self, a: Element) -> Element:
+        """Preimage under the dual map: bit q of the image is bit
+        ``dualmap[q]`` of a, moved one run at a time over the dual map's
+        runs (``posets._runs``, as in ``Poset.induced``; kept per morphism)."""
         a = self.src.element(a)
-        m = 0
-        for q, p in enumerate(self.dualmap):
-            if a.pts >> p & 1:
-                m |= 1 << q
-        return Element(self.dst, m)
+        return Element(self.dst, _compress(self._dual_runs, a.pts))
+
+    @cached_property
+    def _dual_runs(self) -> tuple[tuple[int, int, int], ...]:
+        return _runs(self.dualmap)
 
     def kernel(self) -> Element:
         """Largest source element sent to bottom, the kernel generator; cached."""
@@ -397,13 +436,17 @@ def identity_morphism(a: Algebra) -> Morphism:
 
 
 def fiber_min(phi: Morphism, a: Element) -> Element:
-    """Least source element with the same image as a (quotient maps): a - kernel."""
-    return phi.src.element(a) - phi.kernel()
+    """Least source element with the same image as a (quotient maps):
+    a - kernel, the down closure of a's points off the kernel."""
+    a = phi.src.element(a)
+    return Element(phi.src, phi.src.spec.down_closure(a.pts & ~phi.kernel().pts))
 
 
 def fiber_max(phi: Morphism, a: Element) -> Element:
-    """Greatest source element with the same image as a (quotient maps): a | kernel."""
-    return phi.src.element(a) | phi.kernel()
+    """Greatest source element with the same image as a (quotient maps):
+    a | kernel, one union of point masks."""
+    a = phi.src.element(a)
+    return Element(phi.src, a.pts | phi.kernel().pts)
 
 
 def check_dL_preserved(phi: Morphism, d: int) -> DimPreservationReport:

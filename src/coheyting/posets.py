@@ -58,6 +58,28 @@ def _extremal(closure: Sequence[int], s: PointSet) -> PointSet:
     return out
 
 
+def _runs(points: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
+    """The maximal runs of ``points`` that go up by one, as ``(low, ones,
+    new)``: ``points[new + j] == low + j`` below ``length``, and ``ones`` is
+    ``2**length - 1``.  A repeated or falling entry starts a run, so there
+    are never more runs than entries."""
+    out, new = [], 0
+    for q in range(1, len(points) + 1):
+        if q == len(points) or points[q] != points[q - 1] + 1:
+            out.append((points[new], (1 << q - new) - 1, new))
+            new = q
+    return tuple(out)
+
+
+def _compress(runs: Sequence[tuple[int, int, int]], m: PointSet) -> PointSet:
+    """The mask whose bit q is bit ``points[q]`` of ``m``, for the
+    ``points`` of ``runs``: one shift and mask per run."""
+    out = 0
+    for low, ones, new in runs:
+        out |= (m >> low & ones) << new
+    return out
+
+
 _FLIP = str.maketrans("01", "10")
 
 
@@ -163,32 +185,15 @@ class Poset:
     def induced(self, keep: PointSet) -> "Poset":
         """Subposet on the points of ``keep``, renumbered in index order,
         names preserved.  Each down and up mask is compressed run by run
-        over the maximal runs of ones in ``keep``: the run of ``length``
-        points from ``low`` moves down to ``new``, the number of kept points
-        below it."""
-        runs = []
-        rest, new = keep, 0
-        while rest:
-            low = (rest & -rest).bit_length() - 1
-            # rest >> low is odd: xor with its successor sets its low ones
-            # and the zero above them
-            length = ((rest >> low) ^ (rest >> low) + 1).bit_length() - 1
-            ones = (1 << length) - 1
-            runs.append((low, ones, new))
-            new += length
-            rest &= ~(ones << low)
-
-        def compress(m: int) -> int:
-            out = 0
-            for low, ones, new in runs:
-                out |= (m >> low & ones) << new
-            return out
-
+        (``_runs``, ``_compress``) over the maximal runs of ones in
+        ``keep``, the runs ``Morphism.apply`` uses for the quotient map
+        onto this subposet."""
         kept = list(bits(keep))
+        runs = _runs(kept)
         return _from_masks(
             [self.names[i] for i in kept],
-            [compress(self.down[i]) for i in kept],
-            [compress(self.up[i]) for i in kept],
+            [_compress(runs, self.down[i]) for i in kept],
+            [_compress(runs, self.up[i]) for i in kept],
         )
 
     def antichains(self) -> list[PointSet]:

@@ -9,6 +9,7 @@ computed by hand from the two- and three-point diagrams.
 import copy
 import dataclasses
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -36,9 +37,9 @@ from coheyting.errors import (
     SizeCap,
 )
 from coheyting.fixtures import load_fixture
-from coheyting.kripke import projection
+from coheyting.kripke import free_quotient, projection
 from coheyting.metric import ball, make_tower
-from coheyting.posets import build_poset, enumerate_posets
+from coheyting.posets import bits, build_poset, enumerate_posets, mask_of
 
 
 def algebra_of(name: str) -> Algebra:
@@ -493,3 +494,223 @@ def test_element_is_slotted_and_frozen():
     assert twin == a and hash(twin) == hash(a) == hash((c2, a.pts))
     assert Element(c2, 0) != a
     assert Element(algebra_of("c2"), a.pts) != a
+
+
+# -- per-point references for the mask-level element ops ---------------------
+#
+# These are the former bodies of codim, dim_elt, epsilon, __xor__,
+# Morphism.apply, fiber_min, fiber_max and the irreducibles: one generator
+# over the points, or one intermediate Element per step.
+
+
+def ref_codim(algebra, a):
+    a = algebra.element(a)
+    if a.pts == 0:
+        return PLUS_INFINITY
+    return min(algebra.spec.coranks[i] for i in bits(a.pts))
+
+
+def ref_dim_elt(algebra, a):
+    a = algebra.element(a)
+    if a.pts == 0:
+        return MINUS_INFINITY
+    return max(algebra.spec.ranks[i] for i in bits(a.pts))
+
+
+def ref_epsilon(algebra, d):
+    spec = algebra.spec
+    return Element(algebra, mask_of(i for i in range(spec.n) if spec.coranks[i] >= d))
+
+
+def ref_xor(a, b):
+    return (a - b) | (b - a)
+
+
+def ref_apply(phi, a):
+    a = phi.src.element(a)
+    m = 0
+    for q, p in enumerate(phi.dualmap):
+        if a.pts >> p & 1:
+            m |= 1 << q
+    return Element(phi.dst, m)
+
+
+def ref_fiber_min(phi, a):
+    return phi.src.element(a) - phi.kernel()
+
+
+def ref_fiber_max(phi, a):
+    return phi.src.element(a) | phi.kernel()
+
+
+def ref_join_irreducibles(algebra):
+    out = [Element(algebra, algebra.spec.down[p]) for p in range(algebra.spec.n)]
+    return tuple(sorted(out, key=Element.sort_key))
+
+
+def ref_meet_irreducibles(algebra):
+    full = algebra.spec.full
+    out = [Element(algebra, full & ~algebra.spec.up[p]) for p in range(algebra.spec.n)]
+    return tuple(sorted(out, key=Element.sort_key))
+
+
+def _same(got, want):
+    # an int codimension must stay an int, an infinite one an Infinite
+    return type(got) is type(want) and got == want
+
+
+def _check_layers(algebra, elems):
+    for a in elems:
+        assert _same(algebra.codim(a), ref_codim(algebra, a)), (algebra.spec, a)
+        assert _same(algebra.dim_elt(a), ref_dim_elt(algebra, a)), (algebra.spec, a)
+    assert _same(algebra.dim_algebra(), ref_dim_elt(algebra, algebra.top()))
+    for d in range(-2, algebra.spec.height() + 4):
+        assert algebra.epsilon(d) == ref_epsilon(algebra, d), (algebra.spec, d)
+    assert algebra.join_irreducibles() == ref_join_irreducibles(algebra)
+    assert algebra.meet_irreducibles() == ref_meet_irreducibles(algebra)
+
+
+def _check_map(phi, elems, fibres=True):
+    for a in elems:
+        assert phi.apply(a) == ref_apply(phi, a), (phi.dualmap, a)
+        if fibres:
+            assert fiber_min(phi, a) == ref_fiber_min(phi, a), (phi.dualmap, a)
+            assert fiber_max(phi, a) == ref_fiber_max(phi, a), (phi.dualmap, a)
+
+
+def _sample(algebra, rng, count):
+    # seeded downsets: the down closures of random point masks
+    spec = algebra.spec
+    masks = (rng.getrandbits(spec.n) & rng.getrandbits(spec.n) for _ in range(count))
+    return [algebra.element(spec.down_closure(m)) for m in masks]
+
+
+def test_rank_layers_match_the_per_point_reference():
+    for poset in enumerate_posets(6):
+        algebra = Algebra(poset)
+        _check_layers(algebra, algebra.elements())
+
+
+def test_xor_matches_the_two_difference_reference():
+    for poset in enumerate_posets(5):
+        elems = Algebra(poset).elements()
+        for a in elems:
+            for b in elems:
+                assert a ^ b == ref_xor(a, b), (poset, a, b)
+
+
+def test_quotient_maps_match_the_per_point_reference():
+    for poset in enumerate_posets(6):
+        algebra = Algebra(poset)
+        elems = algebra.elements()
+        for d in range(-1, poset.height() + 3):
+            _, proj = algebra.quotient_by(algebra.epsilon(d))
+            _check_map(proj, elems)
+
+
+def test_tower_maps_match_the_per_point_reference():
+    rng = random.Random(32)
+    for n, depth in ((1, 4), (2, 2)):
+        tower = make_tower(n, depth)
+        maps = list(tower.maps)
+        # every composite of consecutive tower maps, level j+1 onto level i
+        for i in range(len(tower.maps)):
+            phi = tower.maps[i]
+            for j in range(i + 1, len(tower.maps)):
+                phi = phi.compose(tower.maps[j])
+                maps.append(phi)
+        for phi in maps:
+            src = phi.src
+            elems = src.elements() if src.size() <= 4096 else _sample(src, rng, 300)
+            _check_map(phi, elems)
+
+
+def _union_of_up_sets(src, roots, rng):
+    """A dual map onto ``src`` from the disjoint union of the up-sets of
+    ``roots`` (repeats allowed), its points shuffled: monotone and open,
+    and not injective when two up-sets overlap."""
+    spec = src.spec
+    points = [(j, x) for j, r in enumerate(roots) for x in bits(spec.up[r])]
+    if rng.random() < 0.5:
+        rng.shuffle(points)
+    names = [f"q{j}_{x}" for j, x in points]
+    covers = [
+        (names[a], names[b])
+        for a, (j, x) in enumerate(points)
+        for b, (k, y) in enumerate(points)
+        if j == k and (x, y) in spec.covers
+    ]
+    dst = Algebra(build_poset(names, covers))
+    return make_morphism(src, dst, [x for _, x in points])
+
+
+def test_random_dual_maps_match_the_per_point_reference():
+    rng = random.Random(3232)
+    posets = list(enumerate_posets(4))
+    pairs = [(a, b) for a in posets for b in posets]
+    accepted = []
+    # seeded random maps between small posets, kept when make_morphism
+    # accepts them
+    for src_poset, dst_poset in rng.sample(pairs, 150):
+        src, dst = Algebra(src_poset), Algebra(dst_poset)
+        for _ in range(20):
+            dm = [rng.randrange(src_poset.n) for _ in range(dst_poset.n)]
+            try:
+                accepted.append(make_morphism(src, dst, dm))
+            except (NotMonotone, NotOpen):
+                pass
+    for _ in range(150):
+        src = Algebra(rng.choice(posets))
+        roots = [rng.randrange(src.spec.n) for _ in range(rng.randint(1, 3))]
+        accepted.append(_union_of_up_sets(src, roots, rng))
+    # runs that break on a repeated entry: (0, 1, 1) onto a 2-chain, and
+    # (0, 0) onto one point
+    chain = Algebra(build_poset(["a", "b"], [("a", "b")]))
+    fork = Algebra(build_poset(["x", "y", "z"], [("x", "y")]))
+    accepted.append(make_morphism(chain, fork, (0, 1, 1)))
+    point = Algebra(build_poset(["p"]))
+    accepted.append(make_morphism(point, Algebra(build_poset(["u", "v"])), (0, 0)))
+    assert sum(not phi.dual_injective() for phi in accepted) >= 50
+    assert sum(
+        any(p == q for p, q in zip(phi.dualmap, phi.dualmap[1:])) for phi in accepted
+    ) >= 10
+    for phi in accepted:
+        # fibres are defined for quotient maps only; apply is for any map
+        _check_map(phi, phi.src.elements(), fibres=False)
+
+
+def test_mask_ops_on_a_sample_of_the_two_generator_stage():
+    rng = random.Random(2222)
+    algebra = free_quotient(2, 2).algebra
+    assert algebra.spec.n == 22
+    sample = _sample(algebra, rng, 400)
+    _check_layers(algebra, sample)
+    for a, b in zip(sample, sample[1:] + sample[:1]):
+        assert a ^ b == ref_xor(a, b)
+    for d in range(-1, algebra.spec.height() + 3):
+        _, proj = algebra.quotient_by(algebra.epsilon(d))
+        _check_map(proj, sample)
+
+
+def test_mask_ops_on_the_empty_poset():
+    algebra = Algebra(build_poset([]))
+    bottom = algebra.bottom()
+    assert algebra.elements() == (bottom,) and bottom == algebra.top()
+    _check_layers(algebra, [bottom])
+    assert algebra.codim(bottom) == PLUS_INFINITY
+    assert algebra.dim_algebra() == MINUS_INFINITY
+    assert bottom ^ bottom == bottom
+    quotient, proj = algebra.quotient_by(bottom)
+    assert proj.dualmap == () and quotient.spec.n == 0
+    _check_map(proj, [bottom])
+    assert proj.apply(bottom) == quotient.bottom()
+
+
+def test_element_indices_out_of_range_raise_not_a_downset():
+    algebra = Algebra(build_poset(["a"]))
+    assert algebra.element([0]) == algebra.top()
+    for index in (-1, -2, 1, 5):
+        with pytest.raises(NotADownset, match="point mask out of range"):
+            algebra.element([index])
+    with pytest.raises(NotADownset, match="point mask out of range"):
+        algebra.element(-1)
