@@ -164,7 +164,9 @@ class Algebra:
             mask = 0
             for p in pts:
                 i = p if isinstance(p, int) else self.spec.index(p)
-                if i < 0:
+                # before the shift: a negative count raises ValueError, and
+                # a huge one would build a huge int
+                if not 0 <= i < self.spec.n:
                     raise NotADownset("point mask out of range")
                 mask |= 1 << i
         if mask < 0 or mask > self.spec.full:
@@ -286,8 +288,8 @@ class Algebra:
 
     def join_irreducibles(self) -> tuple[Element, ...]:
         masks = sorted(self.spec.down, key=set_key)
-        # from a list: a tuple grown from a generator is shrunk to size and
-        # then freed onto that size's free list, which it fills to its cap
+        # from a list: tuple() over a generator grows a tuple and then
+        # shrinks it, and the discarded sizes stay on the free lists
         return tuple([Element(self, m) for m in masks])
 
     def meet_irreducibles(self) -> tuple[Element, ...]:
