@@ -30,6 +30,7 @@ MAX_ENUM_POINTS = 7  # isomorphism-class enumeration
 MAX_CLOSURE = 2 ** 20  # downset lists and signature closures
 MAX_ANTICHAINS = 2 ** 20  # antichain streams
 MAX_CANONICAL_LEAVES = 2 ** 20  # canonical form backtracking leaves
+CANONICAL_CACHE = 1024  # entries of each cache canonical_form keeps across calls
 
 
 def bits(mask: PointSet) -> Iterator[int]:
@@ -557,7 +558,28 @@ def parse_point_list(text: str, poset: Poset) -> PointSet:
 # ---------------------------------------------------------------------------
 # canonical form
 
+@lru_cache(maxsize=CANONICAL_CACHE)
+def _str_set_key(label: frozenset) -> tuple:
+    return ("set", tuple(sorted(label)))
+
+
+_ONLY_STR = frozenset({str}).issuperset
+
+
 def _label_key(label) -> tuple:
+    """The sort key of one label in ``canonical_form``.
+
+    A frozenset whose members are all exactly ``str`` has its key kept,
+    at most ``CANONICAL_CACHE`` of them, least recently used dropped first.
+    Only those: the kept keys are found by equality, and ``frozenset({1})
+    == frozenset({True}) == frozenset({1.0})`` and ``frozenset({"a"}) ==
+    frozenset({s})`` for a ``str`` subclass ``s`` equal to "a", while their
+    keys differ.  Equal frozensets of exact ``str`` hold the same strings,
+    so their keys agree.  ``set`` labels, frozenset subclasses and every
+    other label are keyed afresh on each call.
+    """
+    if type(label) is frozenset and _ONLY_STR(map(type, label)):
+        return _str_set_key(label)
     if isinstance(label, (frozenset, set)):
         # a set of str keeps its two-part key; other members add a third
         # part, their own sorted keys, so frozenset({1}) and frozenset({"1"})
@@ -574,9 +596,16 @@ def _label_key(label) -> tuple:
     return ("atom", type(label).__name__, repr(label))
 
 
+@lru_cache(maxsize=CANONICAL_CACHE)
+def _members(mask: PointSet) -> tuple[int, ...]:
+    """The indices set in ``mask``, ascending, kept for later calls."""
+    return tuple(bits(mask))
+
+
 # leaf code texts kept for later calls; label key reprs are cached by the
 # key, never by the label: 1, True and 1.0 are one cache key, three keys
-_key_text = lru_cache(maxsize=64)(repr)
+_key_text = lru_cache(maxsize=CANONICAL_CACHE)(repr)
+_NONE_TEXT = repr(("none",))
 
 
 @lru_cache(maxsize=8)
@@ -674,48 +703,53 @@ def canonical_form(
     twin is explored.  An antichain, a star or a complete bipartite order
     is finished so after one refinement.
 
+    What depends only on a label or on one mask is kept across calls, at
+    most ``CANONICAL_CACHE`` entries each, least recently used dropped
+    first: the keys of frozenset labels of exact ``str`` members (see
+    ``_label_key``), the texts of label keys, and the points of each
+    strict down and up mask as an ascending tuple.  Unlabelled points
+    share one text.  A cache changes no code: a kept entry is what the
+    call would compute.
+
     A label sequence must have one label per point (FrameMismatch
-    otherwise); a mapping gives None to the points it leaves out.  SizeCap
-    is raised on more than ``MAX_CANONICAL_POINTS`` points, and when the
-    search would visit more than ``MAX_CANONICAL_LEAVES`` leaves.
+    otherwise).  A mapping gives None to the points it leaves out, and
+    each of its keys must be a point index, an ``int`` in ``0 .. n - 1``
+    (FrameMismatch otherwise); a ``bool`` key is refused, since ``True``
+    and ``1`` are one dict key.  SizeCap is raised on more than
+    ``MAX_CANONICAL_POINTS`` points, and when the search would visit more
+    than ``MAX_CANONICAL_LEAVES`` leaves.
     """
     n = poset.n
     if n > MAX_CANONICAL_POINTS:
         raise SizeCap(f"canonical form limited to {MAX_CANONICAL_POINTS} points")
-    if labels is None:
-        keys = [("none",)] * n
-    elif isinstance(labels, Mapping):
-        keys = [_label_key(labels.get(i)) for i in range(n)]
-    elif len(labels) != n:
+    if isinstance(labels, Mapping):
+        for i in labels:
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
+                raise FrameMismatch(f"label for {i!r}, not a point index below {n}")
+        labels = [labels.get(i) for i in range(n)]
+    elif labels is not None and len(labels) != n:
         raise FrameMismatch(f"{len(labels)} labels for {n} points")
-    else:
-        keys = [_label_key(label) for label in labels]
     if n == 0:
         return repr((0, (), ()))
-    below: list[list[int]] = []
-    above: list[list[int]] = [[] for _ in range(n)]
-    for j, d in enumerate(poset.down):
-        row = []
-        d ^= 1 << j
-        while d:
-            low = d & -d
-            i = low.bit_length() - 1
-            row.append(i)
-            above[i].append(j)
-            d ^= low
-        below.append(row)
-    root: dict[tuple, list[int]] = {}
+    below = [_members(d ^ 1 << j) for j, d in enumerate(poset.down)]
+    above = [_members(u ^ 1 << j) for j, u in enumerate(poset.up)]
     if labels is None:
-        for i in range(n):
-            root.setdefault((len(below[i]), len(above[i])), []).append(i)
+        # the first refinement round of the one cell of every point
+        keys = list(zip(map(len, below), map(len, above)))
+        texts = [_NONE_TEXT] * n
+        # the label part of every leaf code
+        none_part = ", ".join(texts)
     else:
-        for i, key in enumerate(keys):
-            root.setdefault(key, []).append(i)
+        keys = list(map(_label_key, labels))
+        texts = list(map(_key_text, keys))
+        none_part = ""
+    root: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        root.setdefault(key, []).append(i)
 
     def signature(i: int, get: Callable[[int], int]) -> tuple:
         return (tuple(sorted(map(get, below[i]))), tuple(sorted(map(get, above[i]))))
 
-    texts = list(map(_key_text, keys))
     pair_texts = _cover_texts(n)
     covers = poset.covers
     best: str | None = None
@@ -730,12 +764,11 @@ def canonical_form(
         else:
             c = n
         if c < n and not twin:
+            # the label is left out: twins are compared only within a cell,
+            # and the points of a cell share their label
             first: dict[tuple, int] = {}
             down, up = poset.down, poset.up
-            twin = [
-                first.setdefault((down[i] ^ 1 << i, up[i] ^ 1 << i, keys[i]), i)
-                for i in range(n)
-            ]
+            twin = [first.setdefault((down[i] ^ 1 << i, up[i] ^ 1 << i), i) for i in range(n)]
         if c < n and any(twin[i] != twin[cell[0]] for cell in cells[c:] for i in cell):
             explored = set()
             children = []
@@ -752,13 +785,15 @@ def canonical_form(
             raise SizeCap("canonical form backtracking budget exhausted")
         # one leaf: every open cell is a twin class; the points of each but
         # its last go to the front in turn, so the front holds them reversed
-        front = [i for cell in cells[c:] for i in cell[:-1]]
-        order = front[::-1] + [cell[-1] for cell in cells]
+        order = [cell[-1] for cell in cells]
+        if c < n:
+            front = [i for cell in cells[c:] for i in cell[:-1]]
+            order = front[::-1] + order
         pos = [0] * n
         for new, old in enumerate(order):
             pos[old] = new
         flat = sorted([pos[a] * n + pos[b] for a, b in covers])
-        label_part = ", ".join([texts[old] for old in order])
+        label_part = none_part or ", ".join([texts[old] for old in order])
         cover_part = ", ".join([pair_texts[v] for v in flat])
         code = (
             f"({n}, ({label_part}{',' if n == 1 else ''}),"

@@ -633,6 +633,90 @@ def test_set_labels_keep_member_types_apart():
         assert len(keys) == 1
 
 
+class Shown(str):
+    """A str whose str() is not itself: it equals "a" but keys as "shown:a"."""
+
+    def __str__(self):
+        return "shown:" + str.__str__(self)
+
+
+class Tagged(frozenset):
+    """A frozenset that equals its plain copy but iterates other members."""
+
+    def __iter__(self):
+        return (f"tag:{v}" for v in frozenset.__iter__(self))
+
+
+def seeded_labels(rng):
+    """Labels of every kind _label_key takes, among them equal labels whose
+    keys differ: frozenset({1}), frozenset({True}) and frozenset({1.0}), and
+    frozenset({"a"}) and frozenset({Shown("a")})."""
+    words = ["a", "b", "x1", "x2", "1", "True", "None", "frozenset({'x'})"]
+    labels = []
+    for _ in range(40):
+        members = rng.sample(words, rng.randint(0, 3))
+        labels += [frozenset(members), set(members), Tagged(members)]
+        labels.append(frozenset(members + [Shown(rng.choice(words))]))
+        labels.append(frozenset(rng.sample([1, True, 1.0, "1", 0, False, "0"], 2)))
+        labels.append(frozenset({frozenset(members), rng.choice((None, 1, ("a",)))}))
+        labels.append((rng.choice(words), frozenset(members), None))
+    labels += [None, 1, True, 1.0, "1", "a", Shown("a"), (Shown("a"),), ()]
+    rng.shuffle(labels)
+    return labels
+
+
+def test_kept_label_keys_match_the_reference():
+    assert frozenset({1}) == frozenset({True}) == frozenset({1.0})
+    assert frozenset({"a"}) == frozenset({Shown("a")}) == Tagged({"a"})
+    labels = seeded_labels(random.Random(33))
+    equal_pairs = [
+        (frozenset({1}), frozenset({True})), (frozenset({1.0}), frozenset({1})),
+        (frozenset({"a"}), frozenset({Shown("a")})), (frozenset({"a"}), Tagged({"a"})),
+        (frozenset({"a", "b"}), frozenset({"a", Shown("b")})),
+        (frozenset({frozenset({"x"})}), frozenset({frozenset({Shown("x")})})),
+    ]
+    for first, second in equal_pairs:
+        labels += [first, second, first]
+    # in both orders, from empty kept keys: no kept key answers for an
+    # equal label whose key differs
+    for order in (labels, labels[::-1]):
+        posets._str_set_key.cache_clear()
+        for _ in range(2):
+            for label in order:
+                assert posets._label_key(label) == ref_label_key(label), label
+    # equal labels that key apart give different codes
+    pair = build_poset(["a", "b"], [])
+    for first, second in equal_pairs:
+        assert first == second
+        for left, right in ((first, second), (second, first)):
+            posets._str_set_key.cache_clear()
+            assert canonical_form(pair, [left, None]) != canonical_form(pair, [right, None])
+
+
+def test_canonical_caches_stay_bounded():
+    bound = posets.CANONICAL_CACHE
+    kept = (posets._str_set_key, posets._key_text, posets._members)
+    misses = [f.cache_info().misses for f in kept]
+    # 10,000 distinct labels on 50-point antichains
+    points = [f"p{j}" for j in range(50)]
+    antichain = build_poset(points, [])
+    for i in range(200):
+        labels = [frozenset({f"v{50 * i + j}"}) for j in range(50)]
+        assert canonical_form(antichain, labels) == ref_canonical_form(antichain, labels)
+    # over 10,000 distinct strict down and up masks of 60-64 points
+    rng = random.Random(34)
+    masks = set()
+    while len(masks) < 10_000:
+        p = seeded_poset(rng.randint(60, posets.MAX_CANONICAL_POINTS), rng)
+        canonical_form(p)
+        masks.update(d ^ 1 << j for j, d in enumerate(p.down))
+        masks.update(u ^ 1 << j for j, u in enumerate(p.up))
+    for f, before in zip(kept, misses):
+        info = f.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound
+        assert info.misses - before >= 10_000
+
+
 def test_canonical_codes_pinned():
     # sha256 prefix of every code up to 6 points (405 classes): a faster
     # canonical form must return byte-identical codes
@@ -797,8 +881,26 @@ def test_canonical_form_label_count_must_match():
     for labels in (["x", "y"], ["x", "y", "z", "w"], [], ()):
         with pytest.raises(FrameMismatch):
             canonical_form(vee, labels)
-    # a mapping gives None to the points it leaves out, and ignores others
-    assert canonical_form(vee, {1: "x", 7: "y"}) == canonical_form(vee, [None, "x", None])
+    # a mapping gives None to the points it leaves out
+    assert canonical_form(vee, {1: "x"}) == canonical_form(vee, [None, "x", None])
+    assert canonical_form(vee, {}) == canonical_form(vee)
+
+
+def test_canonical_form_mapping_keys_must_be_point_indices():
+    # a key that is no point index used to be dropped without a word
+    p = build_poset(["a", "b", "c"], [("a", "b")])
+    for labels in (
+        {"a": frozenset({"x"})}, {7: "x"}, {3: "x"}, {-1: "x"}, {1: "x", 7: "y"},
+        {None: "x"}, {1.0: "x"}, {(1,): "x"},
+        # True and 1 are one dict key: a bool names no point
+        {True: "x"}, {False: "x"}, {2: "y", True: "x"},
+    ):
+        with pytest.raises(FrameMismatch):
+            canonical_form(p, labels)
+    with pytest.raises(FrameMismatch):
+        canonical_form(build_poset([], []), {0: "x"})
+    assert canonical_form(p, {2: "x", 0: None}) == canonical_form(p, [None, None, "x"])
+    assert canonical_form(p, {2: "x"}) != canonical_form(p)
 
 
 def test_canonical_form_point_limit(limits):
@@ -854,7 +956,22 @@ def test_canonical_form_prunes_twins(monkeypatch):
 # ---------------------------------------------------------------------------
 # canonical_form as it was before the one-leaf shortcut and the joined leaf
 # texts: every partition is refined, and each leaf code is the repr of a
-# nested tuple; kept as the reference
+# nested tuple; kept as the reference, with the label keys as they were
+# before any was kept across calls
+
+
+def ref_label_key(label):
+    if isinstance(label, (frozenset, set)):
+        others = [v for v in label if not isinstance(v, str)]
+        if not others:
+            return ("set", tuple(sorted(map(str, label))))
+        names = sorted([v for v in label if isinstance(v, str)])
+        return ("set", tuple(names), tuple(sorted(map(ref_label_key, others))))
+    if isinstance(label, tuple):
+        return ("tuple",) + tuple(ref_label_key(v) for v in label)
+    if label is None:
+        return ("none",)
+    return ("atom", type(label).__name__, repr(label))
 
 
 def ref_canonical_form(poset, labels=None):
@@ -862,9 +979,9 @@ def ref_canonical_form(poset, labels=None):
     if labels is None:
         keys = [("none",)] * n
     elif isinstance(labels, dict):
-        keys = [posets._label_key(labels.get(i)) for i in range(n)]
+        keys = [ref_label_key(labels.get(i)) for i in range(n)]
     else:
-        keys = [posets._label_key(label) for label in labels]
+        keys = [ref_label_key(label) for label in labels]
     if n == 0:
         return repr((0, (), ()))
     below = [[i for i in bits(d) if i != j] for j, d in enumerate(poset.down)]
@@ -953,6 +1070,13 @@ def test_codes_match_the_reference():
     for p in list(enumerate_posets(5))[::3]:
         labels = {i: rng.choice(MIXED_LABELS) for i in range(p.n) if rng.random() < 0.5}
         cases.append((p, labels))
+    # masks past 2^20, up to MAX_CANONICAL_POINTS points
+    big = random.Random(33)
+    for k in (21, 33, 48, posets.MAX_CANONICAL_POINTS):
+        for _ in range(3):
+            p = seeded_poset(k, big)
+            cases.append((p, None))
+            cases.append((p, [big.choice(MIXED_LABELS) for _ in range(p.n)]))
     singles = covers_one = 0
     for p, labels in cases:
         assert canonical_form(p, labels) == ref_canonical_form(p, labels), (p, labels)
