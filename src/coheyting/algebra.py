@@ -13,19 +13,20 @@ from __future__ import annotations
 import gc
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 from .errors import (
     EmptyElement,
+    FormatError,
     InfiniteArithmetic,
     NotADownset,
     NotMonotone,
     NotOpen,
     OwnerMismatch,
 )
-from .posets import PointSet, Poset, _compress, _runs, bits, close, mask_of, set_key
+from .posets import PointSet, Poset, _compress, _memo, _runs, bits, close, mask_of, set_key
 
 
 @total_ordering
@@ -93,38 +94,48 @@ class Element:
         _set_owner(self, owner)
         _set_pts(self, pts)
 
-    def _check(self, other: "Element") -> None:
-        if other.owner is not self.owner:
+    def _foreign(self, other) -> bool:
+        """True (so NotImplemented) for a non-element; OwnerMismatch for another algebra's."""
+        if isinstance(other, Element) and other.owner is not self.owner:
             raise OwnerMismatch("elements belong to different algebras")
+        return not isinstance(other, Element)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pts == other.pts and self.owner is other.owner
 
     def __le__(self, other: "Element") -> bool:
-        self._check(other)
+        if (type(other) is not Element or other.owner is not self.owner) and self._foreign(other):
+            return NotImplemented
         return self.pts & other.pts == self.pts
 
     def __ge__(self, other: "Element") -> bool:
         return other.__le__(self)
 
     def __or__(self, other: "Element") -> "Element":
-        self._check(other)
+        if (type(other) is not Element or other.owner is not self.owner) and self._foreign(other):
+            return NotImplemented
         return Element(self.owner, self.pts | other.pts)
 
     def __and__(self, other: "Element") -> "Element":
-        self._check(other)
+        if (type(other) is not Element or other.owner is not self.owner) and self._foreign(other):
+            return NotImplemented
         return Element(self.owner, self.pts & other.pts)
 
     def __sub__(self, other: "Element") -> "Element":
         """Difference: least c with self <= other | c."""
-        self._check(other)
-        spec = self.owner.spec
-        return Element(self.owner, spec.down_closure(self.pts & ~other.pts))
+        if (type(other) is not Element or other.owner is not self.owner) and self._foreign(other):
+            return NotImplemented
+        return Element(self.owner, self.owner.spec.down_closure(self.pts & ~other.pts))
 
     def __xor__(self, other: "Element") -> "Element":
         """Symmetric difference (self - other) | (other - self), as the one
         closure of ``self.pts ^ other.pts``: down closure distributes over
         union, and the two set differences make up the xor."""
-        self._check(other)
-        spec = self.owner.spec
-        return Element(self.owner, spec.down_closure(self.pts ^ other.pts))
+        if (type(other) is not Element or other.owner is not self.owner) and self._foreign(other):
+            return NotImplemented
+        return Element(self.owner, self.owner.spec.down_closure(self.pts ^ other.pts))
 
     def is_bottom(self) -> bool:
         return self.pts == 0
@@ -143,6 +154,7 @@ class Element:
 
 
 _set_owner, _set_pts = Element.owner.__set__, Element.pts.__set__
+_FORMS = "an Element, an int point mask, or an iterable of point names and int indices"
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,15 +166,23 @@ class Algebra:
     spec: Poset
 
     def element(self, pts: PointSet | Element | Iterable) -> Element:
+        """``pts`` as an element: an element of this algebra, an ``int`` point
+        mask, or an iterable of point names and ``int`` indices.  A ``str``,
+        ``bytes`` or ``bool`` mask, a ``bytes`` or ``bool`` point and an
+        unknown name raise FormatError; a foreign element OwnerMismatch."""
         if isinstance(pts, Element):
             if pts.owner is not self:
                 raise OwnerMismatch("element belongs to a different algebra")
             return pts
+        if isinstance(pts, (str, bytes, bool)):
+            raise FormatError(f"an element is {_FORMS}, not {pts!r}")
         if isinstance(pts, int):
             mask = pts
         else:
             mask = 0
             for p in pts:
+                if isinstance(p, (bytes, bool)):
+                    raise FormatError(f"an element is {_FORMS}, not {p!r}")
                 i = p if isinstance(p, int) else self.spec.index(p)
                 # before the shift: a negative count raises ValueError, and
                 # a huge one would build a huge int
@@ -234,18 +254,19 @@ class Algebra:
 
     # -- dimension and codimension --------------------------------------------
 
-    @cached_property
+    @_memo
     def _corank_layers(self) -> tuple[PointSet, ...]:
         return _layers(self.spec.coranks)
 
-    @cached_property
+    @_memo
     def _rank_layers(self) -> tuple[PointSet, ...]:
         return _layers(self.spec.ranks)
 
     def codim(self, a: Element) -> Codim:
         """Least corank of a point of a; +inf for bottom.  The first k with a
         point of a outside the corank >= k + 1 layer (built once per algebra)."""
-        a = self.element(a)
+        if type(a) is not Element or a.owner is not self:
+            a = self.element(a)
         if a.pts == 0:
             return PLUS_INFINITY
         layers, k = self._corank_layers, 0
@@ -256,7 +277,8 @@ class Algebra:
     def dim_elt(self, a: Element) -> Codim:
         """Greatest rank of a point of a; -inf for bottom.  The last k such
         that a meets the rank >= k layer (built once per algebra)."""
-        a = self.element(a)
+        if type(a) is not Element or a.owner is not self:
+            a = self.element(a)
         if a.pts == 0:
             return MINUS_INFINITY
         layers = self._rank_layers
@@ -287,34 +309,30 @@ class Algebra:
         return self.spec.maximal_points(a.pts)
 
     def join_irreducibles(self) -> tuple[Element, ...]:
-        masks = sorted(self.spec.down, key=set_key)
+        """Fresh elements over the masks ``spec`` keeps in ``set_key`` order."""
         # from a list: tuple() over a generator grows a tuple and then
         # shrinks it, and the discarded sizes stay on the free lists
-        return tuple([Element(self, m) for m in masks])
+        return tuple([Element(self, m) for m in self.spec._irreducible_masks[0]])
 
     def meet_irreducibles(self) -> tuple[Element, ...]:
-        full = self.spec.full
-        masks = sorted([full & ~u for u in self.spec.up], key=set_key)
-        return tuple([Element(self, m) for m in masks])
+        """Fresh elements over the masks ``spec`` keeps in ``set_key`` order."""
+        return tuple([Element(self, m) for m in self.spec._irreducible_masks[1]])
 
     def jsupp(self, a: Element) -> tuple[Element, ...]:
-        """Maximal join irreducibles below a; joins back to a."""
+        """Maximal join irreducibles below a; joins back to a.  ``down[p]``
+        is one of them iff it lies in a and holds a maximal point of a."""
         a = self.element(a)
-        out = [
-            Element(self, self.spec.down[p])
-            for p in bits(self.spec.maximal_points(a.pts))
-        ]
-        return tuple(sorted(out, key=Element.sort_key))
+        top = self.spec.maximal_points(a.pts)
+        masks = self.spec._irreducible_masks[0]
+        return tuple([Element(self, m) for m in masks if m & top and m & ~a.pts == 0])
 
     def msupp(self, a: Element) -> tuple[Element, ...]:
-        """Minimal meet irreducibles above a; meets back to a."""
+        """Minimal meet irreducibles above a; meets back to a.  ``full &
+        ~up[p]`` is one iff it holds a and misses a minimal point off a."""
         a = self.element(a)
-        full = self.spec.full
-        out = [
-            Element(self, full & ~self.spec.up[p])
-            for p in bits(self.spec.minimal_points(full & ~a.pts))
-        ]
-        return tuple(sorted(out, key=Element.sort_key))
+        low = self.spec.minimal_points(self.spec.full & ~a.pts)
+        masks = self.spec._irreducible_masks[1]
+        return tuple([Element(self, m) for m in masks if low & ~m and a.pts & ~m == 0])
 
     def conj_up(self, x: Element) -> Element:
         """Join of every element not above x."""
@@ -366,11 +384,13 @@ class Morphism:
     def apply(self, a: Element) -> Element:
         """Preimage under the dual map: bit q of the image is bit
         ``dualmap[q]`` of a, moved one run at a time over the dual map's
-        runs (``posets._runs``, as in ``Poset.induced``; kept per morphism)."""
-        a = self.src.element(a)
+        runs (``posets._runs``, as in ``Poset.induced``; kept per morphism).
+        Any ``a`` but an element of ``src`` goes through ``src.element``."""
+        if type(a) is not Element or a.owner is not self.src:
+            a = self.src.element(a)
         return Element(self.dst, _compress(self._dual_runs, a.pts))
 
-    @cached_property
+    @_memo
     def _dual_runs(self) -> tuple[tuple[int, int, int], ...]:
         return _runs(self.dualmap)
 
@@ -378,7 +398,7 @@ class Morphism:
         """Largest source element sent to bottom, the kernel generator; cached."""
         return self._kernel
 
-    @cached_property
+    @_memo
     def _kernel(self) -> Element:
         spec, image = self.src.spec, mask_of(self.dualmap)
         gen = mask_of(p for p in range(spec.n) if spec.down[p] & image == 0)
@@ -438,17 +458,19 @@ def identity_morphism(a: Algebra) -> Morphism:
 
 
 def fiber_min(phi: Morphism, a: Element) -> Element:
-    """Least source element with the same image as a (quotient maps):
-    a - kernel, the down closure of a's points off the kernel."""
-    a = phi.src.element(a)
-    return Element(phi.src, phi.src.spec.down_closure(a.pts & ~phi.kernel().pts))
+    """Least source element with the same image as a (quotient maps): a -
+    kernel, the closure of a's points off the kernel; a is read as by apply."""
+    if type(a) is not Element or a.owner is not phi.src:
+        a = phi.src.element(a)
+    return Element(phi.src, phi.src.spec.down_closure(a.pts & ~phi._kernel.pts))
 
 
 def fiber_max(phi: Morphism, a: Element) -> Element:
     """Greatest source element with the same image as a (quotient maps):
-    a | kernel, one union of point masks."""
-    a = phi.src.element(a)
-    return Element(phi.src, a.pts | phi.kernel().pts)
+    a | kernel, one union of point masks; a is read as by apply."""
+    if type(a) is not Element or a.owner is not phi.src:
+        a = phi.src.element(a)
+    return Element(phi.src, a.pts | phi._kernel.pts)
 
 
 def check_dL_preserved(phi: Morphism, d: int) -> DimPreservationReport:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import Algebra, Element, Morphism
@@ -36,6 +36,7 @@ from .posets import (
     Poset,
     _from_down,
     _from_masks,
+    _memo,
     _refine,
     antichain_stream,
     bits,
@@ -74,7 +75,7 @@ class KripkeModel:
     vars: tuple[str, ...]
     colors: tuple[int, ...]
 
-    @cached_property
+    @_memo
     def columns(self) -> tuple[PointSet, ...]:
         """``columns[i]``: the points whose colour holds variable i, the
         truth set of ``vars[i]``; computed on first use and kept."""

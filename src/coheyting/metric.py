@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .algebra import Algebra, Element, Infinite, Morphism
@@ -32,12 +33,15 @@ from .errors import (
 from .kripke import MAX_FRAME_NODES, free_quotient
 
 
+_ZERO = Fraction(0)
+_half_power = lru_cache(maxsize=1024)(lambda k: Fraction(1, 2 ** k))
+
+
 def distance(a: Element, b: Element) -> Fraction:
-    """2 to the minus codimension of the symmetric difference."""
+    """2 to the minus codimension of the symmetric difference, one kept
+    ``Fraction`` per codimension (``_half_power``; fractions are immutable)."""
     c = a.owner.codim(a ^ b)
-    if isinstance(c, Infinite):
-        return Fraction(0)
-    return Fraction(1, 2 ** c)
+    return _ZERO if isinstance(c, Infinite) else _half_power(c)
 
 
 def ball(x: Element, d: int) -> tuple[Element, ...]:
@@ -205,10 +209,8 @@ def family_distance(f: CoherentFamily, g: CoherentFamily) -> FamilyDistance:
             agree = d
         else:
             break
-    if agree == f.tower.depth:
-        return FamilyDistance(Fraction(1, 2 ** agree), truncated=True)
     # level 0 is the one-point algebra, families always agree there
-    return FamilyDistance(Fraction(1, 2 ** agree), truncated=False)
+    return FamilyDistance(_half_power(agree), truncated=agree == f.tower.depth)
 
 
 def is_isolated(f: CoherentFamily) -> bool:

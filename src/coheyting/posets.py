@@ -94,6 +94,17 @@ def set_key(mask: PointSet) -> tuple:
     return (mask.bit_count(), bin(mask)[:1:-1].translate(_FLIP))
 
 
+class _memo(cached_property):
+    """``cached_property`` without the ``RLock`` it takes on each first read up
+    to Python 3.11; the methods are pure, so a race stores equal values."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.attrname] = value = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Poset:
     """Immutable finite poset.
@@ -150,7 +161,7 @@ class Poset:
     def minimal_points(self, s: PointSet) -> PointSet:
         return _extremal(self.down, s)
 
-    @cached_property
+    @_memo
     def ranks(self) -> tuple[int, ...]:
         """rank[i] = length of the longest chain strictly below i: one
         more than the greatest rank of a lower cover."""
@@ -162,10 +173,16 @@ class Poset:
             rank[i] = max((rank[j] + 1 for j in lower[i]), default=0)
         return tuple(rank)
 
-    @cached_property
+    @_memo
     def coranks(self) -> tuple[int, ...]:
         """corank[i] = length of the longest chain strictly above i."""
         return self.dual().ranks
+
+    @_memo
+    def _irreducible_masks(self) -> tuple[tuple[PointSet, ...], ...]:
+        """The join and meet irreducible masks, each in ``set_key`` order."""
+        meets = [self.full & ~u for u in self.up]
+        return tuple(tuple(sorted(ms, key=set_key)) for ms in (self.down, meets))
 
     def height(self) -> int:
         """Longest chain length (edges); -1 for the empty poset."""

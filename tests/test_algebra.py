@@ -29,6 +29,7 @@ from coheyting.algebra import (
 )
 from coheyting.errors import (
     EmptyElement,
+    FormatError,
     InfiniteArithmetic,
     NotADownset,
     NotMonotone,
@@ -499,8 +500,8 @@ def test_element_is_slotted_and_frozen():
 # -- per-point references for the mask-level element ops ---------------------
 #
 # These are the former bodies of codim, dim_elt, epsilon, __xor__,
-# Morphism.apply, fiber_min, fiber_max and the irreducibles: one generator
-# over the points, or one intermediate Element per step.
+# Morphism.apply, fiber_min, fiber_max, the irreducibles, jsupp and msupp:
+# one generator over the points, or one intermediate Element per step.
 
 
 def ref_codim(algebra, a):
@@ -554,6 +555,21 @@ def ref_meet_irreducibles(algebra):
     return tuple(sorted(out, key=Element.sort_key))
 
 
+def ref_jsupp(algebra, a):
+    spec = algebra.spec
+    out = [Element(algebra, spec.down[p]) for p in bits(spec.maximal_points(a.pts))]
+    return tuple(sorted(out, key=Element.sort_key))
+
+
+def ref_msupp(algebra, a):
+    spec = algebra.spec
+    out = [
+        Element(algebra, spec.full & ~spec.up[p])
+        for p in bits(spec.minimal_points(spec.full & ~a.pts))
+    ]
+    return tuple(sorted(out, key=Element.sort_key))
+
+
 def _same(got, want):
     # an int codimension must stay an int, an infinite one an Infinite
     return type(got) is type(want) and got == want
@@ -563,6 +579,8 @@ def _check_layers(algebra, elems):
     for a in elems:
         assert _same(algebra.codim(a), ref_codim(algebra, a)), (algebra.spec, a)
         assert _same(algebra.dim_elt(a), ref_dim_elt(algebra, a)), (algebra.spec, a)
+        assert algebra.jsupp(a) == ref_jsupp(algebra, a), (algebra.spec, a)
+        assert algebra.msupp(a) == ref_msupp(algebra, a), (algebra.spec, a)
     assert _same(algebra.dim_algebra(), ref_dim_elt(algebra, algebra.top()))
     for d in range(-2, algebra.spec.height() + 4):
         assert algebra.epsilon(d) == ref_epsilon(algebra, d), (algebra.spec, d)
@@ -714,3 +732,127 @@ def test_element_indices_out_of_range_raise_not_a_downset():
             algebra.element([index])
     with pytest.raises(NotADownset, match="point mask out of range"):
         algebra.element(-1)
+
+
+# -- the owner test in front of each element op --------------------------------
+#
+# codim, dim_elt, Morphism.apply, fiber_min and fiber_max read an element of
+# their algebra as is and send anything else through Algebra.element; the
+# binary operators take only an element of their algebra.  ref_element is
+# Algebra.element as it stood before it refused str, bytes and bool.
+
+
+def ref_element(algebra, pts):
+    if isinstance(pts, Element):
+        if pts.owner is not algebra:
+            raise OwnerMismatch("element belongs to a different algebra")
+        return pts
+    if isinstance(pts, int):
+        mask = pts
+    else:
+        mask = 0
+        for p in pts:
+            i = p if isinstance(p, int) else algebra.spec.index(p)
+            if not 0 <= i < algebra.spec.n:
+                raise NotADownset("point mask out of range")
+            mask |= 1 << i
+    if mask < 0 or mask > algebra.spec.full:
+        raise NotADownset("point mask out of range")
+    if not algebra.spec.is_downset(mask):
+        raise NotADownset(f"{algebra.spec.format_points(mask)} is not down-closed")
+    return Element(algebra, mask)
+
+
+def _outcome(call):
+    try:
+        got = call()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return type(got), got
+
+
+def _operands(algebra):
+    """Every kind of operand: own elements, int masks (non-downsets among
+    them), iterables of names and of indices, a foreign element, and masks
+    and indices out of range."""
+    spec = algebra.spec
+    foreign = Algebra(spec)
+    out = list(algebra.elements()) + [foreign.top(), foreign.bottom()]
+    for m in range(spec.full + 1):
+        out += [m, [spec.names[i] for i in bits(m)], tuple(bits(m))]
+    out += [-1, spec.full + 1, 1 << spec.n, [spec.n], [-1]]
+    return out
+
+
+def test_owner_test_matches_the_element_reference():
+    for poset in enumerate_posets(4):
+        algebra = Algebra(poset)
+        ops = [
+            (algebra.codim, lambda a: ref_codim(algebra, a), algebra),
+            (algebra.dim_elt, lambda a: ref_dim_elt(algebra, a), algebra),
+        ]
+        for d in range(poset.height() + 2):
+            _, proj = algebra.quotient_by(algebra.epsilon(d))
+            ops += [
+                (proj.apply, lambda a, proj=proj: ref_apply(proj, a), algebra),
+                (lambda a, proj=proj: fiber_min(proj, a),
+                 lambda a, proj=proj: ref_fiber_min(proj, a), algebra),
+                (lambda a, proj=proj: fiber_max(proj, a),
+                 lambda a, proj=proj: ref_fiber_max(proj, a), algebra),
+            ]
+        for x in _operands(algebra):
+            for op, ref, owner in ops:
+                got = _outcome(lambda: op(x))
+                want = _outcome(lambda: ref(ref_element(owner, x)))
+                assert got == want, (poset, x)
+                if isinstance(got[1], Element):
+                    assert got[1].owner is want[1].owner
+
+
+def test_operators_take_only_elements_of_their_algebra():
+    for poset in enumerate_posets(4):
+        algebra = Algebra(poset)
+        elems = algebra.elements()
+        others = [x for x in _operands(algebra) if not isinstance(x, Element)]
+        foreign = Algebra(poset).top()
+        for a in elems:
+            for b in elems:
+                assert (a <= b) == (a.pts & ~b.pts == 0)
+                assert (a | b).pts == a.pts | b.pts and (a & b).pts == a.pts & b.pts
+                assert a - b == ref_element(algebra, poset.down_closure(a.pts & ~b.pts))
+                assert a ^ b == ref_xor(a, b)
+            for op in (
+                "__le__", "__ge__", "__or__", "__and__", "__sub__", "__xor__"
+            ):
+                with pytest.raises(OwnerMismatch):
+                    getattr(a, op)(foreign)
+            assert a != foreign and not a == foreign
+        a = elems[-1]
+        for x in others:
+            assert a != x and not a == x
+            for op in (
+                lambda: a <= x, lambda: a >= x, lambda: a | x, lambda: a & x,
+                lambda: a - x, lambda: a ^ x, lambda: x | a, lambda: x - a,
+            ):
+                with pytest.raises(TypeError):
+                    op()
+
+
+def test_element_refuses_str_bytes_and_bool():
+    algebra = Algebra(build_poset(["a", "b", "c"], [("a", "b")]))
+    forms = "an Element, an int point mask, or an iterable of point names and int indices"
+    for x in ("ca", "", "a", b"a", True, False, [True], ["a", False], [b"a"]):
+        with pytest.raises(FormatError, match=forms):
+            algebra.element(x)
+    with pytest.raises(FormatError, match=forms):
+        algebra.codim(True)
+    _, proj = algebra.quotient_by(algebra.bottom())
+    for call in (proj.apply, lambda x: fiber_min(proj, x), algebra.dim_elt):
+        with pytest.raises(FormatError, match=forms):
+            call("ac")
+    points = Algebra(build_poset(["p0", "p1"]))
+    with pytest.raises(FormatError, match=forms):
+        points.element("p0")
+    # the accepted forms still read as before
+    assert algebra.element(["a", "c"]).pts == algebra.element([0, 2]).pts == 0b101
+    assert algebra.element({"a"}).pts == algebra.element(1).pts == 0b001

@@ -324,3 +324,23 @@ def test_precompactness_censuses():
     assert precompactness_census(1, 2) == [1, 4, 8]
     assert precompactness_census(0, 3) == [1, 2, 2, 2]
     assert precompactness_census(2, 1) == [1, 16]
+
+
+def test_distance_is_the_power_of_the_codimension():
+    """distance against 2 ** -codim(a ^ b), with codim and ^ from the
+    points: equal in value and type, 0 exactly when a == b."""
+    from coheyting.posets import bits
+
+    for poset in enumerate_posets(5):
+        algebra = Algebra(poset)
+        elems = algebra.elements()
+        for a in elems:
+            for b in elems:
+                sym = poset.down_closure(a.pts & ~b.pts) | poset.down_closure(b.pts & ~a.pts)
+                want = (
+                    Fraction(1, 2 ** min(poset.coranks[i] for i in bits(sym)))
+                    if sym
+                    else Fraction(0)
+                )
+                got = distance(a, b)
+                assert type(got) is Fraction and got == want, (poset, a, b)

@@ -1195,3 +1195,48 @@ def test_extremal_points_match_definition():
 def test_mask_helpers():
     assert list(bits(0b1011)) == [0, 1, 3]
     assert mask_of([0, 1, 3]) == 0b1011
+
+
+def test_memo_computes_once_per_instance():
+    calls = []
+
+    @dataclasses.dataclass(frozen=True)
+    class Box:
+        x: int
+
+        @posets._memo
+        def doubled(self):
+            """Twice x."""
+            calls.append(self.x)
+            return (self.x * 2,)
+
+    a, b = Box(1), Box(2)
+    assert a.doubled == (2,) and a.doubled is a.doubled
+    assert b.doubled == (4,) and b.doubled is b.doubled
+    assert calls == [1, 2]
+    # read on the class, the memo is itself and keeps the method's docstring
+    assert isinstance(Box.doubled, posets._memo) and Box.doubled.__doc__ == "Twice x."
+    assert not callable(Box.doubled)
+    p = build_poset(["a", "b", "c"], [("a", "b")])
+    assert p.ranks is p.ranks and vars(p)["ranks"] == (0, 1, 0)
+
+
+def test_kept_irreducible_masks_are_sorted_by_set_key():
+    from coheyting.algebra import Algebra
+
+    def reference(spec):
+        full = spec.full
+        return (
+            tuple(sorted(spec.down, key=set_key)),
+            tuple(sorted([full & ~u for u in spec.up], key=set_key)),
+        )
+
+    for p in enumerate_posets(6):
+        algebra = Algebra(p)
+        specs = [p] + [
+            algebra.quotient_by(algebra.epsilon(d))[0].spec
+            for d in range(p.height() + 2)
+        ]
+        for spec in specs:
+            assert spec._irreducible_masks == reference(spec), spec
+            assert spec._irreducible_masks is spec._irreducible_masks
