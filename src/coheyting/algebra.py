@@ -168,8 +168,9 @@ class Algebra:
     def element(self, pts: PointSet | Element | Iterable) -> Element:
         """``pts`` as an element: an element of this algebra, an ``int`` point
         mask, or an iterable of point names and ``int`` indices.  A ``str``,
-        ``bytes`` or ``bool`` mask, a ``bytes`` or ``bool`` point and an
-        unknown name raise FormatError; a foreign element OwnerMismatch."""
+        ``bytes`` or ``bool`` mask, any other mask that is not iterable, a
+        ``bytes`` or ``bool`` point and an unknown name raise FormatError; a
+        foreign element OwnerMismatch."""
         if isinstance(pts, Element):
             if pts.owner is not self:
                 raise OwnerMismatch("element belongs to a different algebra")
@@ -179,6 +180,10 @@ class Algebra:
         if isinstance(pts, int):
             mask = pts
         else:
+            try:
+                pts = iter(pts)
+            except TypeError:
+                raise FormatError(f"an element is {_FORMS}, not {pts!r}") from None
             mask = 0
             for p in pts:
                 if isinstance(p, (bytes, bool)):

@@ -81,6 +81,61 @@ def _compress(runs: Sequence[tuple[int, int, int]], m: PointSet) -> PointSet:
     return out
 
 
+_CUBE_MIN = 7  # a cube of fewer generators, 64 masks at most, is a run
+
+
+def _steps(run: list[PointSet], down: Sequence[PointSet], up: Sequence[PointSet], points:
+           Iterable[int], decided: PointSet, k: int | None, cap: int) -> tuple[list, list]:
+    """The list walk of ``Poset._walk`` over ``points``, from ``decided``:
+    the closures without each point, then those with it.  Returns them with
+    the last point's part.  SizeCap once they are more than ``cap``."""
+    with_i: list[PointSet] = []
+    for i in points:
+        d = down[i]
+        need, bar = d & decided, up[i] & decided
+        decided |= 1 << i
+        if k is not None:
+            with_i = [m | d for m in run if m & need == need and (m | d).bit_count() <= k]
+        elif need:
+            with_i = [m | d for m in run if m & need == need]
+        else:
+            with_i = [m | d for m in run]
+        if bar:
+            run = [m for m in run if not m & bar]
+        run += with_i
+        if len(run) > cap:
+            raise SizeCap(f"more than {cap} downsets")
+    return run, with_i
+
+
+def _expand(base: PointSet, gens: Sequence[PointSet]) -> list[PointSet]:
+    """The masks of the cube ``(base, gens)`` in order, by doubling."""
+    out = [base]
+    for g in gens:
+        out += [m | g for m in out]
+    return out
+
+
+def _listed(segs: list) -> tuple[PointSet, ...]:
+    """The masks of ``Poset._walk``'s segments reversed, then sorted stably
+    by size.  A cube is listed by how many generators a mask joins, which
+    once every point is decided is its size less the base's."""
+    masks = []
+    for s in reversed(segs):
+        if type(s) is list:
+            masks += reversed(s)
+            continue
+        levels = [[s[0]]]
+        for g in s[1]:
+            levels.append([])
+            for c in range(len(levels) - 1, 0, -1):
+                levels[c] += [m | g for m in levels[c - 1]]
+        for level in levels:
+            masks += reversed(level)
+    masks.sort(key=int.bit_count)
+    return tuple(masks)
+
+
 _FLIP = str.maketrans("01", "10")
 
 
@@ -221,31 +276,66 @@ class Poset:
     def _walk(self, k: int | None) -> tuple[PointSet, ...]:
         """The downsets of at most ``k`` points (``None``: every one), sorted
         by (size, indices).  The points are decided from index n-1 down, each
-        partial downset kept as its down closure: those that hold the decided
-        points below i gain a copy with ``down[i]``, appended, and those that
-        hold one above i, and so i, lose theirs without it.  A closure is a
-        downset of the whole poset and only grows, so no list is longer than
-        the last, and one of more than ``k`` points is dropped at once.  Each
-        size of the last ends in reverse ``set_key`` order: a reverse and a
-        stable sort by size put it right.  SizeCap is raised as soon as a
-        list holds more than ``MAX_CLOSURE``."""
+        partial downset held as its down closure: those that hold the decided
+        points below i (``need``) gain a copy with ``down[i]``, after all the
+        others; those that hold one above i (``bar``), and so i, lose theirs
+        without it.  Without ``k`` the closures are held as segments, runs
+        (lists) and cubes ``(base, gens)``: the masks ``base | OR(gens[p] for
+        p in bits(j))`` for j ascending.  A point with neither appends
+        ``down[i]`` to a sole cube.  Each generator adds one decided point to
+        its base, so a cube steps exactly: without i it keeps the generators
+        that miss ``bar`` (none if the base meets it); with i its base is
+        ``base | down[i]``, which holds the generators that meet ``need``, and
+        it keeps the others (none if a point of ``need`` outside the base has
+        no generator).  A cube of fewer than ``_CUBE_MIN`` generators is a
+        run, and a sole run goes on as one list (``_steps``).  SizeCap is
+        raised once the segments hold more than ``MAX_CLOSURE``, counted
+        without building them."""
         down, up, cap = self.down, self.up, MAX_CLOSURE
-        masks, decided = [0], 0
-        for i in reversed(range(self.n)):
-            d = down[i]
-            need, bar = d & decided, up[i] & decided
-            if k is not None:
-                with_i = [m | d for m in masks if m & need == need and (m | d).bit_count() <= k]
-            elif need:
-                with_i = [m | d for m in masks if m & need == need]
-            else:
-                with_i = [m | d for m in masks]
-            if bar:
-                masks = [m for m in masks if not m & bar]
-            masks += with_i
-            if len(masks) > cap:
-                raise SizeCap(f"more than {cap} downsets")
-            decided |= 1 << i
+        i, decided, masks = self.n, 0, [0]
+        if k is None and i >= _CUBE_MIN:
+            segs = [(0, [])]
+            while i and (len(segs) > 1 or type(segs[0]) is tuple):
+                d = down[i - 1]
+                need, bar = d & decided, up[i - 1] & decided
+                if len(segs) == 1 and need | bar and len(segs[0][1]) < _CUBE_MIN:
+                    segs = [_expand(*segs[0])]
+                    continue
+                i -= 1
+                if len(segs) == 1 and not need | bar:
+                    segs[0][1].append(d)
+                    total = 1 << len(segs[0][1])
+                else:
+                    keep, withs = [], []
+                    for s in segs:
+                        if type(s) is list:
+                            s, w = _steps(s, down, up, (i,), decided, None, cap)
+                            s = s[:len(s) - len(w)]
+                        else:
+                            base, gens = s
+                            lack = need & ~base
+                            rest = [g for g in gens if not g & lack]
+                            whole = len(gens) - len(rest) == lack.bit_count()
+                            w = (base | d, rest) if whole else []
+                            s = [] if base & bar else (base, [g for g in gens if not g & bar])
+                        keep.append(s)
+                        withs.append(w)
+                    segs = []
+                    for s in keep + withs:
+                        if type(s) is tuple and len(s[1]) < _CUBE_MIN:
+                            s = _expand(*s)
+                        if type(s) is list and segs and type(segs[-1]) is list:
+                            segs[-1] += s
+                        elif s:
+                            segs.append(s)
+                    total = sum(len(s) if type(s) is list else 1 << len(s[1]) for s in segs)
+                if total > cap:
+                    raise SizeCap(f"more than {cap} downsets")
+                decided |= 1 << i
+            if not i:
+                return _listed(segs)
+            masks = segs[0]
+        masks = _steps(masks, down, up, reversed(range(i)), decided, k, cap)[0]
         masks.reverse()
         masks.sort(key=int.bit_count)
         return tuple(masks)
@@ -253,8 +343,8 @@ class Poset:
     def downsets(self) -> tuple[PointSet, ...]:
         """Every downset, sorted by (size, indices), as one tuple kept for
         the life of the poset.  It is built by ``_walk`` on first use, which
-        raises SizeCap when there are more than ``MAX_CLOSURE``; a build
-        that raised keeps nothing."""
+        raises SizeCap when there are more than ``MAX_CLOSURE``, counting a
+        cube without listing it; a build that raised keeps nothing."""
         found = self.__dict__.get("_downsets")
         if found is None:
             found = self.__dict__["_downsets"] = self._walk(None)
@@ -266,10 +356,10 @@ class Poset:
 
     def downsets_upto(self, k: int) -> tuple[PointSet, ...]:
         """The downsets of at most ``k`` points: a prefix of ``downsets()``,
-        the same masks in the same order, built by ``_walk`` without the
-        rest and kept by no one.  SizeCap is raised once there are more
-        than ``MAX_CLOSURE`` of them, whatever ``downsets()`` would
-        count."""
+        the same masks in the same order, built by ``_walk`` as one run,
+        which drops a closure as soon as it has more than ``k`` points, and
+        kept by no one.  SizeCap is raised once there are more than
+        ``MAX_CLOSURE`` of them, whatever ``downsets()`` would count."""
         return self._walk(k)
 
     def count_downsets(self) -> int:

@@ -856,3 +856,17 @@ def test_element_refuses_str_bytes_and_bool():
     # the accepted forms still read as before
     assert algebra.element(["a", "c"]).pts == algebra.element([0, 2]).pts == 0b101
     assert algebra.element({"a"}).pts == algebra.element(1).pts == 0b001
+
+
+def test_element_refuses_masks_that_are_not_iterable():
+    algebra = Algebra(build_poset(["a", "b", "c"], [("a", "b")]))
+    forms = "an Element, an int point mask, or an iterable of point names and int indices"
+    for x in (None, 1.0, object(), 2j, len):
+        with pytest.raises(FormatError, match=forms):
+            algebra.element(x)
+    _, proj = algebra.quotient_by(algebra.bottom())
+    for call in (proj.apply, algebra.codim, algebra.dim_elt):
+        with pytest.raises(FormatError, match=forms):
+            call(None)
+    # an iterator and a generator are still read point by point
+    assert algebra.element(iter(["a", "c"])).pts == algebra.element(i for i in (0, 2)).pts == 0b101

@@ -10,12 +10,14 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coheyting import posets
+from coheyting.algebra import Algebra
 from coheyting.errors import (
     CycleDetected,
     DuplicateName,
@@ -313,6 +315,160 @@ def test_downsets_upto_counts_its_own_walk(limits):
             assert len(spec.downsets_upto(k)) == count
         with limits(MAX_CLOSURE=count - 1), pytest.raises(SizeCap):
             spec.downsets_upto(k)
+
+
+def ref_walk(p: Poset, k) -> tuple:
+    """The former list walk of ``Poset._walk``, kept as a reference: every
+    partial downset held in one list, doubled or filtered at each point."""
+    down, up = p.down, p.up
+    masks, decided = [0], 0
+    for i in reversed(range(p.n)):
+        d = down[i]
+        need, bar = d & decided, up[i] & decided
+        if k is not None:
+            with_i = [m | d for m in masks if m & need == need and (m | d).bit_count() <= k]
+        elif need:
+            with_i = [m | d for m in masks if m & need == need]
+        else:
+            with_i = [m | d for m in masks]
+        if bar:
+            masks = [m for m in masks if not m & bar]
+        masks += with_i
+        decided |= 1 << i
+    masks.reverse()
+    masks.sort(key=int.bit_count)
+    return tuple(masks)
+
+
+def seeded_orders(count: int, max_points: int, seed: int):
+    """Seeded random orders (p_a < p_b only when a < b), each listed
+    bottom-up, top-down and in a shuffled order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, max_points)
+        rate = rng.choice([0.08, 0.15, 0.3, 0.6])
+        pairs = [(f"p{a}", f"p{b}") for b in range(n) for a in range(b) if rng.random() < rate]
+        names = [f"p{i}" for i in range(n)]
+        mixed = names[:]
+        rng.shuffle(mixed)
+        yield from (build_poset(order, pairs) for order in (names, names[::-1], mixed))
+
+
+def fresh(p: Poset) -> Poset:
+    """A new object for the same poset, with no downset list kept yet."""
+    return _from_down(p.names, p.down)
+
+
+def chain(n: int) -> Poset:
+    return build_poset([f"c{i}" for i in range(n)], [(f"c{i}", f"c{i + 1}") for i in range(n - 1)])
+
+
+def walk_cases():
+    """The orders the segment walk is checked on against ``ref_walk``."""
+    for p in enumerate_posets(6):
+        yield from (p, p.dual())
+    yield from seeded_orders(300, 16, 35)
+    yield universal_frame(2, 2).model.frame
+    yield free_quotient(2, 2).algebra.spec
+    # the (1, d) frames, listed bottom-up, and their duals, the spectra of
+    # F(1, d), listed top-down
+    for d in range(1, 31):
+        frame = universal_frame(1, d).model.frame
+        yield from (frame, frame.dual())
+    yield from (chain(200), chain(200).dual())
+
+
+def test_walk_matches_the_list_walk():
+    for p in walk_cases():
+        got = fresh(p).downsets()
+        assert type(got) is tuple and got == ref_walk(p, None)
+
+
+def test_walk_upto_matches_the_list_walk():
+    for p in seeded_orders(100, 14, 36):
+        for k in range(p.n + 2):
+            assert p.downsets_upto(k) == ref_walk(p, k)
+
+
+def test_walk_holds_no_small_cube_and_no_adjacent_runs(monkeypatch):
+    seen = []
+
+    def spy(segs):
+        seen.append([("cube", len(s[1])) if type(s) is tuple else ("run", len(s)) for s in segs])
+        return listed(segs)
+
+    listed = posets._listed
+    monkeypatch.setattr(posets, "_listed", spy)
+    for p in walk_cases():
+        fresh(p).downsets()
+    assert len(seen) > 20
+    for segs in seen:
+        assert all(n >= posets._CUBE_MIN for kind, n in segs if kind == "cube")
+        assert not any(a[0] == b[0] == "run" for a, b in zip(segs, segs[1:]))
+    # the (2,2) frame ends in 4 cubes and 4 runs, its 18 maximal points
+    # the generators of the last cube; the spectrum in the same, reversed
+    seen.clear()
+    fresh(universal_frame(2, 2).model.frame).downsets()
+    fresh(free_quotient(2, 2).algebra.spec).downsets()
+    frame = [("run", 149), ("cube", 11), ("run", 21), ("cube", 9),
+             ("run", 4), ("cube", 9), ("run", 64), ("cube", 18)]
+    assert seen == [frame, frame[::-1]]
+
+
+def test_a_chain_is_walked_as_one_list(monkeypatch):
+    calls = []
+
+    def spy(run, down, up, points, decided, k, cap):
+        points = list(points)
+        calls.append(len(points))
+        return steps(run, down, up, points, decided, k, cap)
+
+    steps = posets._steps
+    monkeypatch.setattr(posets, "_steps", spy)
+    for p in (chain(200), chain(200).dual()):
+        calls.clear()
+        assert p.downsets() == ref_walk(p, None)
+        # the first point goes onto the cube, the second expands it, and the
+        # list walk takes that one and the 198 after it
+        assert calls == [199]
+
+
+def test_downsets_counts_its_own_walk(limits):
+    def cases():
+        for p in enumerate_posets(5):
+            yield from (p, p.dual())
+        # orders with cubes: antichains, seeded orders, the (2,2) frame and
+        # the F(2,2) spectrum
+        for n in range(7, 13):
+            yield build_poset([f"p{i}" for i in range(n)])
+        yield from (p for p in seeded_orders(40, 14, 37) if p.n >= posets._CUBE_MIN)
+        yield universal_frame(2, 2).model.frame
+        yield free_quotient(2, 2).algebra.spec
+
+    for p in cases():
+        count = p.count_downsets()
+        with limits(MAX_CLOSURE=count - 1), pytest.raises(SizeCap):
+            fresh(p).downsets()
+        with limits(MAX_CLOSURE=count):
+            assert len(fresh(p).downsets()) == count
+
+
+def test_wide_antichain_raises_before_listing():
+    wide = build_poset([f"p{i}" for i in range(1500)])
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(SizeCap):
+            wide.downsets()
+        took = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert took < 0.1 and peak < 2 ** 20
+    algebra = Algebra(wide)
+    with pytest.raises(SizeCap):
+        algebra.elements()
+    assert "_elements" not in algebra.__dict__ and "_downsets" not in wide.__dict__
 
 
 def reference_downsets(p: Poset) -> list[int]:
