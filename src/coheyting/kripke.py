@@ -31,6 +31,7 @@ from .errors import (
     SizeCap,
     UnboundVariable,
 )
+from . import posets
 from .posets import (
     PointSet,
     Poset,
@@ -38,7 +39,6 @@ from .posets import (
     _from_masks,
     _memo,
     _refine,
-    antichain_stream,
     bits,
     canonical_form,
     close,
@@ -253,6 +253,88 @@ class UniversalFrame:
         return tuple(len(layer) for layer in self.layers)
 
 
+def _layer_walk(
+    n: int,
+    colors: list[int],
+    down: list[int],
+    up: list[int],
+    layers: list[tuple[int, ...]],
+    max_nodes: int,
+) -> tuple[list[int], list[int]]:
+    """The layer over a lower frame: each new point's colour and its mask
+    over the lower frame, in ``universal_frame``'s order.
+
+    The antichains that meet the newest layer are walked size by size in
+    ``set_key`` order, as ``antichain_stream`` lists them, but only from
+    the newest points and the lower points not below all of them: no other
+    point shares an antichain with a newest one.  A child is kept only if
+    it, or its extension mask, meets the newest layer, so a pruned subtree
+    holds nothing the layer uses.  Each kept antichain carries its colour
+    meet, down union and extension mask in parallel int lists, which the
+    garbage collector, unlike tuples, does not track.  SizeCap,
+    with the census, past ``posets.MAX_ANTICHAINS`` kept antichains or
+    ``max_nodes`` points; the walk's lists are emptied first, so a caught
+    SizeCap's traceback holds nothing of them.
+    """
+    cap, count = posets.MAX_ANTICHAINS, 0
+    room = max_nodes - len(colors)
+    newest = mask_of(layers[-1])
+    below_all = -1
+    for q in layers[-1]:
+        below_all &= down[q]
+    start = newest | (1 << len(colors)) - 1 & ~below_all
+    incomparable = {p: start & ~(down[p] | up[p]) for p in bits(start)}
+    new_colors: list[int] = []
+    new_below: list[int] = []
+    level, meets, unions, rests = [0], [(1 << n) - 1], [0], [start]
+    single = True
+    try:
+        while level:
+            bigger, big_meets, big_unions, big_rests = [], [], [], []
+            for chosen, meet, union, rest in zip(level, meets, unions, rests):
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    p = low.bit_length() - 1
+                    cur, cur_rest = chosen | low, rest & incomparable[p]
+                    if not (cur | cur_rest) & newest:
+                        continue
+                    count += 1
+                    if count > cap:
+                        raise SizeCap(
+                            f"universal frame layer walk past {cap} antichains",
+                            census=tuple(len(layer) for layer in layers),
+                        )
+                    cur_meet, cur_union = meet & colors[p], union | down[p]
+                    if cur_rest:
+                        bigger.append(cur)
+                        big_meets.append(cur_meet)
+                        big_unions.append(cur_union)
+                        big_rests.append(cur_rest)
+                    if not cur & newest:
+                        continue
+                    # over a single cover, a colour must lose some variable
+                    for c in range(cur_meet if single else cur_meet + 1):
+                        if c & cur_meet != c:
+                            continue
+                        if len(new_colors) >= room:
+                            raise SizeCap(
+                                f"universal frame exceeds {max_nodes} nodes",
+                                census=tuple(len(layer) for layer in layers)
+                                + (len(new_colors),),
+                            )
+                        new_colors.append(c)
+                        new_below.append(cur_union)
+            level, meets, unions, rests = bigger, big_meets, big_unions, big_rests
+            single = False
+    except SizeCap:
+        for held in (level, meets, unions, rests, bigger, big_meets, big_unions,
+                     big_rests, new_colors, new_below):
+            held.clear()
+        raise
+    return new_colors, new_below
+
+
 def universal_frame(n: int, d: int, max_nodes: int = MAX_FRAME_NODES) -> UniversalFrame:
     """Layered universal frame on n proposition letters and d layers.
 
@@ -262,11 +344,12 @@ def universal_frame(n: int, d: int, max_nodes: int = MAX_FRAME_NODES) -> Univers
     below, ordered by (antichain size, antichain indices, color mask).
     SizeCap, with the census of the layers built, is raised past
     ``max_nodes`` points (or, at d = 0, variables) and past
-    ``posets.MAX_ANTICHAINS`` antichains of one layer's stream; skipped
-    antichains count toward that limit too.  A layer is collected as each
-    point's colour and its mask over the lower frame; the node-wide down
-    and up masks are built only once the whole layer fits, so a capped
-    build holds only small ints.
+    ``posets.MAX_ANTICHAINS`` antichains visited by one layer's walk
+    (``_layer_walk``), which visits only antichains that meet the newest
+    layer or can still be extended to meet it.  A layer is collected as
+    each point's colour and its mask over the lower frame; the node-wide
+    down and up masks are built only once the whole layer fits, so a capped
+    build holds only small ints, and a caught SizeCap holds none of them.
     """
     if n < 0 or d < 0:
         raise FrameMismatch("need n >= 0 and d >= 0")
@@ -286,43 +369,12 @@ def universal_frame(n: int, d: int, max_nodes: int = MAX_FRAME_NODES) -> Univers
     up: list[int] = []
     layers: list[tuple[int, ...]] = []
     for _layer in range(d):
-        # the stream reads a frozen copy of the order while the layer grows;
-        # only antichains meeting the newest layer, read up to the node cap
-        newest = mask_of(layers[-1] if layers else ())
-        found = antichain_stream(tuple(down), tuple(up)) if layers else iter((0,))
-        # the layer as two plain int lists, colour and a mask over the lower
-        # frame: nothing node-wide is built until the whole layer fits, and
-        # ints, unlike tuples, are not tracked by the garbage collector
-        new_colors: list[int] = []
-        new_below: list[int] = []
-        while True:
-            try:
-                antichain = next(found, None)
-            except SizeCap:
-                raise SizeCap(
-                    "universal frame antichain stream too large",
-                    census=tuple(len(l) for l in layers),
-                ) from None
-            if antichain is None:
-                break
-            if antichain and not antichain & newest:
-                continue
-            inter, below = (1 << n) - 1, 0
-            for w in bits(antichain):
-                inter &= colors[w]
-                below |= down[w]
-            # over a single cover, a colour must lose some variable
-            single = antichain.bit_count() == 1
-            for c in range(inter if single else inter + 1):
-                if c & inter != c:
-                    continue
-                if len(colors) + len(new_colors) >= max_nodes:
-                    raise SizeCap(
-                        f"universal frame exceeds {max_nodes} nodes",
-                        census=tuple(len(l) for l in layers) + (len(new_colors),),
-                    )
-                new_colors.append(c)
-                new_below.append(below)
+        if layers:
+            new_colors, new_below = _layer_walk(n, colors, down, up, layers, max_nodes)
+        else:
+            # layer 1, one point per colour over the empty antichain, fits:
+            # the check above keeps its 2**n points within max_nodes
+            new_colors, new_below = list(range(1 << n)), [0] * (1 << n)
         if not new_colors:
             break
         # grow the up masks by the newest layer only: a transpose of the

@@ -7,6 +7,7 @@ quotient sizes are pinned and cross-checked through the independent
 operation-closure route.
 """
 
+import gc
 import hashlib
 import itertools
 import random
@@ -26,6 +27,7 @@ from coheyting.errors import (
     UnboundVariable,
 )
 from coheyting.kripke import (
+    MAX_FRAME_NODES,
     MAX_GENERATION_CHECK,
     algebra_of_model,
     bisim_reduce,
@@ -45,9 +47,16 @@ from coheyting.kripke import (
     truth_set,
     universal_frame,
 )
-from coheyting.posets import Poset, _from_down, bits, build_poset, enumerate_posets
+from coheyting.posets import (
+    Poset,
+    _from_down,
+    antichain_stream,
+    bits,
+    build_poset,
+    enumerate_posets,
+)
 from coheyting.suites import random_term
-from coheyting.terms import dualize, eval_term, parse_term
+from coheyting.terms import dualize, eval_term, parse_term, run_program
 
 
 def oracle_forces(model, p: int, t) -> bool:
@@ -375,14 +384,153 @@ def test_capped_universal_frame_holds_only_small_ints():
     assert peak < 4 * 2**20
 
 
-def test_universal_frame_antichain_cap_counts_skipped_antichains(limits):
-    # only 4 antichains a layer meet the newest one, but the stream yields
-    # every antichain of the lower frame, and the cap counts them all
+def test_universal_frame_antichain_cap_counts_visited_antichains(limits):
+    # the cap counts the antichains a layer's walk visits, those that meet
+    # the newest layer or can still be extended to meet it, not every
+    # antichain of the lower frame: a few a layer on the (1, d) ladder, so
+    # each layer's work is bounded by count, however deep the frame.  The
+    # (2, 3) cap under MAX_ANTICHAINS=1000 is checked above.
     with limits(MAX_ANTICHAINS=100):
-        with pytest.raises(SizeCap) as err:
-            universal_frame(1, 60)
-        assert err.value.census == (2,) * 26
-        assert universal_frame(1, 26).census == (2,) * 26
+        assert universal_frame(1, 200).census == (2,) * 200
+
+
+def former_layers(n, d, max_nodes=None):
+    """The layer loop before the pruned walk, kept as the reference: each
+    layer streams every antichain of the lower frame and keeps those that
+    meet the newest layer, re-reading each kept antichain's points for its
+    colour meet and down union.  Returns (colors, down, up, layers,
+    visits), ``visits[k]`` being the antichains of layer k+1's stream that
+    meet the newest layer or whose extension mask does.  At ``max_nodes``
+    it returns the census, the partial layer last, and the antichains
+    visited in that layer up to the one the cap fires on."""
+    colors, down, up, layers, visits = [], [], [], [], []
+    for _ in range(d):
+        newest = sum(1 << p for p in layers[-1]) if layers else 0
+        found = antichain_stream(down, up) if layers else (0,)
+        new_colors, new_below, visited = [], [], 0
+        for antichain in found:
+            top = antichain.bit_length()
+            extension = ((1 << len(colors)) - 1) >> top << top
+            for w in bits(antichain):
+                extension &= ~(down[w] | up[w])
+            visited += bool((antichain | extension) & newest)
+            if antichain and not antichain & newest:
+                continue
+            inter, below = (1 << n) - 1, 0
+            for w in bits(antichain):
+                inter &= colors[w]
+                below |= down[w]
+            single = antichain.bit_count() == 1
+            for c in range(inter if single else inter + 1):
+                if c & inter == c:
+                    if len(colors) + len(new_colors) == max_nodes:
+                        census = tuple(map(len, layers)) + (len(new_colors),)
+                        return census, visited
+                    new_colors.append(c)
+                    new_below.append(below)
+        if not new_colors:
+            break
+        for c, below in zip(new_colors, new_below):
+            idx = len(colors)
+            colors.append(c)
+            down.append(below | 1 << idx)
+            up.append(1 << idx)
+            for w in bits(below):
+                up[w] |= 1 << idx
+        layers.append(tuple(range(len(colors) - len(new_colors), len(colors))))
+        visits.append(visited)
+    return colors, down, up, layers, visits
+
+
+FORMER_FRAMES = [(0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (3, 1)] + [
+    (1, d) for d in range(3, 31)
+]
+
+
+@pytest.mark.parametrize("n, d", FORMER_FRAMES)
+def test_universal_frame_matches_former_layer_loop(n, d, limits):
+    colors, down, up, layers, visits = former_layers(n, d)
+    uf = universal_frame(n, d)
+    frame = uf.model.frame
+    assert uf.model.colors == tuple(colors)
+    assert frame.down == tuple(down)
+    assert frame.up == tuple(up)
+    assert uf.layers == tuple(layers)
+    # the walk visits exactly the antichains that meet the newest layer or
+    # can still be extended to meet it, and the cap counts each of them
+    if len(visits) > 1:
+        most = max(visits[1:])
+        with limits(MAX_ANTICHAINS=most):
+            assert universal_frame(n, d).census == uf.census
+        with limits(MAX_ANTICHAINS=most - 1), pytest.raises(SizeCap) as err:
+            universal_frame(n, d)
+        assert err.value.census == uf.census[: visits.index(most, 1)]
+
+
+def test_capped_universal_frame_matches_former_layer_loop(limits):
+    # the third layer's walk prunes antichains of the lower frame as well:
+    # layer 1's three coloured points form one, but every layer 2 point
+    # lies over one of them, so no extension meets layer 2
+    for cap in (100, MAX_FRAME_NODES):
+        census, visited = former_layers(2, 3, max_nodes=cap)
+        with limits(MAX_ANTICHAINS=visited), pytest.raises(SizeCap) as err:
+            universal_frame(2, 3, max_nodes=cap)
+        assert err.value.census == census
+        assert str(err.value) == f"universal frame exceeds {cap} nodes"
+        with limits(MAX_ANTICHAINS=visited - 1), pytest.raises(SizeCap) as err:
+            universal_frame(2, 3, max_nodes=cap)
+        assert err.value.census == census[:2]
+
+
+def rieger_nishimura(frame, x1, count):
+    """Truth sets of the Rieger-Nishimura formulas nf_0 .. nf_{count-1} on
+    a one-variable frame whose variable holds on ``x1``, one formula at a
+    time: nf_0 = 0, nf_1 = x1, nf_2 = x1 -> 0, nf_{2k+1} = nf_{2k-1} |
+    nf_{2k} and nf_{2k+2} = nf_{2k+1} -> nf_{2k-1}.  Their codes grow like
+    Fibonacci numbers, so each is built from the values of the last two."""
+    join, impl = parse_term("a | b").code, parse_term("a -> b").code
+    nf = [0, x1, run_program(impl, {"a": x1, "b": 0}, frame)]
+    while len(nf) < count:
+        k = len(nf)
+        code = join if k % 2 else impl
+        first, second = (k - 2, k - 1) if k % 2 else (k - 1, k - 3)
+        nf.append(run_program(code, {"a": nf[first], "b": nf[second]}, frame))
+    return nf[:count]
+
+
+def test_one_variable_frames_are_the_rieger_nishimura_ladder():
+    # an oracle from outside the frame's construction: the free one-
+    # generated Heyting algebra is the Rieger-Nishimura ladder, so on the
+    # (1, D) frame the formulas nf_0 .. nf_{4D-2} are distinct downsets
+    # short of the whole frame, and with it they are all 4D downsets
+    for depth in range(1, 61):
+        model = universal_frame(1, depth).model
+        frame = model.frame
+        nf = rieger_nishimura(frame, model.columns[0], 4 * depth - 1)
+        assert len(set(nf)) == len(nf)
+        assert frame.full not in nf
+        assert frame.count_downsets() == 4 * depth
+
+
+def test_caught_universal_frame_cap_holds_nothing():
+    # the walk empties its lists before it raises, so a caught SizeCap
+    # still referenced (its traceback holds the walk's frame) keeps no
+    # layer: 1.53 MiB traced when the capped layer was left in the frame
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        try:
+            universal_frame(2, 3)
+        except SizeCap as exc:
+            kept = exc
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert kept.census == (4, 18, 19978)
+    assert held < 64 * 2**10
 
 
 def test_universal_frame_structure_pinned():
