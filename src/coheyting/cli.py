@@ -106,9 +106,10 @@ def _model_from_file(path: str, extra_vars=()):
 
 def cmd_poset_check(args) -> int:
     poset, colors = _load_poset(args.file)
+    count = poset.count_downsets()  # may hit its cap: print nothing first
     _emit_pair(args, "points", poset.n)
     _emit_pair(args, "height", poset.height())
-    _emit_pair(args, "downsets", poset.count_downsets())
+    _emit_pair(args, "downsets", count)
     if colors is not None:
         _emit_pair(args, "colored", "yes")
     return 0

@@ -35,7 +35,6 @@ from . import posets
 from .posets import (
     PointSet,
     Poset,
-    _from_down,
     _from_masks,
     _memo,
     _refine,
@@ -187,8 +186,12 @@ def bisim_reduce(model: KripkeModel) -> tuple[KripkeModel, tuple[int, ...]]:
             cls[p] = c
     rep = [cell[0] for cell in cells]
     down = [mask_of(cls[q] for q in bits(frame.down[p])) for p in rep]
+    up = [0] * len(rep)
+    for c, below in enumerate(down):
+        for b in bits(below):
+            up[b] |= 1 << c
     reduced = make_model(
-        _from_down([frame.names[p] for p in rep], down),
+        _from_masks([frame.names[p] for p in rep], down, up),
         model.vars,
         [model.colors[p] for p in rep],
     )

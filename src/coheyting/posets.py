@@ -13,7 +13,8 @@ isomorphism-class enumerator for small sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -81,36 +82,14 @@ def _compress(runs: Sequence[tuple[int, int, int]], m: PointSet) -> PointSet:
     return out
 
 
-_CUBE_MIN = 7  # a cube of fewer generators, 64 masks at most, is a run
+_CUBE_MIN = 7  # a segment of fewer generators, 64 masks a run mask at most, is expanded
 
 
-def _steps(run: list[PointSet], down: Sequence[PointSet], up: Sequence[PointSet], points:
-           Iterable[int], decided: PointSet, k: int | None, cap: int) -> tuple[list, list]:
-    """The list walk of ``Poset._walk`` over ``points``, from ``decided``:
-    the closures without each point, then those with it.  Returns them with
-    the last point's part.  SizeCap once they are more than ``cap``."""
-    with_i: list[PointSet] = []
-    for i in points:
-        d = down[i]
-        need, bar = d & decided, up[i] & decided
-        decided |= 1 << i
-        if k is not None:
-            with_i = [m | d for m in run if m & need == need and (m | d).bit_count() <= k]
-        elif need:
-            with_i = [m | d for m in run if m & need == need]
-        else:
-            with_i = [m | d for m in run]
-        if bar:
-            run = [m for m in run if not m & bar]
-        run += with_i
-        if len(run) > cap:
-            raise SizeCap(f"more than {cap} downsets")
-    return run, with_i
-
-
-def _expand(base: PointSet, gens: Sequence[PointSet]) -> list[PointSet]:
-    """The masks of the cube ``(base, gens)`` in order, by doubling."""
-    out = [base]
+def _expand(run: list[PointSet], gens: Sequence[PointSet]) -> list[PointSet]:
+    """The masks of the segment ``(run, gens)`` in walk order, by doubling:
+    each mask of ``run`` joined with each subset of ``gens``, the run
+    varying fastest, then the first generator."""
+    out = list(run)
     for g in gens:
         out += [m | g for m in out]
     return out
@@ -118,15 +97,17 @@ def _expand(base: PointSet, gens: Sequence[PointSet]) -> list[PointSet]:
 
 def _listed(segs: list) -> tuple[PointSet, ...]:
     """The masks of ``Poset._walk``'s segments reversed, then sorted stably
-    by size.  A cube is listed by how many generators a mask joins, which
-    once every point is decided is its size less the base's."""
+    by size.  A segment whose run is one mask, or that has no generators,
+    is listed by how many generators a mask joins, which once every point
+    is decided is its size less the run mask's; any other is listed by
+    doubling."""
     masks = []
-    for s in reversed(segs):
-        if type(s) is list:
-            masks += reversed(s)
+    for run, gens in reversed(segs):
+        if len(run) > 1 and gens:
+            masks += reversed(_expand(run, gens))
             continue
-        levels = [[s[0]]]
-        for g in s[1]:
+        levels = [run]
+        for g in gens:
             levels.append([])
             for c in range(len(levels) - 1, 0, -1):
                 levels[c] += [m | g for m in levels[c - 1]]
@@ -279,72 +260,65 @@ class Poset:
         partial downset held as its down closure: those that hold the decided
         points below i (``need``) gain a copy with ``down[i]``, after all the
         others; those that hold one above i (``bar``), and so i, lose theirs
-        without it.  Without ``k`` the closures are held as segments, runs
-        (lists) and cubes ``(base, gens)``: the masks ``base | OR(gens[p] for
-        p in bits(j))`` for j ascending.  A point with neither appends
-        ``down[i]`` to a sole cube.  Each generator adds one decided point to
-        its base, so a cube steps exactly: without i it keeps the generators
-        that miss ``bar`` (none if the base meets it); with i its base is
-        ``base | down[i]``, which holds the generators that meet ``need``, and
-        it keeps the others (none if a point of ``need`` outside the base has
-        no generator).  A cube of fewer than ``_CUBE_MIN`` generators is a
-        run, and a sole run goes on as one list (``_steps``).  SizeCap is
-        raised once the segments hold more than ``MAX_CLOSURE``, counted
-        without building them."""
+        without it.  The closures are held as segments ``(run, gens)``: each
+        mask of the list ``run`` joined with each subset of ``gens``, in
+        ``_expand``'s order.  A generator is ``down[x]`` for a decided point
+        x in no run mask, and its other decided points are in every run mask,
+        so one rule steps any segment exactly: without i it keeps the run
+        masks and generators that miss ``bar``; with i the generators whose
+        points lie in ``need`` are forced, and lie in ``down[i]``, the others
+        stay, and each run mask that holds the rest of ``need`` stays as
+        ``m | down[i]``.  Without ``k``, on at least ``_CUBE_MIN`` points, a
+        point with neither joins the generators of a sole segment.  A segment
+        of fewer than ``_CUBE_MIN`` generators is expanded, and adjacent
+        segments without generators are joined.  SizeCap is raised once the
+        segments hold more than ``MAX_CLOSURE``, counted without listing
+        them."""
         down, up, cap = self.down, self.up, MAX_CLOSURE
-        i, decided, masks = self.n, 0, [0]
-        if k is None and i >= _CUBE_MIN:
-            segs = [(0, [])]
-            while i and (len(segs) > 1 or type(segs[0]) is tuple):
-                d = down[i - 1]
-                need, bar = d & decided, up[i - 1] & decided
-                if len(segs) == 1 and need | bar and len(segs[0][1]) < _CUBE_MIN:
-                    segs = [_expand(*segs[0])]
-                    continue
-                i -= 1
-                if len(segs) == 1 and not need | bar:
-                    segs[0][1].append(d)
-                    total = 1 << len(segs[0][1])
-                else:
-                    keep, withs = [], []
-                    for s in segs:
-                        if type(s) is list:
-                            s, w = _steps(s, down, up, (i,), decided, None, cap)
-                            s = s[:len(s) - len(w)]
-                        else:
-                            base, gens = s
-                            lack = need & ~base
-                            rest = [g for g in gens if not g & lack]
-                            whole = len(gens) - len(rest) == lack.bit_count()
-                            w = (base | d, rest) if whole else []
-                            s = [] if base & bar else (base, [g for g in gens if not g & bar])
-                        keep.append(s)
-                        withs.append(w)
-                    segs = []
-                    for s in keep + withs:
-                        if type(s) is tuple and len(s[1]) < _CUBE_MIN:
-                            s = _expand(*s)
-                        if type(s) is list and segs and type(segs[-1]) is list:
-                            segs[-1] += s
-                        elif s:
-                            segs.append(s)
-                    total = sum(len(s) if type(s) is list else 1 << len(s[1]) for s in segs)
-                if total > cap:
-                    raise SizeCap(f"more than {cap} downsets")
-                decided |= 1 << i
-            if not i:
-                return _listed(segs)
-            masks = segs[0]
-        masks = _steps(masks, down, up, reversed(range(i)), decided, k, cap)[0]
-        masks.reverse()
-        masks.sort(key=int.bit_count)
-        return tuple(masks)
+        free = k is None and self.n >= _CUBE_MIN
+        segs, decided = [([0], [])], 0
+        for i in reversed(range(self.n)):
+            d = down[i]
+            need, bar = d & decided, up[i] & decided
+            decided |= 1 << i
+            if free and len(segs) == 1 and not need | bar:
+                segs[0] = (segs[0][0], [*segs[0][1], d])
+                total = len(segs[0][0]) << len(segs[0][1])
+            else:
+                keep, withs = [], []
+                for run, gens in segs:
+                    # the generators' points in need: no run mask holds one
+                    forced = need & ~run[0] & reduce(or_, gens) if gens else 0
+                    hold = need & ~forced
+                    if k is not None:
+                        w = [m | d for m in run if m & hold == hold and (m | d).bit_count() <= k]
+                    elif hold:
+                        w = [m | d for m in run if m & hold == hold]
+                    else:
+                        w = [m | d for m in run]
+                    withs.append((w, [g for g in gens if not g & forced] if forced else gens))
+                    if bar:
+                        run = [m for m in run if not m & bar]
+                        gens = [g for g in gens if not g & bar] if gens else gens
+                    keep.append((run, gens))
+                segs, total = [], 0
+                for run, gens in keep + withs:
+                    if 0 < len(gens) < _CUBE_MIN:
+                        run, gens = _expand(run, gens), []
+                    total += len(run) << len(gens)
+                    if run and not gens and segs and not segs[-1][1]:
+                        segs[-1][0].extend(run)  # each run list has one owner
+                    elif run:
+                        segs.append((run, gens))
+            if total > cap:
+                raise SizeCap(f"more than {cap} downsets")
+        return _listed(segs)
 
     def downsets(self) -> tuple[PointSet, ...]:
         """Every downset, sorted by (size, indices), as one tuple kept for
         the life of the poset.  It is built by ``_walk`` on first use, which
         raises SizeCap when there are more than ``MAX_CLOSURE``, counting a
-        cube without listing it; a build that raised keeps nothing."""
+        segment without listing it; a build that raised keeps nothing."""
         found = self.__dict__.get("_downsets")
         if found is None:
             found = self.__dict__["_downsets"] = self._walk(None)
@@ -356,10 +330,11 @@ class Poset:
 
     def downsets_upto(self, k: int) -> tuple[PointSet, ...]:
         """The downsets of at most ``k`` points: a prefix of ``downsets()``,
-        the same masks in the same order, built by ``_walk`` as one run,
-        which drops a closure as soon as it has more than ``k`` points, and
-        kept by no one.  SizeCap is raised once there are more than
-        ``MAX_CLOSURE`` of them, whatever ``downsets()`` would count."""
+        the same masks in the same order, built by ``_walk`` with no
+        generators, whose with-part drops a closure as soon as it has more
+        than ``k`` points, and kept by no one.  SizeCap is raised once there
+        are more than ``MAX_CLOSURE`` of them, whatever ``downsets()`` would
+        count."""
         return self._walk(k)
 
     def count_downsets(self) -> int:
@@ -367,8 +342,10 @@ class Poset:
         product over the connected components of the comparability graph.
         In each component, those of ``sub`` without its lowest point x plus
         those with it, memoized, with an explicit stack in place of
-        recursion; an antichain is n components of one point."""
-        down, up, total, rest = self.down, self.up, 1, self.full
+        recursion; an antichain is n components of one point.  Counting
+        downsets is #P-complete, so the memo can grow exponentially: SizeCap
+        is raised once one holds more than ``MAX_CLOSURE`` entries."""
+        down, up, total, rest, cap = self.down, self.up, 1, self.full, MAX_CLOSURE
         while rest:
             comp, new = 0, rest & -rest
             while new:
@@ -385,6 +362,8 @@ class Poset:
                 a, b = sub & ~up[x], sub & ~down[x]
                 if a in memo and b in memo:
                     memo[sub] = memo[a] + memo[b]
+                    if len(memo) > cap:
+                        raise SizeCap(f"more than {cap} entries counting downsets")
                 else:
                     todo += (sub, a, b)
             total *= memo[comp]
@@ -473,21 +452,6 @@ def close(
             add(diff(b, a))
         i += 1
     return sorted(seen, key=set_key)
-
-
-def transpose(down: Sequence[int]) -> list[int]:
-    """Up masks from down masks: bit j of ``up[i]`` is bit i of ``down[j]``."""
-    up = [0] * len(down)
-    for j, d in enumerate(down):
-        for i in bits(d):
-            up[i] |= 1 << j
-    return up
-
-
-def _from_down(names: Sequence[str], down: Sequence[int]) -> Poset:
-    """Build a Poset from reflexive down-closure masks: their transpose
-    gives the up masks, and ``_from_masks`` the covers."""
-    return _from_masks(names, down, transpose(down))
 
 
 def _from_masks(names: Sequence[str], down: Sequence[int], up: Sequence[int]) -> Poset:

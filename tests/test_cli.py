@@ -21,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coheyting.cli import build_parser, main
+from coheyting.posets import poset_to_text
+from conftest import two_level
 
 CHAIN = "points: p0 p1\ncovers: p0<p1\n"
 VEE = "points: p0 p1 p2\ncovers: p0<p1 p0<p2\n"
@@ -92,6 +94,17 @@ def test_poset_check_prints_huge_counts_in_full(capsys, tmp_path):
     count = str(2 ** 2200)
     assert out.splitlines() == ["points: 2200", "height: 0", "downsets: " + count]
     assert rout.splitlines()[2] == "downsets=" + count
+
+
+def test_poset_check_caps_the_downset_count(capsys, tmp_path, limits):
+    # counting the downsets of this order memoizes more than MAX_CLOSURE
+    # subsets (after ~2 s); a lower limit reaches the same exit at once
+    path = tmp_path / "two-level.poset"
+    path.write_text(poset_to_text(two_level(64)))
+    with limits(MAX_CLOSURE=2 ** 14):
+        code, out, err = run(capsys, "poset", "check", str(path))
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: more than 16384 entries counting downsets\n"
 
 
 def test_poset_show_lists_ranks(capsys, vee_file):

@@ -49,7 +49,6 @@ from coheyting.kripke import (
 )
 from coheyting.posets import (
     Poset,
-    _from_down,
     antichain_stream,
     bits,
     build_poset,
@@ -57,6 +56,7 @@ from coheyting.posets import (
 )
 from coheyting.suites import random_term
 from coheyting.terms import dualize, eval_term, parse_term, run_program
+from conftest import from_down
 
 
 def oracle_forces(model, p: int, t) -> bool:
@@ -226,6 +226,8 @@ def test_bisim_reduce_matches_brute_force_oracle():
             assert reduced.colors[a] == model.colors[pa[0]]
             for b, pb in enumerate(members):
                 assert reduced.frame.leq(a, b) == any(frame.leq(p, q) for p in pa for q in pb)
+        # the up masks are the transpose of the down masks over the classes
+        assert reduced.frame == from_down(reduced.frame.names, reduced.frame.down)
         assert is_reduced(reduced)
         assert is_reduced(model) == (reduced.frame.n == frame.n)
         digest.update(repr((reduced.to_text(), mapping)).encode())
@@ -554,7 +556,7 @@ def test_universal_frame_keeps_its_grown_up_masks():
     for n, ds in ((1, range(1, 7)), (2, (1, 2)), (3, (1, 2))):
         for d in ds:
             frame = universal_frame(n, d).model.frame
-            assert frame == _from_down(frame.names, frame.down)
+            assert frame == from_down(frame.names, frame.down)
 
 
 def test_columns_are_colour_bits():

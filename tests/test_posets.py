@@ -29,7 +29,6 @@ from coheyting.fixtures import load_fixture
 from coheyting.kripke import free_quotient, universal_frame
 from coheyting.posets import (
     Poset,
-    _from_down,
     antichain_stream,
     bits,
     build_poset,
@@ -41,6 +40,7 @@ from coheyting.posets import (
     poset_to_text,
     set_key,
 )
+from conftest import from_down, two_level
 
 
 def brute_labeled_posets(k: int) -> list[frozenset]:
@@ -147,7 +147,7 @@ def test_build_poset_rejects_duplicates_and_cycles():
 
 def test_build_poset_up_masks_match_transpose():
     # build_poset takes its up masks from a second pass over the Kahn order;
-    # _from_down transposes the down masks.  Each poset of up to 6 points is
+    # from_down transposes the down masks.  Each poset of up to 6 points is
     # rebuilt from its covers, from all its strict pairs in a shuffled order,
     # and under reversed point names, which makes the indices run downward.
     rng = random.Random(25)
@@ -159,10 +159,10 @@ def test_build_poset_up_masks_match_transpose():
         rng.shuffle(strict)
         for q in (build_poset(p.names, covers), build_poset(p.names, strict)):
             assert q.down == p.down
-            want = _from_down(p.names, p.down)
+            want = from_down(p.names, p.down)
             assert [getattr(q, f) for f in fields] == [getattr(want, f) for f in fields]
         q = build_poset(p.names[::-1], covers)
-        want = _from_down(q.names, q.down)
+        want = from_down(q.names, q.down)
         assert [getattr(q, f) for f in fields] == [getattr(want, f) for f in fields]
 
 
@@ -262,6 +262,20 @@ def test_count_downsets_multiplies_components():
     assert wide.count_downsets() == 2 ** 14400
 
 
+def test_count_downsets_is_capped(limits):
+    # its memo grows with the subsets it meets, not the count: the 64-point
+    # two-level order passes MAX_CLOSURE entries in a few seconds
+    with pytest.raises(SizeCap, match="counting downsets"):
+        two_level(64).count_downsets()
+    # the cap is on the entries one memo holds, 53,823 on 40 points
+    p = two_level(40)
+    count = p.count_downsets()
+    with limits(MAX_CLOSURE=53823):
+        assert p.count_downsets() == count
+    with limits(MAX_CLOSURE=53822), pytest.raises(SizeCap):
+        p.count_downsets()
+
+
 def walk_is_prefix(p: Poset, ks) -> None:
     full = p.downsets()
     for k in ks:
@@ -356,11 +370,28 @@ def seeded_orders(count: int, max_points: int, seed: int):
 
 def fresh(p: Poset) -> Poset:
     """A new object for the same poset, with no downset list kept yet."""
-    return _from_down(p.names, p.down)
+    return from_down(p.names, p.down)
 
 
 def chain(n: int) -> Poset:
     return build_poset([f"c{i}" for i in range(n)], [(f"c{i}", f"c{i + 1}") for i in range(n - 1)])
+
+
+def list_then_free(count: int, seed: int):
+    """Seeded orders whose walk comes down to one list, then meets free
+    points, then comparable ones: a comparable pair among the top indices,
+    points below them comparable to none of those (a few to each other),
+    then low points each below some of the rest; and each dual."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        low, free, top = rng.randint(1, 4), rng.randint(1, 10), rng.randint(2, 4)
+        n = low + free + top
+        pairs = [(n - top, n - top + 1)]
+        pairs += [(a, b) for a, b in itertools.combinations(range(n - top, n), 2) if rng.random() < 0.5]
+        pairs += [(a, b) for a, b in itertools.combinations(range(low, n - top), 2) if rng.random() < 0.1]
+        pairs += [(a, b) for a in range(low) for b in range(a + 1, n) if rng.random() < 0.3]
+        p = build_poset([f"p{i}" for i in range(n)], [(f"p{a}", f"p{b}") for a, b in pairs])
+        yield from (p, p.dual())
 
 
 def walk_cases():
@@ -368,6 +399,7 @@ def walk_cases():
     for p in enumerate_posets(6):
         yield from (p, p.dual())
     yield from seeded_orders(300, 16, 35)
+    yield from list_then_free(100, 37)
     yield universal_frame(2, 2).model.frame
     yield free_quotient(2, 2).algebra.spec
     # the (1, d) frames, listed bottom-up, and their duals, the spectra of
@@ -391,10 +423,13 @@ def test_walk_upto_matches_the_list_walk():
 
 
 def test_walk_holds_no_small_cube_and_no_adjacent_runs(monkeypatch):
+    # a segment (run, gens) with generators has at least _CUBE_MIN of them,
+    # unless it is a sole segment that free points reached last, and no two
+    # segments without generators are adjacent
     seen = []
 
     def spy(segs):
-        seen.append([("cube", len(s[1])) if type(s) is tuple else ("run", len(s)) for s in segs])
+        seen.append([(len(run), len(gens)) for run, gens in segs])
         return listed(segs)
 
     listed = posets._listed
@@ -403,45 +438,54 @@ def test_walk_holds_no_small_cube_and_no_adjacent_runs(monkeypatch):
         fresh(p).downsets()
     assert len(seen) > 20
     for segs in seen:
-        assert all(n >= posets._CUBE_MIN for kind, n in segs if kind == "cube")
-        assert not any(a[0] == b[0] == "run" for a, b in zip(segs, segs[1:]))
-    # the (2,2) frame ends in 4 cubes and 4 runs, its 18 maximal points
-    # the generators of the last cube; the spectrum in the same, reversed
+        assert len(segs) == 1 or all(g >= posets._CUBE_MIN for _, g in segs if g)
+        assert not any(a[1] == b[1] == 0 for a, b in zip(segs, segs[1:]))
+    # some walks end in a run of several masks joined with generators: a
+    # list that met free points
+    assert any(r > 1 and g for segs in seen for r, g in segs)
+    # the (2,2) frame ends in 4 one-mask segments and 4 lists, its 18
+    # maximal points the generators of the last; the spectrum in the same,
+    # reversed
     seen.clear()
     fresh(universal_frame(2, 2).model.frame).downsets()
     fresh(free_quotient(2, 2).algebra.spec).downsets()
-    frame = [("run", 149), ("cube", 11), ("run", 21), ("cube", 9),
-             ("run", 4), ("cube", 9), ("run", 64), ("cube", 18)]
+    frame = [(149, 0), (1, 11), (21, 0), (1, 9), (4, 0), (1, 9), (64, 0), (1, 18)]
     assert seen == [frame, frame[::-1]]
 
 
 def test_a_chain_is_walked_as_one_list(monkeypatch):
-    calls = []
+    expanded, seen = [], []
 
-    def spy(run, down, up, points, decided, k, cap):
-        points = list(points)
-        calls.append(len(points))
-        return steps(run, down, up, points, decided, k, cap)
+    def spy_expand(run, gens):
+        expanded.append((len(run), len(gens)))
+        return expand(run, gens)
 
-    steps = posets._steps
-    monkeypatch.setattr(posets, "_steps", spy)
+    def spy_listed(segs):
+        seen.append([(len(run), len(gens)) for run, gens in segs])
+        return listed(segs)
+
+    expand, listed = posets._expand, posets._listed
+    monkeypatch.setattr(posets, "_expand", spy_expand)
+    monkeypatch.setattr(posets, "_listed", spy_listed)
     for p in (chain(200), chain(200).dual()):
-        calls.clear()
+        expanded.clear()
+        seen.clear()
         assert p.downsets() == ref_walk(p, None)
-        # the first point goes onto the cube, the second expands it, and the
-        # list walk takes that one and the 198 after it
-        assert calls == [199]
+        # the first point is a generator of the sole segment, the second
+        # expands it, and the walk is then one list to the end
+        assert expanded == [(1, 1)] and seen == [[(201, 0)]]
 
 
 def test_downsets_counts_its_own_walk(limits):
     def cases():
         for p in enumerate_posets(5):
             yield from (p, p.dual())
-        # orders with cubes: antichains, seeded orders, the (2,2) frame and
-        # the F(2,2) spectrum
+        # orders with generators: antichains, seeded orders, lists that meet
+        # free points, the (2,2) frame and the F(2,2) spectrum
         for n in range(7, 13):
             yield build_poset([f"p{i}" for i in range(n)])
         yield from (p for p in seeded_orders(40, 14, 37) if p.n >= posets._CUBE_MIN)
+        yield from list_then_free(40, 38)
         yield universal_frame(2, 2).model.frame
         yield free_quotient(2, 2).algebra.spec
 
@@ -454,21 +498,26 @@ def test_downsets_counts_its_own_walk(limits):
 
 
 def test_wide_antichain_raises_before_listing():
-    wide = build_poset([f"p{i}" for i in range(1500)])
-    tracemalloc.start()
-    start = time.perf_counter()
-    try:
+    # 1,500 incomparable points, and two comparable points with them, at the
+    # top indices (decided first, so the walk is a list when the free points
+    # come) or at the lowest
+    names = [f"p{i}" for i in range(1502)]
+    for pairs in ([], [("p1500", "p1501")], [("p0", "p1")]):
+        wide = build_poset(names, pairs)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(SizeCap):
+                wide.downsets()
+            took = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert took < 0.1 and peak < 2 ** 20
+        algebra = Algebra(wide)
         with pytest.raises(SizeCap):
-            wide.downsets()
-        took = time.perf_counter() - start
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert took < 0.1 and peak < 2 ** 20
-    algebra = Algebra(wide)
-    with pytest.raises(SizeCap):
-        algebra.elements()
-    assert "_elements" not in algebra.__dict__ and "_downsets" not in wide.__dict__
+            algebra.elements()
+        assert "_elements" not in algebra.__dict__ and "_downsets" not in wide.__dict__
 
 
 def reference_downsets(p: Poset) -> list[int]:
@@ -536,7 +585,7 @@ def test_streams_on_tiny_posets_and_caps(limits):
 def fresh_f14() -> Poset:
     """A new object equal to F(1,4)'s spectrum, so no list is kept yet."""
     spec = free_quotient(1, 4).algebra.spec
-    return _from_down(spec.names, spec.down)
+    return from_down(spec.names, spec.down)
 
 
 def shuffled(p: Poset, seed: int) -> Poset:
@@ -599,7 +648,7 @@ def test_f22_downsets_in_other_layouts():
     # the spectrum is listed top-down; its frame bottom-up, where the walk's
     # lists grow longest; the shuffle is mixed
     frame = universal_frame(2, 2).model.frame
-    bottom_up = _from_down(frame.names, frame.down)
+    bottom_up = from_down(frame.names, frame.down)
     mixed = shuffled(free_quotient(2, 2).algebra.spec, 16)
     for p in (bottom_up, mixed):
         assert list(p.downsets()) == reference_downsets(p)
@@ -637,7 +686,7 @@ def test_covers_by_climbing_match_pairwise_rule():
                 down = [0] * q.n
                 for j in range(q.n):
                     down[perm[j]] = mask_of(perm[i] for i in bits(q.down[j]))
-                r = _from_down(q.names, down)
+                r = from_down(q.names, down)
                 pairwise = sorted(
                     (i, j)
                     for j in range(r.n)
@@ -676,7 +725,7 @@ def induced_by_bits(p: Poset, keep: int) -> Poset:
         for j in bits(p.down[old] & keep):
             m |= 1 << pos[j]
         down.append(m)
-    return _from_down(tuple(p.names[i] for i in kept), down)
+    return from_down(tuple(p.names[i] for i in kept), down)
 
 
 def test_induced_matches_bitwise_reference():
@@ -1004,7 +1053,7 @@ def test_enumeration_pinned(monkeypatch):
     assert len(reps) == 2450 and len(calls) == 5069
     assert sha256_of(repr((p.names, p.covers)) for p in reps).startswith("6af9dbfe7644e4ce")
     # the closure masks, computed on the build that made each candidate
-    # with _from_down
+    # with from_down
     assert sha256_of(repr((p.down, p.up)) for p in reps).startswith("a1fb97f451474c29")
     monkeypatch.undo()
     posets._iso_classes.cache_clear()
@@ -1018,7 +1067,7 @@ def test_candidates_built_from_their_base():
         names = base.names + (f"p{base.n}",)
         for downset in base.downsets():
             cand = posets._add_top(base, names, downset)
-            assert cand == _from_down(names, base.down + (downset | 1 << base.n,))
+            assert cand == from_down(names, base.down + (downset | 1 << base.n,))
 
 
 def test_unlabelled_root_matches_labelled_path():
